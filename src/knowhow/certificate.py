@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, atoms_of
-from .propsat import SatOracle, enumerate_models, eval_prop
+from .propsat import SatOracle, enumerate_models
 from .semantics import Lts, dump_model, eval_formula, make_lts
 
 
@@ -54,7 +54,9 @@ def build_model(
     state (lowest-numbered) is recorded as the certificate's witness state.
     States enumerate every context-satisfying valuation over the atoms
     mentioned by the pair, so the state count is exponential in the atom
-    count; ``max_atoms`` caps it.
+    count; ``max_atoms`` caps it.  Pre- and postconditions are read on that
+    state grid with the model checker's own evaluator; soundness still rests
+    on ``verify_certificate`` checking the original formula exactly.
     """
     atoms: set[str] = set()
     for pre, post in p.conjuncts:
@@ -76,36 +78,22 @@ def build_model(
         sid: [a for a in ordered_atoms if valuation[a]]
         for sid, valuation in zip(state_ids, valuations)
     }
+    grid = make_lts(state_ids, props, {})
 
-    inert = set(ctx.indices) | {
-        k
-        for k in range(1, p.n + 1)
-        if k not in ctx.indices
-        and not any(eval_prop(p.pre(k), v) for v in valuations)
-    }
+    def holding(f: Formula) -> list[str]:
+        return grid.state_ids(eval_formula(grid, f))
+
+    # Context indices and conjuncts whose precondition never holds get no action.
     rel: dict[str, list[tuple[str, str]]] = {}
-    active: list[str] = []
     for k in range(1, p.n + 1):
-        if k in inert:
-            continue
-        pre_states = [
-            sid for sid, v in zip(state_ids, valuations) if eval_prop(p.pre(k), v)
-        ]
-        post_states = [
-            sid for sid, v in zip(state_ids, valuations) if eval_prop(p.post(k), v)
-        ]
-        name = f"a{k}"
-        rel[name] = [(s, t) for s in pre_states for t in post_states]
-        active.append(name)
+        pre_states = [] if k in ctx.indices else holding(p.pre(k))
+        if pre_states:
+            post_states = holding(p.post(k))
+            rel[f"a{k}"] = [(s, t) for s in pre_states for t in post_states]
 
-    model = make_lts(state_ids, props, rel)
-    witness_state: str | None = None
-    if witness_pre is not None:
-        for sid, valuation in zip(state_ids, valuations):
-            if eval_prop(witness_pre, valuation):
-                witness_state = sid
-                break
-    return Certificate(model, witness_state, tuple(active))
+    witnesses = holding(witness_pre) if witness_pre is not None else []
+    witness_state = witnesses[0] if witnesses else None
+    return Certificate(make_lts(state_ids, props, rel), witness_state, tuple(rel))
 
 
 def verify_certificate(certificate: Certificate, original: Formula) -> bool:

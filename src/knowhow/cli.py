@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 
@@ -23,24 +22,13 @@ from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
 from .propsat import SatOracle
-from .semantics import Lts, dump_model, eval_formula, has_witness_plan, load_model
+from .semantics import dump_model, eval_formula, has_witness_plan, load_model
 
 SOLVER_ENV_VAR = "KNOWHOW_SAT_SOLVER"
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's settings: decide mode, solver backend, search knobs."""
-
-    mode: str
-    solver_path: str | None
-    bounds: SearchBounds
-    output_format: str
-    trace: bool
 
 
 def _resolve_solver(flag_value: str | None) -> str | None:
@@ -78,10 +66,6 @@ def _top_level_kh(f: Formula) -> list[Kh]:
 
     walk(desugar(f))
     return found
-
-
-def _mask_states(m: Lts, mask: int) -> list[str]:
-    return [s for i, s in enumerate(m.states) if mask >> i & 1]
 
 
 def _echo_report(pairs: list[tuple[str, object]], fmt: str) -> None:
@@ -133,27 +117,23 @@ def cli() -> None:
 @click.option("--certificate-out", type=click.Path(), help="Write the SAT certificate to this file.")
 def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, certificate_out):
     """Decide satisfiability; exit 10 on SAT, 20 on UNSAT."""
-    cfg = RunConfig(
-        mode=mode,
-        solver_path=_resolve_solver(solver),
-        bounds=SearchBounds(max_states=max_states, random_trials=trials, seed=seed),
-        output_format=fmt,
-        trace=trace,
-    )
+    solver_path = _resolve_solver(solver)
+    # Built before deciding so that a bad --max-states fails in every mode.
+    bounds = SearchBounds(max_states=max_states, random_trials=trials, seed=seed)
     f = _read_formula(formula, file)
-    want_trace = cfg.trace or cfg.mode == "differential"
+    want_trace = trace or mode == "differential"
 
-    oracle = SatOracle(solver_path=cfg.solver_path)
-    primary = decide(f, "plain" if cfg.mode == "differential" else cfg.mode,
+    oracle = SatOracle(solver_path=solver_path)
+    primary = decide(f, "plain" if mode == "differential" else mode,
                      oracle=oracle, trace=want_trace)
     certificate = primary.certificate
 
     pairs: list[tuple[str, object]] = [
         ("result", primary.result.value),
-        ("mode", cfg.mode),
+        ("mode", mode),
         ("guesses_tried", primary.guesses_tried),
     ]
-    if cfg.output_format == "json":
+    if fmt == "json":
         partition = dict(primary.partition.k_assignment) if primary.partition else None
         cert_doc = json.loads(certificate.dump()) if certificate else None
         pairs += [
@@ -173,19 +153,19 @@ def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, cer
         "per_guess_max": oracle_call_count(primary) if want_trace else None,
         "total": oracle.calls,
     }
-    pairs.append(("oracle_calls", calls if cfg.output_format == "json" else
+    pairs.append(("oracle_calls", calls if fmt == "json" else
                   " ".join(f"{k}={v}" for k, v in calls.items() if v is not None)))
 
-    if cfg.mode == "differential":
-        other_oracle = SatOracle(solver_path=cfg.solver_path)
+    if mode == "differential":
+        other_oracle = SatOracle(solver_path=solver_path)
         other = decide(f, "augmented", oracle=other_oracle, trace=True)
         pairs += [
             ("augmented_result", other.result.value),
             ("modes_agree", primary.result is other.result),
-            ("oracle_check", _oracle_check(f, primary.result, cfg.bounds)),
+            ("oracle_check", _oracle_check(f, primary.result, bounds)),
         ]
 
-    _echo_report(pairs, cfg.output_format)
+    _echo_report(pairs, fmt)
     if certificate_out and certificate is not None:
         with open(certificate_out, "w", encoding="utf-8") as handle:
             handle.write(certificate.dump())
@@ -232,12 +212,12 @@ def modelcheck(model_file, formula, fmt):
         witnesses.append((render(kh), None if plan is None else " ".join(plan) or "ε"))
     if fmt == "json":
         doc = {
-            "truth_set": _mask_states(model, truth),
+            "truth_set": model.state_ids(truth),
             "witnesses": [{"formula": text, "witness": w} for text, w in witnesses],
         }
         click.echo(json.dumps(doc, indent=2))
         return 0
-    names = _mask_states(model, truth)
+    names = model.state_ids(truth)
     click.echo(f"truth set: {' '.join(names) if names else '(empty)'}")
     for text, witness in witnesses:
         click.echo(f"{text}: {'none' if witness is None else 'witness ' + witness}")
@@ -291,13 +271,8 @@ def gen_model(states, actions, atoms, density, seed):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formulas, fmt):
     """Run a seeded suite; report time, calls, verdicts, agreement."""
-    cfg = RunConfig(
-        mode=mode,
-        solver_path=_resolve_solver(solver),
-        bounds=SearchBounds(random_trials=trials, seed=seed),
-        output_format=fmt,
-        trace=True,
-    )
+    solver_path = _resolve_solver(solver)
+    bounds = SearchBounds(random_trials=trials, seed=seed)
     names = tuple(a.strip() for a in atoms.split(",") if a.strip())
     instances: list[tuple[str, Formula]] = [
         ("pinned", parse(text)) for text in extra_formulas
@@ -309,9 +284,9 @@ def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formula
 
     rows: list[dict[str, object]] = []
     for label, f in instances:
-        oracle = SatOracle(solver_path=cfg.solver_path)
+        oracle = SatOracle(solver_path=solver_path)
         started = time.perf_counter()
-        verdict = decide(f, "plain" if cfg.mode == "differential" else cfg.mode,
+        verdict = decide(f, "plain" if mode == "differential" else mode,
                          oracle=oracle, trace=True)
         elapsed_ms = (time.perf_counter() - started) * 1000
         row: dict[str, object] = {
@@ -323,17 +298,18 @@ def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formula
             "ms": round(elapsed_ms, 2),
             "formula": render(f),
         }
-        if cfg.mode == "differential":
-            other = decide(f, "augmented", oracle=SatOracle(solver_path=cfg.solver_path))
+        if mode == "differential":
+            other = decide(f, "augmented", oracle=SatOracle(solver_path=solver_path))
             row["modes_agree"] = verdict.result is other.result
-            row["oracle_check"] = _oracle_check(f, verdict.result, cfg.bounds)
+            row["oracle_check"] = _oracle_check(f, verdict.result, bounds)
         rows.append(row)
 
-    if cfg.output_format == "json":
+    if fmt == "json":
         click.echo(json.dumps(rows, indent=2))
         return 0
-    keys = list(rows[0]) if rows else []
-    keys.remove("formula")
+    if not rows:
+        return 0
+    keys = [k for k in rows[0] if k != "formula"]
     widths = {k: max(len(k), *(len(str(r[k])) for r in rows)) for k in keys}
     click.echo("  ".join(k.ljust(widths[k]) for k in keys) + "  formula")
     for row in rows:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from . import certificate
 from .formula import (
     And,
     Atom,
@@ -300,12 +301,21 @@ def _guess_order_key(defs: tuple, assignment: dict[str, bool]) -> tuple:
     return tuple(not assignment[k.name] for k, _ in defs)
 
 
+def _partition(result: FlattenResult, assignment: dict[str, bool]) -> GuessPartition:
+    numbered = list(enumerate(result.defs, start=1))
+    return GuessPartition(
+        p_plus=tuple(i for i, (k, _) in numbered if assignment[k.name]),
+        p_minus=tuple(i for i, (k, _) in numbered if not assignment[k.name]),
+        k_assignment=dict(assignment),
+    )
+
+
 def _build_pair(
     result: FlattenResult, assignment: dict[str, bool], mode: str
 ) -> tuple[PositiveSpec, NegativeSpec, Formula]:
     """The candidate pair for one guess, plus the existential precondition."""
-    p_plus = [i for i, (k, _) in enumerate(result.defs, start=1) if assignment[k.name]]
-    p_minus = [i for i, (k, _) in enumerate(result.defs, start=1) if not assignment[k.name]]
+    partition = _partition(result, assignment)
+    p_plus, p_minus = partition.p_plus, partition.p_minus
     positives: list[tuple[Formula, Formula]] = [
         (result.defs[i - 1][1].pre, result.defs[i - 1][1].post) for i in p_plus
     ]
@@ -325,13 +335,46 @@ def _build_pair(
     return PositiveSpec(tuple(positives)), NegativeSpec(tuple(negatives)), exis_pre
 
 
+def _certify(
+    p: PositiveSpec,
+    q: NegativeSpec,
+    ctx: GlobalContext,
+    witness_pre: Formula,
+    original: Formula,
+    oracle: SatOracle,
+) -> certificate.Certificate | None:
+    """The certificate built for a pair, if it verifies against the original
+    formula; None otherwise."""
+    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre, oracle=oracle)
+    return candidate if certificate.verify_certificate(candidate, original) else None
+
+
+def _rescue(
+    flattening: FlattenResult,
+    assignment: dict[str, bool],
+    original: Formula,
+    oracle: SatOracle,
+) -> certificate.Certificate | None:
+    """Certify a guess from its atom-pinning pair instead.
+
+    With every definition atom forced to its guessed value globally, each
+    definition's literal reading coincides with its expansion, so a
+    certificate for the enriched pair also satisfies the original formula
+    whenever that pair is itself compatible.
+    """
+    p, q, exis_pre = _build_pair(flattening, assignment, "augmented")
+    ctx = global_indices(p, oracle)
+    if not compatible(p, q, oracle, ctx):
+        return None
+    return _certify(p, q, ctx, exis_pre, original, oracle)
+
+
 def decide(
     f: Formula,
     mode: str = "plain",
     *,
     oracle: SatOracle | None = None,
     trace: bool = False,
-    max_certificate_atoms: int = 12,
 ) -> Verdict:
     """Decide satisfiability; SAT verdicts carry a verified certificate.
 
@@ -339,13 +382,12 @@ def decide(
     verifies against the original formula.  In ``plain`` mode the candidate
     pair does not pin the definition atoms' global values, so the first
     certificate attempt can fail on alternation-deep inputs; the certificate
-    is then rebuilt from the same guess's atom-pinning pair, which forces
-    every definition atom to hold its guessed value throughout the model and
-    realigns the nested definitions.  A guess whose certificates all fail is
-    recorded in the trace and skipped.
+    is then rebuilt from the same guess's atom-pinning pair (``_rescue``).
+    A guess whose certificates all fail is recorded in the trace and skipped.
+    Without definitions the only guess is the empty assignment, and the
+    enumeration has already shown the skeleton satisfiable, so the
+    compatibility check is skipped.
     """
-    from .certificate import build_model, verify_certificate
-
     if mode not in ("plain", "augmented"):
         raise ValueError(f"unknown mode {mode!r}")
     oracle = oracle or SatOracle()
@@ -357,105 +399,26 @@ def decide(
         flattening.phi0, proj, max(1, 2 ** len(proj))
     )
     enumeration_calls = oracle.calls - before
-
-    if not flattening.defs:
-        # No definitions: satisfiability is exactly the skeleton's
-        # propositional satisfiability, already settled by the enumeration.
-        if not assignments:
-            return Verdict(
-                result=Result.UNSAT,
-                mode=mode,
-                guesses_tried=0,
-                flattening=flattening,
-                enumeration_calls=enumeration_calls,
-                trace=() if trace else None,
-            )
-        p, q, exis_pre = _build_pair(flattening, {}, mode)
-        ctx = GlobalContext(frozenset(), (), Top())
-        before = oracle.calls
-        certificate = build_model(
-            p,
-            q,
-            ctx,
-            witness_pre=exis_pre,
-            max_atoms=max_certificate_atoms,
-            oracle=oracle,
-        )
-        verified = verify_certificate(certificate, f)
-        certificate_calls = oracle.calls - before
-        record = GuessRecord(
-            k_assignment={}, n=0, m=1, compatible=True,
-            certificate_verified=verified, oracle_calls=0,
-        )
-        if verified:
-            return Verdict(
-                result=Result.SAT,
-                mode=mode,
-                guesses_tried=1,
-                partition=GuessPartition((), (), {}),
-                certificate=certificate,
-                flattening=flattening,
-                enumeration_calls=enumeration_calls,
-                certificate_calls=certificate_calls,
-                trace=(record,) if trace else None,
-            )
-        return Verdict(
-            result=Result.UNSAT,
-            mode=mode,
-            guesses_tried=1,
-            flattening=flattening,
-            enumeration_calls=enumeration_calls,
-            certificate_calls=certificate_calls,
-            trace=(record,) if trace else None,
-        )
-
     assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
+
     records: list[GuessRecord] = []
     certificate_calls = 0
     tried = 0
-
+    cert = None
     for assignment in assignments:
         tried += 1
         p, q, exis_pre = _build_pair(flattening, assignment, mode)
         before = oracle.calls
         ctx = global_indices(p, oracle)
-        ok = compatible(p, q, oracle, ctx)
+        ok = not flattening.defs or compatible(p, q, oracle, ctx)
         guess_calls = oracle.calls - before
-        verified: bool | None = None
         rescued = False
-        certificate = None
         if ok:
             before = oracle.calls
-            certificate = build_model(
-                p,
-                q,
-                ctx,
-                witness_pre=exis_pre,
-                max_atoms=max_certificate_atoms,
-                oracle=oracle,
-            )
-            verified = verify_certificate(certificate, f)
-            if not verified and mode == "plain":
-                # Rebuild from the atom-pinning pair: with every definition
-                # atom forced to its guessed value globally, each definition's
-                # literal reading coincides with its expansion, so a
-                # certificate for the enriched pair also satisfies the
-                # original formula whenever that pair is itself compatible.
-                p2, q2, exis2 = _build_pair(flattening, assignment, "augmented")
-                ctx2 = global_indices(p2, oracle)
-                if compatible(p2, q2, oracle, ctx2):
-                    candidate = build_model(
-                        p2,
-                        q2,
-                        ctx2,
-                        witness_pre=exis2,
-                        max_atoms=max_certificate_atoms,
-                        oracle=oracle,
-                    )
-                    if verify_certificate(candidate, f):
-                        certificate = candidate
-                        verified = True
-                        rescued = True
+            cert = _certify(p, q, ctx, exis_pre, f, oracle)
+            if cert is None and mode == "plain":
+                cert = _rescue(flattening, assignment, f, oracle)
+                rescued = cert is not None
             certificate_calls += oracle.calls - before
         if trace:
             records.append(
@@ -464,38 +427,20 @@ def decide(
                     n=p.n,
                     m=q.m,
                     compatible=ok,
-                    certificate_verified=verified,
+                    certificate_verified=cert is not None if ok else None,
                     oracle_calls=guess_calls,
                     rescued=rescued,
                 )
             )
-        if ok and verified:
-            partition = GuessPartition(
-                p_plus=tuple(
-                    i for i, (k, _) in enumerate(flattening.defs, start=1) if assignment[k.name]
-                ),
-                p_minus=tuple(
-                    i
-                    for i, (k, _) in enumerate(flattening.defs, start=1)
-                    if not assignment[k.name]
-                ),
-                k_assignment=dict(assignment),
-            )
-            return Verdict(
-                result=Result.SAT,
-                mode=mode,
-                guesses_tried=tried,
-                partition=partition,
-                certificate=certificate,
-                flattening=flattening,
-                enumeration_calls=enumeration_calls,
-                certificate_calls=certificate_calls,
-                trace=tuple(records) if trace else None,
-            )
+        if cert is not None:
+            break
+
     return Verdict(
-        result=Result.UNSAT,
+        result=Result.SAT if cert is not None else Result.UNSAT,
         mode=mode,
-        guesses_tried=len(assignments),
+        guesses_tried=tried,
+        partition=_partition(flattening, assignment) if cert is not None else None,
+        certificate=cert,
         flattening=flattening,
         enumeration_calls=enumeration_calls,
         certificate_calls=certificate_calls,

@@ -27,7 +27,6 @@ from .formula import (
     atoms_of,
     desugar,
     modal_depth,
-    render,
 )
 
 
@@ -55,37 +54,26 @@ class FlattenResult:
         return And(self.phi0, self.definitions())
 
 
-def _ordered_leaves(f: Formula) -> list[Kh]:
-    """Depth-1 modalities in left-to-right first-occurrence order."""
-    found: dict[Kh, None] = {}
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Kh):
-            if modal_depth(g) == 1:
-                found.setdefault(g)
-                return
-            walk(g.pre)
-            walk(g.post)
-        elif isinstance(g, Not):
-            walk(g.f)
-        elif isinstance(g, Or):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return list(found)
-
-
-def _replace(f: Formula, target: Kh, replacement: Atom) -> Formula:
-    if f == target:
-        return replacement
+def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> tuple[Formula, bool]:
+    """Replace every depth-1 modality by its name, assigning fresh names
+    ``_k{first}``, ``_k{first+1}``, ... in left-to-right first-occurrence
+    order; the flag says whether ``f`` contained a modality."""
     if isinstance(f, Not):
-        return Not(_replace(f.f, target, replacement))
+        inner, modal = _name_leaves(f.f, names, first)
+        return Not(inner), modal
     if isinstance(f, Or):
-        return Or(_replace(f.left, target, replacement), _replace(f.right, target, replacement))
+        left, left_modal = _name_leaves(f.left, names, first)
+        right, right_modal = _name_leaves(f.right, names, first)
+        return Or(left, right), left_modal or right_modal
     if isinstance(f, Kh):
-        return Kh(_replace(f.pre, target, replacement), _replace(f.post, target, replacement))
-    return f
+        pre, pre_modal = _name_leaves(f.pre, names, first)
+        post, post_modal = _name_leaves(f.post, names, first)
+        if pre_modal or post_modal:
+            return Kh(pre, post), True
+        if f not in names:
+            names[f] = Atom(f"{RESERVED_PREFIX}{first + len(names)}")
+        return names[f], True
+    return f, False
 
 
 def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
@@ -105,16 +93,8 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
             )
     phi0 = core
     defs: list[tuple[Atom, Kh]] = []
-    counter = 1
-    while True:
-        batch = _ordered_leaves(phi0)
-        if not batch:
-            break
-        for leaf in batch:
-            fresh = Atom(f"{RESERVED_PREFIX}{counter}")
-            counter += 1
-            defs.append((fresh, leaf))
-            phi0 = _replace(phi0, leaf, fresh)
-    if modal_depth(phi0) != 0:  # pragma: no cover - loop invariant
-        raise AssertionError(f"flattening left a modality behind: {render(phi0)}")
+    while modal_depth(phi0) != 0:
+        names: dict[Kh, Atom] = {}
+        phi0, _ = _name_leaves(phi0, names, len(defs) + 1)
+        defs.extend((atom, leaf) for leaf, atom in names.items())
     return FlattenResult(phi0, tuple(defs))

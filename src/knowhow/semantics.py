@@ -212,16 +212,26 @@ def load_model(text: str) -> Lts:
     for key in ("states", "props", "rel"):
         if key not in doc:
             raise ValueError(f"malformed model document: missing {key!r}")
-    states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+    states, props, rel = doc["states"], doc["props"], doc["rel"]
+    if not _strings(states):
         raise ValueError("malformed model document: 'states' must be a list of ids")
-    if not isinstance(doc["props"], dict) or not isinstance(doc["rel"], dict):
+    if not isinstance(props, dict) or not isinstance(rel, dict):
         raise ValueError("malformed model document: 'props' and 'rel' must be objects")
-    rel = {
-        action: [(pair[0], pair[1]) for pair in pairs]
-        for action, pairs in doc["rel"].items()
-    }
-    return make_lts(states, doc["props"], rel)
+    for state, atoms in props.items():
+        if not _strings(atoms):
+            raise ValueError(
+                f"malformed model document: props of {state!r} must be a list of atoms"
+            )
+    for action, pairs in rel.items():
+        if not isinstance(pairs, list) or not all(_strings(p) and len(p) == 2 for p in pairs):
+            raise ValueError(
+                f"malformed model document: rel {action!r} must be a list of id pairs"
+            )
+    return make_lts(states, props, {a: [tuple(p) for p in pairs] for a, pairs in rel.items()})
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def dump_model(m: Lts, *, extra: Mapping[str, object] | None = None) -> str:

@@ -98,6 +98,12 @@ def test_check_differential_unsat_cross_check(capsys):
     assert doc["oracle_check"] == "no-model-found"
 
 
+@pytest.mark.parametrize("mode", ["plain", "augmented", "differential"])
+def test_check_rejects_empty_search_box_in_every_mode(mode, capsys):
+    assert main(["check", "p", "--mode", mode, "--max-states", "0"]) == EXIT_ERROR
+    assert "max_states" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # flatten
 
@@ -191,6 +197,16 @@ def test_bench_rows_and_determinism(capsys):
     again = json.loads(capsys.readouterr().out)
     assert [r["verdict"] for r in again] == [r["verdict"] for r in rows]
     assert [r["seed"] for r in again] == ["2", "3", "4"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bench_empty_suite(fmt, capsys):
+    assert main(["bench", "--count", "0", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == []
+    else:
+        assert len(out.splitlines()) <= 1
 
 
 def test_bench_pinned_instance_reports_sat(capsys):

@@ -8,6 +8,7 @@ for SE and the two Kh truth sets.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -317,6 +318,25 @@ def test_load_model_malformed_json():
 def test_load_model_missing_key():
     with pytest.raises(ValueError, match="rel"):
         load_model('{"states": ["s"], "props": {}}')
+
+
+@pytest.mark.parametrize(
+    "props, rel",
+    [
+        ({}, {"a": [["s"]]}),
+        ({}, {"a": [["s", "s", "s"]]}),
+        ({}, {"a": "ss"}),
+        ({}, {"a": [["s", 1]]}),
+        ({}, {"a": ["ss"]}),
+        ({"s": "pq"}, {}),
+        ({"s": [1]}, {}),
+        ({"s": None}, {}),
+    ],
+)
+def test_load_model_rejects_malformed_entries(props, rel):
+    doc = json.dumps({"states": ["s"], "props": props, "rel": rel})
+    with pytest.raises(ValueError, match="malformed model document"):
+        load_model(doc)
 
 
 def test_dump_model_ignores_extra_keys_on_load(four_state):
