@@ -21,7 +21,7 @@ from .formula import Formula, Kh, Not, Or, ParseError, desugar, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
-from .propsat import SatOracle
+from .propsat import SatOracle, SolverError
 from .semantics import dump_model, eval_formula, has_witness_plan, load_model
 
 SOLVER_ENV_VAR = "KNOWHOW_SAT_SOLVER"
@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         return EXIT_ERROR
-    except (CapacityError, ValueError, OSError) as exc:
+    except (CapacityError, SolverError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return code if isinstance(code, int) else 0

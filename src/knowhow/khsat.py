@@ -341,11 +341,10 @@ def _certify(
     ctx: GlobalContext,
     witness_pre: Formula,
     original: Formula,
-    oracle: SatOracle,
 ) -> certificate.Certificate | None:
     """The certificate built for a pair, if it verifies against the original
     formula; None otherwise."""
-    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre, oracle=oracle)
+    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre)
     return candidate if certificate.verify_certificate(candidate, original) else None
 
 
@@ -366,7 +365,7 @@ def _rescue(
     ctx = global_indices(p, oracle)
     if not compatible(p, q, oracle, ctx):
         return None
-    return _certify(p, q, ctx, exis_pre, original, oracle)
+    return _certify(p, q, ctx, exis_pre, original)
 
 
 def decide(
@@ -395,9 +394,7 @@ def decide(
     proj = sorted(k.name for k, _ in flattening.defs)
 
     before = oracle.calls
-    assignments = oracle.enumerate_models(
-        flattening.phi0, proj, max(1, 2 ** len(proj))
-    )
+    assignments = oracle.enumerate_models(flattening.phi0, proj)
     enumeration_calls = oracle.calls - before
     assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
 
@@ -415,7 +412,7 @@ def decide(
         rescued = False
         if ok:
             before = oracle.calls
-            cert = _certify(p, q, ctx, exis_pre, f, oracle)
+            cert = _certify(p, q, ctx, exis_pre, f)
             if cert is None and mode == "plain":
                 cert = _rescue(flattening, assignment, f, oracle)
                 rescued = cert is not None

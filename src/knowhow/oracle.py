@@ -10,8 +10,9 @@ The exhaustive tier is vectorized with numpy: for each (state count, action
 count) shape, a formula-independent table of witness-plan existence — indexed
 by relation combination, precondition mask, and postcondition mask — is
 computed once by a subset-reachability fixpoint and cached.  Evaluating a
-formula over all relation combinations of a shape then reduces to bitwise
-arithmetic on integer arrays of truth masks.
+formula over all relation combinations of a shape then runs the model
+checker's own walker (``semantics.eval_core``) on integer arrays of truth
+masks, with ``Kh`` read from that table.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .formula import (
     desugar,
     kh_occurrences,
 )
-from .semantics import Lts, eval_formula, make_lts
+from .semantics import Lts, eval_core, eval_formula, make_lts
 
 _EXHAUSTIVE_MAX_STATES = 3
 _EXHAUSTIVE_MAX_ACTIONS = 2
@@ -132,27 +133,6 @@ def _witness_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _eval_masks(f: Formula, n: int, val_masks: dict[str, int], table: np.ndarray, combos: int):
-    """Truth-set masks of a core formula for every relation combination."""
-    all_mask = (1 << n) - 1
-    if isinstance(f, Atom):
-        return np.full(combos, val_masks.get(f.name, 0), dtype=np.int16)
-    if isinstance(f, Bottom):
-        return np.zeros(combos, dtype=np.int16)
-    if isinstance(f, Not):
-        return all_mask & ~_eval_masks(f.f, n, val_masks, table, combos)
-    if isinstance(f, Or):
-        return _eval_masks(f.left, n, val_masks, table, combos) | _eval_masks(
-            f.right, n, val_masks, table, combos
-        )
-    if isinstance(f, Kh):
-        pre = _eval_masks(f.pre, n, val_masks, table, combos)
-        post = _eval_masks(f.post, n, val_masks, table, combos)
-        holds = table[np.arange(combos), pre, post]
-        return np.where(holds, all_mask, 0).astype(np.int16)
-    raise TypeError(f"not a core formula: {f!r}")
-
-
 def _decode_model(n: int, k: int, combo: int, atoms: list[str], val_masks: dict[str, int]) -> Lts:
     states = [f"s{i}" for i in range(n)]
     actions = ["a", "b"][:k]
@@ -178,13 +158,19 @@ def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> L
         for k in range(0, max_actions + 1):
             combos = 1 << (k * n * n)
             table = _witness_table(n, k)
+            rows = np.arange(combos)
+            all_mask = (1 << n) - 1
+
+            def kh(pre, post):
+                return np.where(table[rows, pre, post], all_mask, 0).astype(np.int16)
+
             for val_counter in range(1 << (len(atoms) * n)):
                 val_masks = {
-                    atom: (val_counter >> (idx * n)) & ((1 << n) - 1)
+                    atom: (val_counter >> (idx * n)) & all_mask
                     for idx, atom in enumerate(atoms)
                 }
-                truth = _eval_masks(core, n, val_masks, table, combos)
-                hits = np.nonzero(truth)[0]
+                truth = eval_core(core, val_masks, all_mask, kh)
+                hits = np.nonzero(np.broadcast_to(truth, combos))[0]
                 if hits.size:
                     model = _decode_model(n, k, int(hits[0]), atoms, val_masks)
                     if eval_formula(model, core) == 0:  # pragma: no cover

@@ -7,7 +7,9 @@ branch first, unit propagation, chronological backtracking.  Identical inputs
 always produce identical verdicts, witnesses, and model enumerations.
 
 An external DIMACS solver can be substituted per call; the built-in solver
-remains the reference implementation.
+remains the reference implementation.  An external solver's answer is
+checked: a missing verdict, a model that falsifies a clause, or a timeout
+raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -243,7 +245,12 @@ def _dpll(var_count: int, clauses: Sequence[tuple[int, ...]]) -> list[bool] | No
         set_lit(var, False)  # the flip to True is forced, not a decision
 
 
-def _parse_solver_output(text: str) -> tuple[bool, dict[int, bool]] | None:
+class SolverError(RuntimeError):
+    """An external solver gave no verdict line, a model that falsifies a
+    clause, or no answer in time."""
+
+
+def _parse_solver_output(text: str) -> tuple[bool, dict[int, bool]]:
     verdict: bool | None = None
     values: dict[int, bool] = {}
     for line in text.splitlines():
@@ -260,7 +267,7 @@ def _parse_solver_output(text: str) -> tuple[bool, dict[int, bool]] | None:
                 if lit != 0:
                     values[abs(lit)] = lit > 0
     if verdict is None:
-        return None
+        raise SolverError("no 's' verdict line")
     return verdict, values
 
 
@@ -274,17 +281,18 @@ def _solve(instance: CnfInstance, solver_path: str | None) -> list[bool] | None:
         proc = subprocess.run(
             [solver_path, path], capture_output=True, text=True, timeout=300, check=False
         )
-        parsed = _parse_solver_output(proc.stdout)
-        if parsed is None:
-            raise RuntimeError(
-                f"external solver {solver_path!r} produced no 's' verdict line"
-            )
-        verdict, values = parsed
+        verdict, values = _parse_solver_output(proc.stdout)
         if not verdict:
             return None
         # Unreported variables default to False (common solver behavior for
         # don't-care variables).
-        return [values.get(v, False) for v in range(1, instance.var_count + 1)]
+        model = [values.get(v, False) for v in range(1, instance.var_count + 1)]
+        for clause in instance.clauses:
+            if not any(model[abs(lit) - 1] == (lit > 0) for lit in clause):
+                raise SolverError(f"reported model falsifies clause {clause}")
+        return model
+    except (SolverError, subprocess.TimeoutExpired) as exc:
+        raise SolverError(f"external solver {solver_path!r}: {exc}") from None
     finally:
         os.unlink(path)
 
@@ -308,7 +316,6 @@ def is_sat(
 def enumerate_models(
     f: Formula,
     proj: Iterable[str],
-    limit: int,
     *,
     solver_path: str | None = None,
     _on_solve: Callable[[], None] | None = None,
@@ -317,15 +324,14 @@ def enumerate_models(
 
     The vocabulary is atoms(f) ∪ proj, so projection symbols foreign to ``f``
     vary freely.  Produced in first-found order of the deterministic solver
-    via blocking clauses; truncated at ``limit``.
+    via blocking clauses; once every projection is found, no closing UNSAT
+    solve is run.
     """
-    if limit <= 0:
-        raise ValueError("enumeration limit must be positive")
     proj_list = sorted(set(proj))
     instance = to_cnf([f], extra_atoms=proj_list)
     clauses = list(instance.clauses)
     results: list[Assignment] = []
-    while len(results) < limit:
+    while len(results) < 1 << len(proj_list):
         working = CnfInstance(instance.var_count, tuple(clauses), instance.var_map)
         model = _solve(working, solver_path)
         if _on_solve is not None:
@@ -334,8 +340,6 @@ def enumerate_models(
             break
         projected = {name: model[instance.var_map[name] - 1] for name in proj_list}
         results.append(projected)
-        if not proj_list:
-            break
         # Block this projection; projections are deduplicated by construction.
         clauses.append(
             tuple(
@@ -392,10 +396,8 @@ class SatOracle:
     def sat(self, fs: Sequence[Formula]) -> bool:
         return self.is_sat(fs)[0]
 
-    def enumerate_models(self, f: Formula, proj: Iterable[str], limit: int) -> list[Assignment]:
+    def enumerate_models(self, f: Formula, proj: Iterable[str]) -> list[Assignment]:
         def bump() -> None:
             self.calls += 1
 
-        return enumerate_models(
-            f, proj, limit, solver_path=self.solver_path, _on_solve=bump
-        )
+        return enumerate_models(f, proj, solver_path=self.solver_path, _on_solve=bump)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar
 
 Plan = tuple[str, ...]
 StateSet = int
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -178,23 +179,32 @@ def has_witness_plan(m: Lts, pre: StateSet, post: StateSet) -> Plan | None:
 
 def eval_formula(m: Lts, f: Formula) -> StateSet:
     """Truth set of a formula (desugared internally; sugar welcome)."""
-    return _eval_core(m, desugar(f))
 
-
-def _eval_core(m: Lts, f: Formula) -> StateSet:
-    if isinstance(f, Atom):
-        return m.val.get(f.name, 0)
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Not):
-        return m.all_states & ~_eval_core(m, f.f)
-    if isinstance(f, Or):
-        return _eval_core(m, f.left) | _eval_core(m, f.right)
-    if isinstance(f, Kh):
-        pre = _eval_core(m, f.pre)
-        post = _eval_core(m, f.post)
+    def kh(pre: StateSet, post: StateSet) -> StateSet:
         return m.all_states if has_witness_plan(m, pre, post) is not None else 0
-    raise TypeError(f"not a core formula: {f!r}")
+
+    return eval_core(desugar(f), m.val, m.all_states, kh)
+
+
+def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, T], T]) -> T:
+    """Truth set of a core formula from its atoms' truth sets (bitmasks, or
+    arrays of bitmasks for many models at once; absent atoms are false) and
+    the full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set."""
+
+    def walk(g: Formula) -> T:
+        if isinstance(g, Atom):
+            return val.get(g.name, 0)
+        if isinstance(g, Bottom):
+            return 0
+        if isinstance(g, Not):
+            return everything & ~walk(g.f)
+        if isinstance(g, Or):
+            return walk(g.left) | walk(g.right)
+        if isinstance(g, Kh):
+            return kh(walk(g.pre), walk(g.post))
+        raise TypeError(f"not a core formula: {g!r}")
+
+    return walk(f)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from knowhow.certificate import CapacityError, build_model, verify_certificate
-from knowhow.formula import Atom, Bottom, Or, Top, parse
+from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_certificate
+from knowhow.formula import Atom, Bottom, Or, Top, atoms_of, parse
 from knowhow.khsat import NegativeSpec, PositiveSpec, global_indices
-from knowhow.propsat import SatOracle
+from knowhow.oracle import random_formula
+from knowhow.propsat import enumerate_models
 from knowhow.semantics import (
     eval_formula,
     load_model,
@@ -94,11 +95,47 @@ def test_verify_uses_exact_semantics():
 
 
 def test_capacity_cap_is_loud():
-    names = [f"x{i}" for i in range(4)]
-    p = pos(*((name, name) for name in names))
+    def chain(count):
+        return pos(*((f"x{i}", f"x{i}") for i in range(count)))
+
+    assert MAX_ATOMS == 12
     with pytest.raises(CapacityError):
-        build(p, NegativeSpec(()), max_atoms=3)
-    assert len(build(p, NegativeSpec(())).model.states) == 16
+        build(chain(13), NegativeSpec(()))
+    assert len(build(chain(4), NegativeSpec(())).model.states) == 16
+
+
+def test_states_follow_the_oracle_enumeration_order():
+    # The truth-table grid must list the context's models in the order the
+    # deterministic DPLL enumeration finds them, so state numbering (and every
+    # dumped certificate) stays the one the reference solver gives.
+    atoms = ("p", "q", "r", "s")
+    constrained = 0
+    for seed in range(60):
+        def prop(salt):
+            return random_formula(0, 0, atoms, 1000 * seed + salt)
+
+        p = PositiveSpec(tuple(
+            (prop(2 * i), Bottom() if (seed + i) % 3 == 0 else prop(2 * i + 1))
+            for i in range(1 + seed % 3)
+        ))
+        q = NegativeSpec(((prop(10), prop(11)),))
+        ctx = global_indices(p)
+        constrained += bool(ctx.indices)
+        ordered_atoms = sorted(
+            set().union(*(atoms_of(a) | atoms_of(b) for a, b in p.conjuncts + q.conjuncts))
+        )
+        expected = enumerate_models(ctx.psi, ordered_atoms)
+        if not expected:  # an unsatisfiable context leaves no state to build
+            with pytest.raises(ValueError):
+                build_model(p, q, ctx)
+            continue
+        c = build_model(p, q, ctx)
+        got = [
+            {a: bool(c.model.val.get(a, 0) >> i & 1) for a in ordered_atoms}
+            for i in range(len(c.model.states))
+        ]
+        assert got == expected, seed
+    assert constrained >= 20
 
 
 def test_context_indices_are_inert_in_the_model():
@@ -147,9 +184,3 @@ def test_dump_round_trips_with_sidecar_fields():
     assert again.states == c.model.states
     assert again.val == c.model.val
     assert again.rel == c.model.rel
-
-
-def test_shared_oracle_counts_enumeration_calls():
-    oracle = SatOracle()
-    build(pos(("p", "q")), neg(("q", "false")), oracle=oracle)
-    assert oracle.calls > 0

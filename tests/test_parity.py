@@ -2,13 +2,19 @@
 
 Runs ``decide`` in both modes with tracing, and ``flatten``, on
 ``random_formula(2, 2, (p, q))`` seeds 0-149 and
-``random_formula(3, 3, (p, q, r))`` seeds 0-99, and hashes everything they
-produce: verdicts, guess counts, partitions, oracle-call counters, every
-``GuessRecord`` field, the dumped certificates and the leaf normal forms.
-``EXPECTED_DIGEST`` pins that output, so a refactor that should change no
-output can prove it.  A change that alters the digest on purpose (compact
-certificates, ROADMAP item 4, for one) must record the new digest here and
-justify the difference in ``CHANGES.md``.
+``random_formula(3, 3, (p, q, r))`` seeds 0-99, and hashes what they produce
+into two digests:
+
+- the output digest: verdicts, guess counts, partitions, every
+  ``GuessRecord`` field except its call count, the dumped certificates and the
+  leaf normal forms;
+- the counter digest: the ``enumeration``, ``certificate`` and ``total``
+  oracle-call counters of each run and each guess's call count.
+
+``EXPECTED_OUTPUT_DIGEST`` pins what the solver answers, so a refactor that
+should change no output can prove it; ``EXPECTED_COUNTER_DIGEST`` pins how many
+oracle queries it took.  A change that alters either digest on purpose must
+record the new value here and justify the difference in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ SUITES = (
     (3, 3, ("p", "q", "r"), range(100)),
 )
 
-EXPECTED_DIGEST = "c80055ce0de60f84d79da232b8bb9a84109ba402dcae9ba01b4191ca9255f62e"
+EXPECTED_OUTPUT_DIGEST = "7cf8826abb96bcf41642823ca7b50251c79333b41d9b4efb7cbdcd733cdcd1c5"
+EXPECTED_COUNTER_DIGEST = "2b0424227203298880312b04bd54ddae0ff4ec3c5a0c19f2df6ae8787705cc0a"
 
 
 def _assignment(assignment: dict[str, bool]) -> str:
@@ -34,40 +41,46 @@ def _assignment(assignment: dict[str, bool]) -> str:
 
 
 def _lines(f):
+    """(output line, counter line or None) pairs for one formula."""
     flattening = flatten(f)
-    yield f"formula {render(f)}"
-    yield f"skeleton {render(flattening.phi0)}"
+    yield f"formula {render(f)}", None
+    yield f"skeleton {render(flattening.phi0)}", None
     for k, leaf in flattening.defs:
-        yield f"def {k.name} := {render(leaf)}"
+        yield f"def {k.name} := {render(leaf)}", None
     for mode in ("plain", "augmented"):
         oracle = SatOracle()
         verdict = decide(f, mode, oracle=oracle, trace=True)
         yield (
-            f"{mode} {verdict.result.value} tried={verdict.guesses_tried} "
-            f"enumeration={verdict.enumeration_calls} "
-            f"certificate={verdict.certificate_calls} total={oracle.calls}"
+            f"{mode} {verdict.result.value} tried={verdict.guesses_tried}",
+            f"{mode} enumeration={verdict.enumeration_calls} "
+            f"certificate={verdict.certificate_calls} total={oracle.calls}",
         )
         if verdict.partition is not None:
             part = verdict.partition
-            yield f"partition +{part.p_plus} -{part.p_minus} {_assignment(part.k_assignment)}"
+            yield f"partition +{part.p_plus} -{part.p_minus} {_assignment(part.k_assignment)}", None
         for record in verdict.trace:
             yield (
                 f"guess {_assignment(record.k_assignment)} n={record.n} m={record.m} "
                 f"compatible={record.compatible} verified={record.certificate_verified} "
-                f"calls={record.oracle_calls} rescued={record.rescued}"
+                f"rescued={record.rescued}",
+                f"guess calls={record.oracle_calls}",
             )
         if verdict.certificate is not None:
-            yield verdict.certificate.dump()
+            yield verdict.certificate.dump(), None
 
 
-def suite_digest() -> str:
-    digest = hashlib.sha256()
+def suite_digests() -> tuple[str, str]:
+    output, counters = hashlib.sha256(), hashlib.sha256()
     for depth, leaves, atoms, seeds in SUITES:
         for seed in seeds:
-            for line in _lines(random_formula(depth, leaves, atoms, seed)):
-                digest.update(line.encode() + b"\n")
-    return digest.hexdigest()
+            for out_line, counter_line in _lines(random_formula(depth, leaves, atoms, seed)):
+                output.update(out_line.encode() + b"\n")
+                if counter_line is not None:
+                    counters.update(counter_line.encode() + b"\n")
+    return output.hexdigest(), counters.hexdigest()
 
 
 def test_decide_and_flatten_output_matches_recorded_digest():
-    assert suite_digest() == EXPECTED_DIGEST
+    output, counters = suite_digests()
+    assert output == EXPECTED_OUTPUT_DIGEST
+    assert counters == EXPECTED_COUNTER_DIGEST

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowhow.cli import EXIT_ERROR, main
 from knowhow.formula import (
     And,
     Atom,
@@ -26,6 +28,7 @@ from knowhow.formula import (
 )
 from knowhow.propsat import (
     SatOracle,
+    SolverError,
     enumerate_models,
     eval_prop,
     export_dimacs,
@@ -156,7 +159,7 @@ def test_is_sat_agrees_with_truth_table_seeded():
 
 
 def test_enumerate_models_disjunction():
-    models = enumerate_models(Or(P, Q), ["p", "q"], 10)
+    models = enumerate_models(Or(P, Q), ["p", "q"])
     assert models == [
         {"p": False, "q": True},
         {"p": True, "q": False},
@@ -165,31 +168,22 @@ def test_enumerate_models_disjunction():
 
 
 def test_enumerate_models_unsat():
-    assert enumerate_models(And(P, Not(P)), ["p"], 10) == []
+    assert enumerate_models(And(P, Not(P)), ["p"]) == []
 
 
 def test_enumerate_models_single():
-    assert enumerate_models(P, ["p"], 10) == [{"p": True}]
-
-
-def test_enumerate_models_limit_truncates():
-    assert len(enumerate_models(Or(P, Q), ["p", "q"], 2)) == 2
-
-
-def test_enumerate_models_zero_limit_rejected():
-    with pytest.raises(ValueError):
-        enumerate_models(P, ["p"], 0)
+    assert enumerate_models(P, ["p"]) == [{"p": True}]
 
 
 def test_enumerate_models_projection_beyond_formula_atoms():
     # 'q' does not occur in the formula: it varies freely in the vocabulary.
-    models = enumerate_models(P, ["p", "q"], 10)
+    models = enumerate_models(P, ["p", "q"])
     assert models == [{"p": True, "q": False}, {"p": True, "q": True}]
 
 
 def test_enumerate_models_empty_projection():
-    assert enumerate_models(P, [], 5) == [{}]
-    assert enumerate_models(And(P, Not(P)), [], 5) == []
+    assert enumerate_models(P, []) == [{}]
+    assert enumerate_models(And(P, Not(P)), []) == []
 
 
 def test_enumerate_models_counts_match_truth_table_seeded():
@@ -199,7 +193,7 @@ def test_enumerate_models_counts_match_truth_table_seeded():
         f = random_prop_formula(rng, atoms, rng.randint(0, 3))
         proj = sorted(rng.sample(atoms, rng.randint(1, 3)))
         expected = truth_table_projections(f, proj)
-        got = enumerate_models(f, proj, 2 ** len(proj))
+        got = enumerate_models(f, proj)
         assert len(got) == len(expected)
         assert {tuple(m[a] for a in proj) for m in got} == expected
 
@@ -265,6 +259,26 @@ else:
     return str(wrapper)
 
 
+def _canned_solver(tmp_path: Path, name: str, output: str) -> str:
+    """A solver executable that prints ``output`` whatever the instance."""
+    script = tmp_path / name
+    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{output}EOF\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return str(script)
+
+
+@pytest.fixture()
+def falsifying_solver(tmp_path: Path) -> str:
+    """Claims SAT with every variable false, which falsifies ``p``."""
+    return _canned_solver(tmp_path, "falsifying", "s SATISFIABLE\nv -1 0\n")
+
+
+@pytest.fixture()
+def verdictless_solver(tmp_path: Path) -> str:
+    """Prints a comment and no 's' verdict line."""
+    return _canned_solver(tmp_path, "verdictless", "c giving up\n")
+
+
 def test_external_solver_round_trip(fake_solver):
     ok, witness = is_sat([Or(P, Q), Not(P)], solver_path=fake_solver)
     assert ok is True
@@ -273,8 +287,37 @@ def test_external_solver_round_trip(fake_solver):
 
 
 def test_external_solver_enumeration(fake_solver):
-    models = enumerate_models(Or(P, Q), ["p", "q"], 10, solver_path=fake_solver)
+    models = enumerate_models(Or(P, Q), ["p", "q"], solver_path=fake_solver)
     assert len(models) == 3
+
+
+def test_external_solver_falsifying_model_is_an_error(falsifying_solver):
+    with pytest.raises(SolverError, match="falsifies"):
+        is_sat([P], solver_path=falsifying_solver)
+    # The same model does satisfy ~p, so it is accepted there.
+    assert is_sat([Not(P)], solver_path=falsifying_solver) == (True, {"p": False})
+
+
+def test_external_solver_without_verdict_is_an_error(verdictless_solver):
+    with pytest.raises(SolverError, match="verdict"):
+        is_sat([P], solver_path=verdictless_solver)
+
+
+def test_external_solver_timeout_is_an_error(monkeypatch):
+    def expire(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", expire)
+    with pytest.raises(SolverError, match="timed out"):
+        is_sat([P], solver_path="/any/solver")
+
+
+def test_check_reports_bad_solver_answers_as_errors(falsifying_solver, verdictless_solver, capsys):
+    for solver in (falsifying_solver, verdictless_solver):
+        assert main(["check", "p", "--solver", solver]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: external solver")
+        assert "result:" not in captured.out
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +329,7 @@ def test_oracle_counts_calls():
     oracle.is_sat([P])
     oracle.is_sat([Not(P)])
     assert oracle.calls == 2
-    oracle.enumerate_models(Or(P, Q), ["p", "q"], 10)
+    oracle.enumerate_models(Or(P, Q), ["p", "q"])
     assert oracle.calls == 2 + 4  # three models plus the final UNSAT round
 
 
