@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, atoms_of
-from .semantics import Lts, dump_model, eval_formula, make_lts
+from .semantics import Lts, dump_model, eval_formula, make_lts, truth_table
 
 MAX_ATOMS = 12
 
@@ -50,7 +50,8 @@ def build_model(p, q, ctx, *, witness_pre: Formula | None = None) -> Certificate
     truth-table order (first sorted atom most significant, False first),
     found by one evaluation of ``ctx.psi`` on that table, not by oracle
     queries.  Their count is exponential in the atom count; ``MAX_ATOMS``
-    caps it.  Pre- and postconditions are read on that state grid with the
+    caps it; a context that admits no valuation raises ``ValueError``.
+    Pre- and postconditions are read on that state grid with the
     model checker's evaluator; soundness still rests on
     ``verify_certificate`` checking the original formula exactly.
     """
@@ -64,7 +65,9 @@ def build_model(p, q, ctx, *, witness_pre: Formula | None = None) -> Certificate
     if n > MAX_ATOMS:
         raise CapacityError(f"certificate needs {n} atoms; cap is {MAX_ATOMS}")
 
-    admitted = eval_formula(_truth_table(ordered_atoms), ctx.psi)
+    admitted = eval_formula(truth_table(ordered_atoms), ctx.psi)
+    if not admitted:
+        raise ValueError("the context admits no state over the pair's atoms")
     rows = [row for row in range(1 << n) if admitted >> row & 1]
     state_ids = [f"s{i}" for i in range(len(rows))]
     props = {
@@ -87,17 +90,6 @@ def build_model(p, q, ctx, *, witness_pre: Formula | None = None) -> Certificate
     witnesses = holding(witness_pre) if witness_pre is not None else []
     witness_state = witnesses[0] if witnesses else None
     return Certificate(make_lts(state_ids, props, rel), witness_state, tuple(rel))
-
-
-def _truth_table(atoms: list[str]) -> Lts:
-    """One state per valuation: row r makes ``atoms[j]`` true iff bit
-    ``len(atoms) - 1 - j`` of r is set."""
-    size = 1 << len(atoms)
-    val: dict[str, int] = {}
-    for j, atom in enumerate(atoms):
-        run = 1 << (len(atoms) - 1 - j)  # a false run then a true run, repeated
-        val[atom] = ((1 << size) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    return Lts(tuple(map(str, range(size))), (), {}, val)
 
 
 def verify_certificate(certificate: Certificate, original: Formula) -> bool:

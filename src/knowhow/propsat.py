@@ -1,15 +1,20 @@
 """Propositional satisfiability oracle for modality-free formulas.
 
 Every algorithm in the decision procedure bottoms out in ``is_sat`` calls over
-sets of modal-depth-0 formulas.  The built-in solver is a deterministic DPLL
-over a structural (Tseitin) CNF encoding: lowest-index variable first, False
-branch first, unit propagation, chronological backtracking.  Identical inputs
-always produce identical verdicts, witnesses, and model enumerations.
+sets of modal-depth-0 formulas.  A query over at most ``_TABLE_MAX_SYMBOLS``
+symbols is answered from one evaluation of each member on the truth table of
+the sorted symbols (``semantics.truth_table`` and ``eval_formula``, the model
+checker's evaluator); no CNF is built.  Larger queries go to a deterministic
+DPLL over a structural (Tseitin) CNF encoding: lowest-index variable first,
+False branch first, unit propagation, chronological backtracking.  Both
+paths return the same verdicts, witnesses and model enumerations: the
+lowest satisfying row, first symbol most significant, is the model DPLL
+finds first.  Identical inputs always produce identical answers.
 
-An external DIMACS solver can be substituted per call; the built-in solver
-remains the reference implementation.  An external solver's answer is
-checked: a missing verdict, a model that falsifies a clause, or a timeout
-raises ``SolverError``.
+An external DIMACS solver can be substituted per call; it then receives
+every query, whatever its size.  The built-in DPLL remains the reference
+implementation.  An external solver's answer is checked: a missing verdict,
+a model that falsifies a clause, or a timeout raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .formula import (
     modal_depth,
     render,
 )
+from .semantics import eval_formula, truth_table
 
 Assignment = dict[str, bool]
 
@@ -54,6 +60,29 @@ class CnfInstance:
 
 _TRUE = Top()
 _FALSE = Bottom()
+
+# Queries over at most this many symbols are answered from a truth table when
+# no external solver is set.  On queries taken from decide runs, the table
+# costs 0.13 ms at 4 symbols against 0.29 ms for Tseitin CNF and DPLL, and
+# 0.59 against 0.83 ms at 10; at 11 the two tie, and the table doubles per
+# symbol while DPLL grows slowly.
+_TABLE_MAX_SYMBOLS = 10
+
+
+def _symbols(fs: Sequence[Formula], extra_atoms: Iterable[str] = ()) -> list[str]:
+    """Sorted vocabulary of the members and ``extra_atoms``; a modal member
+    raises ``ValueError``."""
+    for f in fs:
+        depth = modal_depth(f)
+        if depth != 0:
+            raise ValueError(f"modal depth {depth} operand for the oracle: {render(f)}")
+    return sorted(set(extra_atoms).union(*(atoms_of(f) for f in fs)))
+
+
+def _row_assignment(symbols: Sequence[str], row: int) -> Assignment:
+    """The valuation of truth-table row ``row`` (first symbol most significant)."""
+    n = len(symbols)
+    return {name: bool(row >> (n - 1 - j) & 1) for j, name in enumerate(symbols)}
 
 
 def _fold(f: Formula) -> Formula:
@@ -112,12 +141,7 @@ def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInst
     variables (and hence values) even if no formula mentions them.
     """
     fs = list(fs)
-    for f in fs:
-        depth = modal_depth(f)
-        if depth != 0:
-            raise ValueError(f"modal depth {depth} operand for the oracle: {render(f)}")
-
-    symbols = sorted(set(extra_atoms).union(*(atoms_of(f) for f in fs)))
+    symbols = _symbols(fs, extra_atoms)
     var_map = {name: i + 1 for i, name in enumerate(symbols)}
     next_var = len(symbols) + 1
     clauses: list[tuple[int, ...]] = []
@@ -304,8 +328,26 @@ def is_sat(
 
     Returns ``(True, witness)`` with a total assignment over the occurring
     symbols, or ``(False, None)``.  The empty set is satisfiable by
-    convention.
+    convention.  The witness is the first model in False-first order over
+    the sorted symbols, which is the model the built-in DPLL finds first.
     """
+    fs = list(fs)
+    symbols = _symbols(fs)
+    if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
+        return _cnf_is_sat(fs, solver_path)
+    table = truth_table(symbols)
+    rows = table.all_states
+    for f in fs:
+        rows &= eval_formula(table, f)
+    if not rows:
+        return False, None
+    return True, _row_assignment(symbols, (rows & -rows).bit_length() - 1)
+
+
+def _cnf_is_sat(
+    fs: Sequence[Formula], solver_path: str | None = None
+) -> tuple[bool, Assignment | None]:
+    """``is_sat`` through Tseitin CNF and DPLL (or the external solver)."""
     instance = to_cnf(fs)
     model = _solve(instance, solver_path)
     if model is None:
@@ -323,19 +365,53 @@ def enumerate_models(
     """All distinct projections of models of ``f`` onto the ``proj`` symbols.
 
     The vocabulary is atoms(f) ∪ proj, so projection symbols foreign to ``f``
-    vary freely.  Produced in first-found order of the deterministic solver
-    via blocking clauses; once every projection is found, no closing UNSAT
-    solve is run.
+    vary freely.  Projections come in the order they first appear over the
+    truth table's ascending rows (first sorted symbol most significant, False
+    first), which is the order DPLL with blocking clauses finds them in.
+    ``_on_solve`` runs once per round of the blocking-clause loop: once per
+    projection found, plus a closing round that finds none, skipped once all
+    2^|proj| projections are found.
     """
     proj_list = sorted(set(proj))
+    symbols = _symbols([f], proj_list)
+    if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
+        return _cnf_enumerate_models(f, proj_list, solver_path, _on_solve)
+    table = truth_table(symbols)
+    rows = eval_formula(table, f)
+    results: list[Assignment] = []
+    while len(results) < 1 << len(proj_list):
+        if _on_solve is not None:
+            _on_solve()
+        if not rows:
+            break
+        model = _row_assignment(symbols, (rows & -rows).bit_length() - 1)
+        projected = {name: model[name] for name in proj_list}
+        results.append(projected)
+        # Drop every row with this projection, as a blocking clause would.
+        same = table.all_states
+        for name in proj_list:
+            same &= table.val[name] if projected[name] else ~table.val[name]
+        rows &= ~same
+    return results
+
+
+def _cnf_enumerate_models(
+    f: Formula,
+    proj_list: list[str],
+    solver_path: str | None = None,
+    on_solve: Callable[[], None] | None = None,
+) -> list[Assignment]:
+    """``enumerate_models`` through Tseitin CNF and DPLL (or the external
+    solver), one solve per model plus blocking clauses; ``proj_list`` is
+    sorted and duplicate-free."""
     instance = to_cnf([f], extra_atoms=proj_list)
     clauses = list(instance.clauses)
     results: list[Assignment] = []
     while len(results) < 1 << len(proj_list):
         working = CnfInstance(instance.var_count, tuple(clauses), instance.var_map)
         model = _solve(working, solver_path)
-        if _on_solve is not None:
-            _on_solve()
+        if on_solve is not None:
+            on_solve()
         if model is None:
             break
         projected = {name: model[instance.var_map[name] - 1] for name in proj_list}
@@ -384,7 +460,12 @@ def eval_prop(f: Formula, assignment: Mapping[str, bool]) -> bool:
 
 @dataclass
 class SatOracle:
-    """Counting facade over the oracle; one count per solver invocation."""
+    """Counting facade over the oracle; one count per query.
+
+    An ``is_sat`` query counts once.  An enumeration counts once per model
+    found, plus once for the closing round that finds none (skipped when
+    every projection was found), whichever path answers it.
+    """
 
     solver_path: str | None = None
     calls: int = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar
 
@@ -100,6 +100,22 @@ def make_lts(
             indexed.add((index[src], index[dst]))
         relations[action] = frozenset(indexed)
     return Lts(state_tuple, tuple(rel.keys()), relations, val)
+
+
+def truth_table(atoms: Sequence[str]) -> Lts:
+    """One state per valuation of ``atoms``, and no actions.
+
+    Row r makes ``atoms[j]`` true iff bit ``len(atoms) - 1 - j`` of r is set:
+    the first atom is the most significant bit, so ascending rows list the
+    valuations False first.  A formula's truth set on this model is its set
+    of satisfying valuations.
+    """
+    size = 1 << len(atoms)
+    val: dict[str, int] = {}
+    for j, atom in enumerate(atoms):
+        run = 1 << (len(atoms) - 1 - j)  # a false run then a true run, repeated
+        val[atom] = ((1 << size) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    return Lts(tuple(map(str, range(size))), (), {}, val)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_ce
 from knowhow.formula import Atom, Bottom, Or, Top, atoms_of, parse
 from knowhow.khsat import NegativeSpec, PositiveSpec, global_indices
 from knowhow.oracle import random_formula
-from knowhow.propsat import enumerate_models
+from knowhow.propsat import _cnf_enumerate_models
 from knowhow.semantics import (
     eval_formula,
     load_model,
@@ -106,8 +106,9 @@ def test_capacity_cap_is_loud():
 
 def test_states_follow_the_oracle_enumeration_order():
     # The truth-table grid must list the context's models in the order the
-    # deterministic DPLL enumeration finds them, so state numbering (and every
-    # dumped certificate) stays the one the reference solver gives.
+    # deterministic DPLL enumeration (the oracle's CNF path) finds them, so
+    # state numbering (and every dumped certificate) stays the one the
+    # reference solver gives.
     atoms = ("p", "q", "r", "s")
     constrained = 0
     for seed in range(60):
@@ -124,9 +125,9 @@ def test_states_follow_the_oracle_enumeration_order():
         ordered_atoms = sorted(
             set().union(*(atoms_of(a) | atoms_of(b) for a, b in p.conjuncts + q.conjuncts))
         )
-        expected = enumerate_models(ctx.psi, ordered_atoms)
+        expected = _cnf_enumerate_models(ctx.psi, ordered_atoms)
         if not expected:  # an unsatisfiable context leaves no state to build
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="admits no state"):
                 build_model(p, q, ctx)
             continue
         c = build_model(p, q, ctx)

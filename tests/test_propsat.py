@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowhow import propsat
 from knowhow.cli import EXIT_ERROR, main
 from knowhow.formula import (
     And,
@@ -20,15 +21,19 @@ from knowhow.formula import (
     Bottom,
     Iff,
     Implies,
+    Kh,
     Not,
     Or,
     Top,
     atoms_of,
     parse,
 )
+from knowhow.khsat import decide
 from knowhow.propsat import (
     SatOracle,
     SolverError,
+    _cnf_enumerate_models,
+    _cnf_is_sat,
     enumerate_models,
     eval_prop,
     export_dimacs,
@@ -199,6 +204,58 @@ def test_enumerate_models_counts_match_truth_table_seeded():
 
 
 # ---------------------------------------------------------------------------
+# truth-table path against the Tseitin + DPLL reference
+
+
+def test_table_path_matches_dpll_seeded():
+    # Verdicts, witnesses, enumeration order and per-solve counts must equal
+    # the reference solver's, so no count or certificate depends on the path.
+    rng = random.Random(5151)
+    atoms = ["p", "q", "r", "s2", "t"]
+    for _ in range(300):
+        fs = [random_prop_formula(rng, atoms, rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+        assert is_sat(fs) == _cnf_is_sat(fs), fs
+        f = random_prop_formula(rng, atoms, rng.randint(0, 4))
+        proj = sorted(rng.sample(atoms + ["u"], rng.randint(0, 4)))
+        table_solves, cnf_solves = [], []
+        got = enumerate_models(f, proj, _on_solve=lambda: table_solves.append(1))
+        expected = _cnf_enumerate_models(f, proj, on_solve=lambda: cnf_solves.append(1))
+        assert got == expected, (f, proj)
+        assert len(table_solves) == len(cnf_solves)
+
+
+def test_queries_above_the_cutoff_take_the_cnf_path(monkeypatch):
+    encoded = []
+    original = propsat.to_cnf
+
+    def counting_to_cnf(*args, **kwargs):
+        encoded.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propsat, "to_cnf", counting_to_cnf)
+    limit = propsat._TABLE_MAX_SYMBOLS
+    small = [Or(Atom(f"x{i}"), Atom(f"x{i + 1}")) for i in range(limit - 1)]
+    large = small + [Not(Atom(f"x{limit}"))]
+    assert is_sat(small)[0] and enumerate_models(small[0], ["x0"]) == [{"x0": False}, {"x0": True}]
+    assert encoded == []
+    ok, witness = is_sat(large)
+    assert ok and len(witness) == limit + 1 and all(eval_prop(f, witness) for f in large)
+    assert len(encoded) == 1
+    conjunction = large[0]
+    for f in large[1:]:
+        conjunction = And(conjunction, f)
+    assert enumerate_models(conjunction, ["x0"]) == [{"x0": False}, {"x0": True}]
+    assert len(encoded) == 2
+
+
+def test_table_path_rejects_modal_operands():
+    with pytest.raises(ValueError, match="modal depth 1"):
+        is_sat([P, Kh(P, Q)])
+    with pytest.raises(ValueError, match="modal depth 1"):
+        enumerate_models(Kh(P, Q), ["p"])
+
+
+# ---------------------------------------------------------------------------
 # export_dimacs
 
 
@@ -226,13 +283,17 @@ def test_export_dimacs_contradiction_units():
 @pytest.fixture()
 def fake_solver(tmp_path: Path) -> str:
     """A DIMACS solver built on this package's own DPLL, exercising the
-    subprocess protocol (argv = [solver, cnf-file], 's'/'v' output lines)."""
+    subprocess protocol (argv = [solver, cnf-file], 's'/'v' output lines).
+    Each run appends one line to ``solver-runs.log`` in ``tmp_path``."""
     script = tmp_path / "fakesolver.py"
     script.write_text(
         """#!/usr/bin/env python3
 import sys
 sys.path.insert(0, {src!r})
 from knowhow.propsat import CnfInstance, _dpll
+
+with open({log!r}, 'a') as log:
+    log.write(sys.argv[1] + '\\n')
 
 clauses, var_count = [], 0
 for line in open(sys.argv[1]):
@@ -250,7 +311,10 @@ if model is None:
 else:
     print('s SATISFIABLE')
     print('v ' + ' '.join(str(v if model[v - 1] else -v) for v in range(1, var_count + 1)) + ' 0')
-""".format(src=str(Path(__file__).resolve().parent.parent / "src"))
+""".format(
+            src=str(Path(__file__).resolve().parent.parent / "src"),
+            log=str(tmp_path / "solver-runs.log"),
+        )
     )
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     wrapper = tmp_path / "fakesolver"
@@ -289,6 +353,18 @@ def test_external_solver_round_trip(fake_solver):
 def test_external_solver_enumeration(fake_solver):
     models = enumerate_models(Or(P, Q), ["p", "q"], solver_path=fake_solver)
     assert len(models) == 3
+
+
+def test_external_solver_answers_every_decide_query(fake_solver, tmp_path):
+    # Small queries must not be answered from the truth table when a solver
+    # is set: every counted oracle query reaches the executable.
+    f = parse("Kh(p, q) & ~Kh(q, false)")
+    oracle = SatOracle(solver_path=fake_solver)
+    verdict = decide(f, oracle=oracle)
+    assert verdict.result == decide(f).result
+    runs = (tmp_path / "solver-runs.log").read_text().splitlines()
+    assert oracle.calls > 0
+    assert len(runs) == oracle.calls
 
 
 def test_external_solver_falsifying_model_is_an_error(falsifying_solver):
