@@ -238,9 +238,11 @@ def gen() -> None:
 def gen_formula(depth, leaves, atoms, seed, count):
     """Print seeded random formulas, one per line, seeds in comments."""
     names = tuple(a.strip() for a in atoms.split(",") if a.strip())
-    for i in range(count):
+    # Generated before any output, so a bad option prints nothing.
+    formulas = [random_formula(depth, leaves, names, seed + i) for i in range(count)]
+    for i, f in enumerate(formulas):
         click.echo(f"# seed={seed + i} depth<={depth} leaves<={leaves}")
-        click.echo(render(random_formula(depth, leaves, names, seed + i)))
+        click.echo(render(f))
     return 0
 
 

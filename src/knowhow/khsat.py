@@ -36,6 +36,7 @@ from .formula import (
     Formula,
     Not,
     Top,
+    atoms_of,
     modal_depth,
     render,
 )
@@ -402,35 +403,38 @@ def decide(
     certificate_calls = 0
     tried = 0
     cert = None
-    for assignment in assignments:
-        tried += 1
-        p, q, exis_pre = _build_pair(flattening, assignment, mode)
-        before = oracle.calls
-        ctx = global_indices(p, oracle)
-        ok = not flattening.defs or compatible(p, q, oracle, ctx)
-        guess_calls = oracle.calls - before
-        rescued = False
-        if ok:
+    # Every compatibility query draws its atoms from this vocabulary.
+    vocabulary = atoms_of(flattening.phi0).union(*(atoms_of(leaf) for _, leaf in flattening.defs))
+    with oracle.scope(vocabulary.union(proj)):
+        for assignment in assignments:
+            tried += 1
+            p, q, exis_pre = _build_pair(flattening, assignment, mode)
             before = oracle.calls
-            cert = _certify(p, q, ctx, exis_pre, f)
-            if cert is None and mode == "plain":
-                cert = _rescue(flattening, assignment, f, oracle)
-                rescued = cert is not None
-            certificate_calls += oracle.calls - before
-        if trace:
-            records.append(
-                GuessRecord(
-                    k_assignment=dict(assignment),
-                    n=p.n,
-                    m=q.m,
-                    compatible=ok,
-                    certificate_verified=cert is not None if ok else None,
-                    oracle_calls=guess_calls,
-                    rescued=rescued,
+            ctx = global_indices(p, oracle)
+            ok = not flattening.defs or compatible(p, q, oracle, ctx)
+            guess_calls = oracle.calls - before
+            rescued = False
+            if ok:
+                before = oracle.calls
+                cert = _certify(p, q, ctx, exis_pre, f)
+                if cert is None and mode == "plain":
+                    cert = _rescue(flattening, assignment, f, oracle)
+                    rescued = cert is not None
+                certificate_calls += oracle.calls - before
+            if trace:
+                records.append(
+                    GuessRecord(
+                        k_assignment=dict(assignment),
+                        n=p.n,
+                        m=q.m,
+                        compatible=ok,
+                        certificate_verified=cert is not None if ok else None,
+                        oracle_calls=guess_calls,
+                        rescued=rescued,
+                    )
                 )
-            )
-        if cert is not None:
-            break
+            if cert is not None:
+                break
 
     return Verdict(
         result=Result.SAT if cert is not None else Result.UNSAT,

@@ -64,6 +64,9 @@ class SearchBounds:
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        for name in ("max_actions", "atom_budget", "random_trials"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 # ---------------------------------------------------------------------------

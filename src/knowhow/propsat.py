@@ -11,6 +11,10 @@ paths return the same verdicts, witnesses and model enumerations: the
 lowest satisfying row, first symbol most significant, is the model DPLL
 finds first.  Identical inputs always produce identical answers.
 
+``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
+to the same cutoff, its yes/no queries are then ANDs of member masks on one
+truth table per call, each distinct member evaluated once.
+
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
 implementation.  An external solver's answer is checked: a missing verdict,
@@ -22,8 +26,9 @@ from __future__ import annotations
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
     And,
@@ -39,7 +44,7 @@ from .formula import (
     modal_depth,
     render,
 )
-from .semantics import eval_formula, truth_table
+from .semantics import Lts, eval_formula, truth_table
 
 Assignment = dict[str, bool]
 
@@ -458,24 +463,66 @@ def eval_prop(f: Formula, assignment: Mapping[str, bool]) -> bool:
     raise ValueError(f"not a propositional formula: {render(f)}")
 
 
+def _member_mask(table: Lts, f: Formula) -> int | None:
+    """Truth set of one query member on a scope's table; None when ``f``
+    mentions an atom outside the table, and a modal ``f`` raises."""
+    if not set(_symbols([f])) <= table.val.keys():
+        return None
+    return eval_formula(table, f)
+
+
 @dataclass
 class SatOracle:
     """Counting facade over the oracle; one count per query.
 
-    An ``is_sat`` query counts once.  An enumeration counts once per model
-    found, plus once for the closing round that finds none (skipped when
-    every projection was found), whichever path answers it.
+    An ``is_sat`` or ``sat`` query counts once.  An enumeration counts once
+    per model found, plus once for the closing round that finds none
+    (skipped when every projection was found), whichever path answers it.
+
+    Inside ``scope(atoms)``, with no external solver and at most
+    ``_TABLE_MAX_SYMBOLS`` atoms, ``sat`` answers from one truth table over
+    those atoms: each distinct member's mask is evaluated once, cached by
+    formula, and a query is the AND of its members' masks.  A member with
+    an atom outside the scope sends its query down the per-query path.
     """
 
     solver_path: str | None = None
     calls: int = 0
+    _scope: tuple[Lts, dict[Formula, int | None]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def is_sat(self, fs: Sequence[Formula]) -> tuple[bool, Assignment | None]:
         self.calls += 1
         return is_sat(fs, solver_path=self.solver_path)
 
     def sat(self, fs: Sequence[Formula]) -> bool:
-        return self.is_sat(fs)[0]
+        if self._scope is None:
+            return self.is_sat(fs)[0]
+        self.calls += 1
+        table, masks = self._scope
+        rows = table.all_states
+        for f in fs:
+            mask = masks.get(f, -1)  # -1: not evaluated yet
+            if mask == -1:
+                mask = masks[f] = _member_mask(table, f)
+            if mask is None:
+                return is_sat(fs)[0]
+            rows &= mask
+        return rows != 0
+
+    @contextmanager
+    def scope(self, atoms: Iterable[str]) -> Iterator[None]:
+        """Answer ``sat`` from one truth table over ``atoms`` until exit;
+        the previous scope is restored on exit, also on an exception."""
+        saved = self._scope
+        symbols = sorted(set(atoms))
+        use_table = self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS
+        self._scope = (truth_table(symbols), {}) if use_table else None
+        try:
+            yield
+        finally:
+            self._scope = saved
 
     def enumerate_models(self, f: Formula, proj: Iterable[str]) -> list[Assignment]:
         def bump() -> None:

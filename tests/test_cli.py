@@ -7,6 +7,7 @@ import json
 import pytest
 
 from knowhow.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
+from knowhow.oracle import SearchBounds
 from knowhow.semantics import dump_model, make_lts
 
 
@@ -104,6 +105,19 @@ def test_check_rejects_empty_search_box_in_every_mode(mode, capsys):
     assert "max_states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["plain", "augmented", "differential"])
+def test_check_rejects_negative_trials_in_every_mode(mode, capsys):
+    assert main(["check", "p", "--mode", mode, "--trials", "-1"]) == EXIT_ERROR
+    assert "random_trials must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["max_actions", "atom_budget", "random_trials"])
+def test_search_bounds_reject_negative_values(name):
+    with pytest.raises(ValueError, match=f"{name} must not be negative"):
+        SearchBounds(**{name: -1})
+    assert getattr(SearchBounds(**{name: 0}), name) == 0
+
+
 # ---------------------------------------------------------------------------
 # flatten
 
@@ -164,6 +178,13 @@ def test_gen_formula_is_seeded_and_commented(capsys):
     assert first.splitlines()[0].startswith("# seed=9")
     assert main(["gen", "formula", "--count", "2", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_gen_formula_prints_nothing_on_bad_input(capsys):
+    assert main(["gen", "formula", "--atoms", ",,", "--count", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need at least one atom" in captured.err
 
 
 def test_gen_formula_output_round_trips_through_check(tmp_path, capsys):

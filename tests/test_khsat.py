@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import pytest
 
+from knowhow import propsat
 from knowhow.certificate import verify_certificate
 from knowhow.formula import And, Atom, Bottom, Kh, Not, Top, parse, render
 from knowhow.khsat import (
@@ -23,6 +26,7 @@ from knowhow.khsat import (
     sat_negative,
     sat_positive,
 )
+from knowhow.oracle import random_formula
 from knowhow.propsat import SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
 from tests.test_propsat import truth_table_sat
@@ -325,6 +329,61 @@ def test_decide_shares_oracle_and_counts_calls():
     oracle = SatOracle()
     decide(parse("Kh(p, q) | Kh(q, r)"), oracle=oracle)
     assert oracle.calls > 0
+
+
+@dataclass
+class _RecordingOracle(SatOracle):
+    """Records each ``sat`` query, its answer and whether a scope table
+    was in force; with ``scoped`` off, ``scope`` builds no table."""
+
+    scoped: bool = True
+    queries: list = field(default_factory=list)
+
+    def sat(self, fs):
+        answer = super().sat(fs)
+        self.queries.append((list(fs), answer, self._scope is not None))
+        return answer
+
+    @contextmanager
+    def scope(self, atoms):
+        if self.scoped:
+            with super().scope(atoms):
+                yield
+        else:
+            yield
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [(2, 2, ("p", "q"), range(80)), (3, 3, ("p", "q", "r"), range(60))],
+)
+def test_scoped_sat_matches_per_query_is_sat(depth, leaves, atoms, seeds):
+    for seed in seeds:
+        f = random_formula(depth, leaves, atoms, seed)
+        for mode in ("plain", "augmented"):
+            scoped = _RecordingOracle()
+            verdict = decide(f, mode, oracle=scoped, trace=True)
+            for fs, answer, in_scope in scoped.queries:
+                assert in_scope
+                assert answer == is_sat(fs)[0], (render(f), mode, fs)
+            reference = _RecordingOracle(scoped=False)
+            expected = decide(f, mode, oracle=reference, trace=True)
+            assert not any(in_scope for _, _, in_scope in reference.queries)
+            assert [a for _, a, _ in scoped.queries] == [a for _, a, _ in reference.queries]
+            assert scoped.calls == reference.calls
+            assert verdict.trace == expected.trace
+            assert verdict.result is expected.result
+
+
+def test_wide_flattening_builds_no_scope_table():
+    # Vocabulary: x0..x{n-1}, p, q and _k1.
+    limit = propsat._TABLE_MAX_SYMBOLS
+    for n, expect_table in ((limit - 3, True), (limit - 2, False)):
+        f = parse(" & ".join(f"x{i}" for i in range(n)) + " & ~Kh(p, q)")
+        oracle = _RecordingOracle()
+        assert decide(f, oracle=oracle).result is Result.SAT
+        assert oracle.queries
+        assert all(in_scope is expect_table for _, _, in_scope in oracle.queries), n
 
 
 def test_decide_agrees_with_bounded_search_smoke():

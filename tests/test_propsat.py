@@ -409,6 +409,57 @@ def test_oracle_counts_calls():
     assert oracle.calls == 2 + 4  # three models plus the final UNSAT round
 
 
+def test_scope_answers_from_cached_member_masks(monkeypatch):
+    evaluated = []
+    original = propsat.eval_formula
+
+    def counting_eval(table, f):
+        evaluated.append(f)
+        return original(table, f)
+
+    monkeypatch.setattr(propsat, "eval_formula", counting_eval)
+    oracle = SatOracle()
+    with oracle.scope(["p", "q"]):
+        assert oracle.sat([Or(P, Q), Not(P)]) is True
+        assert oracle.sat([Or(P, Q), Not(P), Not(Q)]) is False
+        assert oracle.sat([]) is True
+    assert oracle.calls == 3
+    assert evaluated == [Or(P, Q), Not(P), Not(Q)]  # each member once
+
+
+def test_scope_rejects_modal_members():
+    oracle = SatOracle()
+    with oracle.scope(["p", "q"]):
+        for _ in range(2):  # a failed member is not cached
+            with pytest.raises(ValueError, match="modal depth 1 operand"):
+                oracle.sat([P, Kh(P, Q)])
+    assert oracle.calls == 2
+
+
+def test_scope_sends_foreign_atoms_down_the_per_query_path():
+    # q is outside the table; reading it as false everywhere would make
+    # the first and third queries unsatisfiable.
+    oracle = SatOracle()
+    with oracle.scope(["p"]):
+        assert oracle.sat([Q]) is True
+        assert oracle.sat([Q, Not(Q)]) is False
+        assert oracle.sat([P, Implies(P, Q)]) is True
+        assert oracle.sat([P, Not(P)]) is False
+    assert oracle.calls == 4
+
+
+def test_scope_is_restored_on_exit_and_on_error():
+    oracle = SatOracle()
+    with oracle.scope(["p"]):
+        outer = oracle._scope
+        with pytest.raises(ValueError):
+            with oracle.scope(["p", "q"]):
+                assert oracle._scope is not outer
+                oracle.sat([Kh(P, Q)])
+        assert oracle._scope is outer
+    assert oracle._scope is None
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
