@@ -4,7 +4,8 @@ A certificate is a concrete labelled transition system built from a
 compatible guess: its states are exactly the context-satisfying valuations
 over the pair's atoms, read off a truth table without oracle queries, and
 each surviving positive conjunct contributes one action whose relation is
-the full product of its precondition states and its postcondition states.
+the full product of its precondition states and its postcondition states,
+stored directly as the postcondition mask on every precondition state.
 Conjuncts whose postcondition is forced false in context (the context
 indices) or whose precondition never holds get no action — their
 statements are witnessed by no plan needing them, or vacuously by the empty
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula, atoms_of
-from .semantics import Lts, dump_model, eval_formula, make_lts, truth_table
+from .semantics import Lts, dump_model, eval_formula, truth_table
 
 MAX_ATOMS = 12
 
@@ -69,27 +70,30 @@ def build_model(p, q, ctx, *, witness_pre: Formula | None = None) -> Certificate
     if not admitted:
         raise ValueError("the context admits no state over the pair's atoms")
     rows = [row for row in range(1 << n) if admitted >> row & 1]
-    state_ids = [f"s{i}" for i in range(len(rows))]
-    props = {
-        sid: [a for j, a in enumerate(ordered_atoms) if row >> (n - 1 - j) & 1]
-        for sid, row in zip(state_ids, rows)
-    }
-    grid = make_lts(state_ids, props, {})
+    state_ids = tuple(f"s{i}" for i in range(len(rows)))
+    val: dict[str, int] = {}
+    for j, atom in enumerate(ordered_atoms):
+        bit = n - 1 - j
+        mask = sum(1 << i for i, row in enumerate(rows) if row >> bit & 1)
+        if mask:
+            val[atom] = mask
+    grid = Lts(state_ids, (), {}, val)
 
-    def holding(f: Formula) -> list[str]:
-        return grid.state_ids(eval_formula(grid, f))
-
-    # Context indices and conjuncts whose precondition never holds get no action.
-    rel: dict[str, list[tuple[str, str]]] = {}
+    # Context indices and conjuncts whose precondition never holds get no
+    # action; an active action runs from each precondition state to every
+    # postcondition state.
+    succ: dict[str, tuple[int, ...]] = {}
     for k in range(1, p.n + 1):
-        pre_states = [] if k in ctx.indices else holding(p.pre(k))
-        if pre_states:
-            post_states = holding(p.post(k))
-            rel[f"a{k}"] = [(s, t) for s in pre_states for t in post_states]
+        pre_mask = 0 if k in ctx.indices else eval_formula(grid, p.pre(k))
+        if pre_mask:
+            post_mask = eval_formula(grid, p.post(k))
+            succ[f"a{k}"] = tuple(
+                post_mask if pre_mask >> i & 1 else 0 for i in range(len(rows))
+            )
 
-    witnesses = holding(witness_pre) if witness_pre is not None else []
-    witness_state = witnesses[0] if witnesses else None
-    return Certificate(make_lts(state_ids, props, rel), witness_state, tuple(rel))
+    witnesses = eval_formula(grid, witness_pre) if witness_pre is not None else 0
+    witness_state = grid.state_ids(witnesses)[0] if witnesses else None
+    return Certificate(Lts(state_ids, tuple(succ), succ, val), witness_state, tuple(succ))
 
 
 def verify_certificate(certificate: Certificate, original: Formula) -> bool:

@@ -195,21 +195,6 @@ def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalCo
     return GlobalContext(frozenset(indices), tuple(members), psi)
 
 
-def sat_positive(p: PositiveSpec, oracle: SatOracle | None = None) -> bool:
-    """Satisfiability of a pure positive conjunction."""
-    oracle = oracle or SatOracle()
-    ctx = global_indices(p, oracle)
-    return oracle.sat(list(ctx.members))
-
-
-def sat_negative(q: NegativeSpec, oracle: SatOracle | None = None) -> bool:
-    """Satisfiability of a pure negative conjunction: every denied statement
-    needs a precondition state that escapes the postcondition (else the empty
-    plan would witness it)."""
-    oracle = oracle or SatOracle()
-    return all(oracle.sat([And(pre, Not(post))]) for pre, post in q.conjuncts)
-
-
 # ---------------------------------------------------------------------------
 # Composition closure
 

@@ -47,12 +47,6 @@ class FlattenResult:
             combined = And(combined, part)
         return combined
 
-    def conjoined(self) -> Formula:
-        """phi0 together with the definition conjunct."""
-        if not self.defs:
-            return self.phi0
-        return And(self.phi0, self.definitions())
-
 
 def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> tuple[Formula, bool]:
     """Replace every depth-1 modality by its name, assigning fresh names

@@ -217,6 +217,8 @@ def random_formula(
     most ``leaf_max`` modality occurrences (counted after desugaring)."""
     if not atoms:
         raise ValueError("need at least one atom")
+    if depth_max < 0 or leaf_max < 0:
+        raise ValueError("depth and leaf bounds must not be negative")
     rng = random.Random(seed)
     leaves = [leaf_max]
     nodes = [24]  # connective budget keeping every sample finite and small
@@ -265,6 +267,10 @@ def random_lts(
     ``density``, each atom true at each state with probability one half."""
     if states < 1:
         raise ValueError("need at least one state")
+    if actions < 0:
+        raise ValueError("action count must not be negative")
+    if not 0 <= density <= 1:
+        raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)
     names = [f"s{i}" for i in range(states)]
     action_names = [chr(ord("a") + i) for i in range(actions)]

@@ -8,15 +8,20 @@ inside ``post``.  Witness plans are synthesized by a breadth-first search over
 state subsets, which terminates because the frontier ranges over at most
 2^|S| subsets.
 
-State sets are bitmasks over state indices (bit i = ``states[i]``).
+State sets are bitmasks over state indices (bit i = ``states[i]``).  Each
+action's relation is stored as one successor bitmask per state, so reading
+it, checking it and taking an image cost O(|S|) integer operations per
+action.  Index pairs exist only as a derived view (``Lts.rel``), which the
+JSON model format reads.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar
 
@@ -29,39 +34,45 @@ T = TypeVar("T")
 class Lts:
     """Labelled transition system.
 
-    ``states`` fixes the index order; ``rel`` maps each action to index
-    pairs; ``val`` maps each atom to the bitmask of states where it holds.
-    Atoms absent from ``val`` are false everywhere.
+    ``states`` fixes the index order; ``succ`` maps each action to a tuple
+    of per-state successor bitmasks (entry i is the set of states that
+    ``states[i]`` reaches by that action); ``val`` maps each atom to the
+    bitmask of states where it holds.  Declared actions absent from ``succ``
+    have no transitions, and atoms absent from ``val`` are false everywhere.
     """
 
     states: tuple[str, ...]
     actions: tuple[str, ...]
-    rel: Mapping[str, frozenset[tuple[int, int]]]
+    succ: Mapping[str, tuple[StateSet, ...]]
     val: Mapping[str, StateSet]
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("a model needs at least one state")
         n = len(self.states)
-        for action, pairs in self.rel.items():
+        for action, masks in self.succ.items():
             if action not in self.actions:
                 raise ValueError(f"relation for undeclared action {action!r}")
-            for src, dst in pairs:
-                if not (0 <= src < n and 0 <= dst < n):
-                    raise ValueError(f"relation {action!r} references state index out of range")
+            if len(masks) != n or any(mask >> n for mask in masks):
+                raise ValueError(f"relation {action!r} references state index out of range")
 
     @property
     def all_states(self) -> StateSet:
         return (1 << len(self.states)) - 1
 
-    def successor_masks(self, action: str) -> list[StateSet]:
+    @property
+    def rel(self) -> dict[str, Pairs]:
+        """Each action's relation as a set of index pairs, read off ``succ``."""
+        return {action: Pairs(masks) for action, masks in self.succ.items()}
+
+    def successor_masks(self, action: str) -> tuple[StateSet, ...]:
         """Per-state successor bitmasks for one action."""
+        masks = self.succ.get(action)
+        if masks is not None:
+            return masks
         if action not in self.actions:
             raise ValueError(f"unknown action {action!r}")
-        masks = [0] * len(self.states)
-        for src, dst in self.rel.get(action, frozenset()):
-            masks[src] |= 1 << dst
-        return masks
+        return (0,) * len(self.states)
 
     def state_mask(self, ids: Iterable[str]) -> StateSet:
         index = {name: i for i, name in enumerate(self.states)}
@@ -72,6 +83,30 @@ class Lts:
 
     def state_ids(self, mask: StateSet) -> list[str]:
         return [name for i, name in enumerate(self.states) if mask >> i & 1]
+
+
+class Pairs(Set[tuple[int, int]]):
+    """Read-only set view of one action's relation as (src, dst) index
+    pairs.  Its size is a popcount over the masks; only iterating it visits
+    every pair."""
+
+    def __init__(self, masks: tuple[StateSet, ...]) -> None:
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._masks)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for src, mask in enumerate(self._masks):
+            for dst in range(mask.bit_length()):
+                if mask >> dst & 1:
+                    yield src, dst
+
+    def __contains__(self, pair: object) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        src, dst = pair
+        return 0 <= src < len(self._masks) and dst >= 0 and self._masks[src] >> dst & 1 == 1
 
 
 def make_lts(
@@ -90,16 +125,16 @@ def make_lts(
             raise ValueError(f"valuation for undeclared state {state!r}")
         for atom in atoms:
             val[atom] = val.get(atom, 0) | (1 << index[state])
-    relations: dict[str, frozenset[tuple[int, int]]] = {}
+    succ: dict[str, tuple[StateSet, ...]] = {}
     for action, pairs in rel.items():
-        indexed = set()
+        masks = [0] * len(state_tuple)
         for src, dst in pairs:
             if src not in index or dst not in index:
                 missing = src if src not in index else dst
                 raise ValueError(f"relation {action!r} references undeclared state {missing!r}")
-            indexed.add((index[src], index[dst]))
-        relations[action] = frozenset(indexed)
-    return Lts(state_tuple, tuple(rel.keys()), relations, val)
+            masks[index[src]] |= 1 << index[dst]
+        succ[action] = tuple(masks)
+    return Lts(state_tuple, tuple(rel.keys()), succ, val)
 
 
 def truth_table(atoms: Sequence[str]) -> Lts:
@@ -266,13 +301,12 @@ def dump_model(m: Lts, *, extra: Mapping[str, object] | None = None) -> str:
         state: sorted(atom for atom, mask in m.val.items() if mask >> i & 1)
         for i, state in enumerate(m.states)
     }
+    rel = m.rel
     doc: dict[str, object] = {
         "states": list(m.states),
         "props": props,
         "rel": {
-            action: sorted(
-                [m.states[src], m.states[dst]] for src, dst in m.rel.get(action, frozenset())
-            )
+            action: sorted([m.states[src], m.states[dst]] for src, dst in rel.get(action, ()))
             for action in m.actions
         },
     }

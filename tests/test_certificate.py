@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_certificate
 from knowhow.formula import Atom, Bottom, Or, Top, atoms_of, parse
-from knowhow.khsat import NegativeSpec, PositiveSpec, global_indices
+from knowhow.khsat import NegativeSpec, PositiveSpec, Result, decide, global_indices
 from knowhow.oracle import random_formula
 from knowhow.propsat import _cnf_enumerate_models
 from knowhow.semantics import (
@@ -137,6 +138,62 @@ def test_states_follow_the_oracle_enumeration_order():
         ]
         assert got == expected, seed
     assert constrained >= 20
+
+
+def product_masks(pre_mask: int, post_mask: int, size: int) -> tuple[int, ...]:
+    """Reference: fold the pair set pre-states x post-states into masks."""
+    pairs = {
+        (s, t)
+        for s in range(size) if pre_mask >> s & 1
+        for t in range(size) if post_mask >> t & 1
+    }
+    masks = [0] * size
+    for s, t in pairs:
+        masks[s] |= 1 << t
+    return tuple(masks)
+
+
+def test_action_masks_are_the_pre_post_product_seeded():
+    atoms = ("p", "q", "r", "s")
+    checked = 0
+    for seed in range(80):
+        def prop(salt):
+            return random_formula(0, 0, atoms, 2000 * seed + salt)
+
+        p = PositiveSpec(tuple(
+            (prop(2 * i), Bottom() if (seed + i) % 4 == 0 else prop(2 * i + 1))
+            for i in range(1 + seed % 3)
+        ))
+        q = NegativeSpec(((prop(10), prop(11)),))
+        ctx = global_indices(p)
+        try:
+            c = build_model(p, q, ctx)
+        except ValueError:  # the context admits no state
+            continue
+        checked += 1
+        size = len(c.model.states)
+        expected = {}
+        for k in range(1, p.n + 1):
+            pre_mask = 0 if k in ctx.indices else eval_formula(c.model, p.pre(k))
+            if pre_mask:
+                post_mask = eval_formula(c.model, p.post(k))
+                expected[f"a{k}"] = product_masks(pre_mask, post_mask, size)
+        assert c.active_actions == tuple(expected), seed
+        assert c.model.actions == tuple(expected), seed
+        assert dict(c.model.succ) == expected, seed
+    assert checked >= 60
+
+
+def test_large_certificate_is_built_and_verified_quickly():
+    # A 2048-state certificate; with pair-set relations this took about 19 s.
+    f = random_formula(4, 10, tuple("pqrstu"), 8)
+    start = time.perf_counter()
+    verdict = decide(f)
+    elapsed = time.perf_counter() - start
+    assert verdict.result is Result.SAT
+    assert len(verdict.certificate.model.states) == 2048
+    assert verify_certificate(verdict.certificate, f)
+    assert elapsed < 3.0
 
 
 def test_context_indices_are_inert_in_the_model():

@@ -187,6 +187,24 @@ def test_gen_formula_prints_nothing_on_bad_input(capsys):
     assert "need at least one atom" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["formula", "--leaves", "-2"], "must not be negative"),
+        (["formula", "--depth", "-1"], "must not be negative"),
+        (["model", "--actions", "-1"], "must not be negative"),
+        (["model", "--density", "1.5"], "density"),
+        (["model", "--density", "-0.1"], "density"),
+    ],
+)
+def test_gen_rejects_bad_bounds(args, message, capsys):
+    assert main(["gen", *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_gen_formula_output_round_trips_through_check(tmp_path, capsys):
     assert main(["gen", "formula", "--depth", "1", "--leaves", "1", "--seed", "4"]) == 0
     text = capsys.readouterr().out

@@ -23,8 +23,6 @@ from knowhow.khsat import (
     global_indices,
     oracle_call_count,
     per_guess_call_bound,
-    sat_negative,
-    sat_positive,
 )
 from knowhow.oracle import random_formula
 from knowhow.propsat import SatOracle, is_sat
@@ -78,6 +76,21 @@ def test_global_indices_fixpoint_characterization():
         for k in range(1, n + 1):
             in_i = k in ctx.indices
             assert truth_table_sat(members + [p.post(k)]) == (not in_i)
+
+
+def sat_positive(p: PositiveSpec, oracle: SatOracle | None = None) -> bool:
+    """Reference: satisfiability of a pure positive conjunction."""
+    oracle = oracle or SatOracle()
+    ctx = global_indices(p, oracle)
+    return oracle.sat(list(ctx.members))
+
+
+def sat_negative(q: NegativeSpec, oracle: SatOracle | None = None) -> bool:
+    """Reference: satisfiability of a pure negative conjunction.  Every denied
+    statement needs a precondition state that escapes the postcondition (else
+    the empty plan would witness it)."""
+    oracle = oracle or SatOracle()
+    return all(oracle.sat([And(pre, Not(post))]) for pre, post in q.conjuncts)
 
 
 def test_sat_positive_examples():

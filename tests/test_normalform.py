@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from knowhow.formula import (
+    And,
     Atom,
+    Formula,
     Kh,
     Not,
     Or,
@@ -17,7 +20,7 @@ from knowhow.formula import (
     modal_depth,
     parse,
 )
-from knowhow.normalform import flatten
+from knowhow.normalform import FlattenResult, flatten
 from knowhow.semantics import eval_formula
 from tests.test_semantics import random_model
 
@@ -101,6 +104,13 @@ def test_flatten_contract_seeded():
         assert again.phi0 == result.phi0
 
 
+def conjoined(result: FlattenResult) -> Formula:
+    """Reference: phi0 together with the definition conjunct."""
+    if not result.defs:
+        return result.phi0
+    return And(result.phi0, result.definitions())
+
+
 def test_equisat_constructive_direction_seeded():
     """Whenever a model satisfies the input, extending its valuation with the
     definition atoms (true where the named modality holds) satisfies
@@ -122,10 +132,10 @@ def test_equisat_constructive_direction_seeded():
         for k, leaf in result.defs:
             # Leaf truth sets are global; read them in definition order so
             # later leaves may mention earlier atoms.
-            extended = type(m)(m.states, m.actions, m.rel, dict(val))
+            extended = replace(m, val=dict(val))
             truth = eval_formula(extended, leaf)
             assert truth in (0, extended.all_states)
             val[k.name] = truth
-        final = type(m)(m.states, m.actions, m.rel, val)
-        assert eval_formula(final, result.conjoined()) != 0
+        final = replace(m, val=val)
+        assert eval_formula(final, conjoined(result)) != 0
     assert checked >= 20

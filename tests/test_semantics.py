@@ -14,6 +14,7 @@ import random
 import pytest
 
 from knowhow.formula import Atom, Kh, Not, Or, Univ, parse
+from knowhow.oracle import random_lts
 from knowhow.propsat import eval_prop
 from knowhow.semantics import (
     Lts,
@@ -347,6 +348,61 @@ def test_dump_model_ignores_extra_keys_on_load(four_state):
 def test_model_requires_states():
     with pytest.raises(ValueError):
         Lts((), (), {}, {})
+
+
+@pytest.mark.parametrize(
+    "succ, message",
+    [
+        ({"a": (0b01,)}, "out of range"),  # one mask for two states
+        ({"a": (0b01, 0b10, 0b00)}, "out of range"),  # three masks
+        ({"a": (0b100, 0b00)}, "out of range"),  # bit 2 in a 2-state model
+        ({"a": (-1, 0b00)}, "out of range"),
+        ({"b": (0b00, 0b00)}, "undeclared action 'b'"),
+    ],
+)
+def test_lts_validates_successor_masks(succ, message):
+    with pytest.raises(ValueError, match=message):
+        Lts(("s", "t"), ("a",), succ, {})
+
+
+def test_successor_masks_are_the_stored_tuple():
+    m = Lts(("s", "t"), ("a", "b"), {"a": (0b10, 0b11)}, {})
+    assert m.successor_masks("a") is m.succ["a"]
+    assert m.successor_masks("b") == (0, 0)  # declared, no transitions
+    with pytest.raises(ValueError, match="unknown action 'c'"):
+        m.successor_masks("c")
+    assert m.rel == {"a": frozenset({(0, 1), (1, 0), (1, 1)})}
+    assert len(m.rel["a"]) == 3
+    assert (1, 0) in m.rel["a"] and (0, 0) not in m.rel["a"] and (2, 0) not in m.rel["a"]
+
+
+def test_make_lts_rel_view_is_the_input_pairs_seeded():
+    for seed in range(40):
+        rng = random.Random(seed)
+        states = [f"s{i}" for i in range(rng.randint(1, 6))]
+        index = {s: i for i, s in enumerate(states)}
+        pairs = {
+            act: [(s, t) for s in states for t in states if rng.random() < 0.4]
+            for act in ["a", "b", "c"][: rng.randint(0, 3)]
+        }
+        m = make_lts(states, {}, pairs)
+        assert m.actions == tuple(pairs)
+        assert m.rel == {
+            act: frozenset((index[s], index[t]) for s, t in ps) for act, ps in pairs.items()
+        }
+        for act, ps in pairs.items():
+            masks = m.successor_masks(act)
+            assert len(masks) == len(states)
+            assert sum(mask.bit_count() for mask in masks) == len(ps)
+
+
+def test_random_models_round_trip_through_the_model_format_seeded():
+    for seed in range(40):
+        rng = random.Random(seed)
+        m = random_lts(
+            rng.randint(1, 6), rng.randint(0, 3), ("p", "q"), rng.choice([0.0, 0.3, 1.0]), seed
+        )
+        assert load_model(dump_model(m)) == m
 
 
 def test_eval_matches_prop_eval_on_single_state_models():
