@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Formula, atoms_of
+from .formula import Formula
 from .semantics import Lts, dump_model, eval_formula, truth_table
 
 MAX_ATOMS = 12
@@ -58,9 +58,9 @@ def build_model(p, q, ctx, *, witness_pre: Formula | None = None) -> Certificate
     """
     atoms: set[str] = set()
     for pre, post in p.conjuncts + q.conjuncts:
-        atoms |= atoms_of(pre) | atoms_of(post)
+        atoms |= pre.atoms | post.atoms
     if witness_pre is not None:
-        atoms |= atoms_of(witness_pre)
+        atoms |= witness_pre.atoms
     ordered_atoms = sorted(atoms)
     n = len(ordered_atoms)
     if n > MAX_ATOMS:

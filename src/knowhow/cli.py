@@ -17,7 +17,7 @@ import time
 import click
 
 from .certificate import CapacityError, Certificate
-from .formula import Formula, Kh, Not, Or, ParseError, desugar, parse, render
+from .formula import Formula, Kh, ParseError, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
@@ -38,6 +38,11 @@ def _resolve_solver(flag_value: str | None) -> str | None:
     return path
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("count must not be negative")
+
+
 def _read_formula(formula: str | None, file: str | None) -> Formula:
     if (formula is None) == (file is None):
         raise click.UsageError("provide a formula either inline or via --file")
@@ -55,16 +60,13 @@ def _top_level_kh(f: Formula) -> list[Kh]:
     found: list[Kh] = []
 
     def walk(g: Formula) -> None:
-        if isinstance(g, Kh):
-            if g not in found:
-                found.append(g)
-        elif isinstance(g, Not):
-            walk(g.f)
-        elif isinstance(g, Or):
-            walk(g.left)
-            walk(g.right)
+        if not isinstance(g, Kh):
+            for child in g.children:
+                walk(child)
+        elif g not in found:
+            found.append(g)
 
-    walk(desugar(f))
+    walk(f.core)
     return found
 
 
@@ -237,6 +239,7 @@ def gen() -> None:
 @click.option("--count", type=int, default=1, show_default=True)
 def gen_formula(depth, leaves, atoms, seed, count):
     """Print seeded random formulas, one per line, seeds in comments."""
+    _check_count(count)
     names = tuple(a.strip() for a in atoms.split(",") if a.strip())
     # Generated before any output, so a bad option prints nothing.
     formulas = [random_formula(depth, leaves, names, seed + i) for i in range(count)]
@@ -273,6 +276,7 @@ def gen_model(states, actions, atoms, density, seed):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formulas, fmt):
     """Run a seeded suite; report time, calls, verdicts, agreement."""
+    _check_count(count)
     solver_path = _resolve_solver(solver)
     bounds = SearchBounds(random_trials=trials, seed=seed)
     names = tuple(a.strip() for a in atoms.split(",") if a.strip())

@@ -17,79 +17,168 @@ Concrete grammar (ASCII, whitespace-insensitive)::
 
 Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 ``_k`` are generated by the flattener and rejected in user input.
+
+Every node class derives from ``Formula``, which keeps each node's structural
+measures (hash, atoms, modal depth, core form) once they are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from operator import attrgetter, is_
+from typing import Callable, Iterator
 
 RESERVED_PREFIX = "_k"
 
+_ATOMS, _DEPTH, _CORE = attrgetter("atoms"), attrgetter("depth"), attrgetter("core")
 
-@dataclass(frozen=True)
-class Atom:
+
+class _fact:
+    """A node fact computed on its first read and kept in the node's
+    ``__dict__``, where later reads find it first.  Children that lack it
+    are filled in before the node, one call frame per level of nesting."""
+
+    def __init__(self, compute: Callable[[Formula, tuple[Formula, ...]], object]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, node: Formula | None, owner: type | None = None) -> object:
+        if node is None:
+            return self
+        children = node.children
+        for child in children:
+            if self.name not in child.__dict__:
+                self.__get__(child)
+        value = node.__dict__[self.name] = self.compute(node, children)
+        return value
+
+
+class Formula:
+    """Common base of the formula node classes.
+
+    Nodes are immutable, and each works out a structural fact the first
+    time it is read and keeps it: its hash, ``atoms``, ``depth`` and
+    ``core``.  A node already in the core fragment is its own ``core``.
+    Equality stays structural; equal nodes are not shared or interned.
+    """
+
+    __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
+
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        """The immediate subformulas, left to right."""
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict[str, object]:
+        # Pickle the fields only: a string's hash differs between processes.
+        return {name: self.__dict__[name] for name in self.__match_args__}
+
+    @_fact
+    def _hash(self, children: tuple[Formula, ...]) -> int:
+        return hash((type(self).__name__, *map(self.__dict__.__getitem__, self.__match_args__)))
+
+    @_fact
+    def atoms(self, children: tuple[Formula, ...]) -> frozenset[str]:
+        """The atom names occurring in the formula."""
+        if isinstance(self, Atom):
+            return frozenset((self.name,))
+        return frozenset().union(*map(_ATOMS, children))
+
+    @_fact
+    def depth(self, children: tuple[Formula, ...]) -> int:
+        """Nesting of the know-how modality (A/E count as one level)."""
+        inner = max(map(_DEPTH, children), default=0)
+        return inner + 1 if isinstance(self, (Kh, Univ, Exis)) else inner
+
+    @_fact
+    def core(self, children: tuple[Formula, ...]) -> Formula:
+        """The same formula over Atom, Bottom, Not, Or and Kh only."""
+        if isinstance(self, (Atom, Bottom, Not, Or, Kh)):
+            cores = tuple(map(_CORE, children))
+            return self if all(map(is_, cores, children)) else type(self)(*cores)
+        if isinstance(self, Top):
+            return Not(Bottom())
+        if isinstance(self, And):
+            return Not(Or(Not(self.left.core), Not(self.right.core)))
+        if isinstance(self, Implies):
+            return Or(Not(self.left.core), self.right.core)
+        if isinstance(self, Iff):
+            return And(Implies(self.left, self.right), Implies(self.right, self.left)).core
+        if isinstance(self, Univ):
+            return Kh(Not(self.f.core), Bottom())
+        return Not(Kh(Not(Not(self.f.core)), Bottom()))  # Exis
+
+
+def _node(cls: type) -> type:
+    """A frozen dataclass node: structural equality, the base's kept hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
+class Atom(Formula):
     name: str
 
+    children = ()
 
-@dataclass(frozen=True)
-class Bottom:
+
+@_node
+class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class Top:
+@_node
+class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class Not:
-    f: "Formula"
+@_node
+class Not(Formula):
+    f: Formula
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+@_node
+class Or(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+@_node
+class And(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+@_node
+class Implies(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+@_node
+class Iff(Formula):
+    left: Formula
+    right: Formula
 
 
-@dataclass(frozen=True)
-class Kh:
-    pre: "Formula"
-    post: "Formula"
+@_node
+class Kh(Formula):
+    pre: Formula
+    post: Formula
 
 
-@dataclass(frozen=True)
-class Univ:
-    f: "Formula"
+@_node
+class Univ(Formula):
+    f: Formula
 
 
-@dataclass(frozen=True)
-class Exis:
-    f: "Formula"
-
-
-Formula = Union[Atom, Bottom, Top, Not, Or, And, Implies, Iff, Kh, Univ, Exis]
-
-_BINARY = {Or: "|", And: "&", Implies: "->", Iff: "<->"}
+@_node
+class Exis(Formula):
+    f: Formula
 
 
 class ParseError(ValueError):
@@ -359,56 +448,12 @@ def render(f: Formula) -> str:
 
 def desugar(f: Formula) -> Formula:
     """Reduce to the core constructors Atom, Bottom, Not, Or, Kh."""
-    if isinstance(f, (Atom, Bottom)):
-        return f
-    if isinstance(f, Top):
-        return Not(Bottom())
-    if isinstance(f, Not):
-        return Not(desugar(f.f))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
-    if isinstance(f, And):
-        return Not(Or(Not(desugar(f.left)), Not(desugar(f.right))))
-    if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Iff):
-        return desugar(And(Implies(f.left, f.right), Implies(f.right, f.left)))
-    if isinstance(f, Kh):
-        return Kh(desugar(f.pre), desugar(f.post))
-    if isinstance(f, Univ):
-        return Kh(Not(desugar(f.f)), Bottom())
-    if isinstance(f, Exis):
-        return Not(Kh(Not(Not(desugar(f.f))), Bottom()))
-    raise TypeError(f"not a formula: {f!r}")
+    return f.core
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of the know-how modality (A/E count as one level)."""
-    if isinstance(f, (Atom, Bottom, Top)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.f)
-    if isinstance(f, (Or, And, Implies, Iff)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Kh):
-        return 1 + max(modal_depth(f.pre), modal_depth(f.post))
-    if isinstance(f, (Univ, Exis)):
-        return 1 + modal_depth(f.f)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Atom, Bottom, Top)):
-        return ()
-    if isinstance(f, Not):
-        return (f.f,)
-    if isinstance(f, (Or, And, Implies, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, Kh):
-        return (f.pre, f.post)
-    if isinstance(f, (Univ, Exis)):
-        return (f.f,)
-    raise TypeError(f"not a formula: {f!r}")
+    return f.depth
 
 
 def _walk(f: Formula) -> Iterator[Formula]:
@@ -417,7 +462,7 @@ def _walk(f: Formula) -> Iterator[Formula]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_children(node)))
+        stack.extend(reversed(node.children))
 
 
 def subformulas(f: Formula) -> set[Formula]:
@@ -431,11 +476,11 @@ def leaves(f: Formula) -> set[Formula]:
     Expects a desugared formula; on the core fragment every modality is a
     plain ``Kh`` node.
     """
-    return {g for g in _walk(f) if isinstance(g, Kh) and modal_depth(g) == 1}
+    return {g for g in _walk(f) if isinstance(g, Kh) and g.depth == 1}
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in _walk(f) if isinstance(g, Atom))
+    return f.atoms
 
 
 def kh_occurrences(f: Formula) -> int:

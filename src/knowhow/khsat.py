@@ -36,8 +36,6 @@ from .formula import (
     Formula,
     Not,
     Top,
-    atoms_of,
-    modal_depth,
     render,
 )
 from .normalform import FlattenResult, flatten
@@ -55,7 +53,7 @@ class PositiveSpec:
 
     def __post_init__(self) -> None:
         for pre, post in self.conjuncts:
-            if modal_depth(pre) != 0 or modal_depth(post) != 0:
+            if pre.depth != 0 or post.depth != 0:
                 raise ValueError(
                     f"positive conjunct Kh({render(pre)}, {render(post)}) is not flat"
                 )
@@ -79,7 +77,7 @@ class NegativeSpec:
 
     def __post_init__(self) -> None:
         for pre, post in self.conjuncts:
-            if modal_depth(pre) != 0 or modal_depth(post) != 0:
+            if pre.depth != 0 or post.depth != 0:
                 raise ValueError(
                     f"negative conjunct ~Kh({render(pre)}, {render(post)}) is not flat"
                 )
@@ -389,7 +387,7 @@ def decide(
     tried = 0
     cert = None
     # Every compatibility query draws its atoms from this vocabulary.
-    vocabulary = atoms_of(flattening.phi0).union(*(atoms_of(leaf) for _, leaf in flattening.defs))
+    vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
     with oracle.scope(vocabulary.union(proj)):
         for assignment in assignments:
             tried += 1

@@ -19,14 +19,9 @@ from .formula import (
     Formula,
     Iff,
     Kh,
-    Not,
-    Or,
     RESERVED_PREFIX,
     Top,
     Univ,
-    atoms_of,
-    desugar,
-    modal_depth,
 )
 
 
@@ -48,26 +43,17 @@ class FlattenResult:
         return combined
 
 
-def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> tuple[Formula, bool]:
-    """Replace every depth-1 modality by its name, assigning fresh names
-    ``_k{first}``, ``_k{first+1}``, ... in left-to-right first-occurrence
-    order; the flag says whether ``f`` contained a modality."""
-    if isinstance(f, Not):
-        inner, modal = _name_leaves(f.f, names, first)
-        return Not(inner), modal
-    if isinstance(f, Or):
-        left, left_modal = _name_leaves(f.left, names, first)
-        right, right_modal = _name_leaves(f.right, names, first)
-        return Or(left, right), left_modal or right_modal
-    if isinstance(f, Kh):
-        pre, pre_modal = _name_leaves(f.pre, names, first)
-        post, post_modal = _name_leaves(f.post, names, first)
-        if pre_modal or post_modal:
-            return Kh(pre, post), True
+def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> Formula:
+    """Replace every depth-1 modality of the core formula ``f`` by its name,
+    assigning fresh names ``_k{first}``, ``_k{first+1}``, ... in
+    left-to-right first-occurrence order."""
+    if f.depth == 0:
+        return f
+    if isinstance(f, Kh) and f.depth == 1:
         if f not in names:
             names[f] = Atom(f"{RESERVED_PREFIX}{first + len(names)}")
-        return names[f], True
-    return f, False
+        return names[f]
+    return type(f)(*(_name_leaves(child, names, first) for child in f.children))
 
 
 def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
@@ -77,18 +63,17 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
     ``allow_reserved`` is set (useful for re-flattening an already flattened
     skeleton, which introduces no fresh atoms and hence cannot collide).
     """
-    core = desugar(f)
     if not allow_reserved:
-        reserved = sorted(a for a in atoms_of(core) if a.startswith(RESERVED_PREFIX))
+        reserved = sorted(a for a in f.atoms if a.startswith(RESERVED_PREFIX))
         if reserved:
             raise ValueError(
                 f"input uses reserved atom(s) {', '.join(reserved)}; "
                 f"the {RESERVED_PREFIX!r} prefix is for generated definitions"
             )
-    phi0 = core
+    phi0 = f.core
     defs: list[tuple[Atom, Kh]] = []
-    while modal_depth(phi0) != 0:
+    while phi0.depth != 0:
         names: dict[Kh, Atom] = {}
-        phi0, _ = _name_leaves(phi0, names, len(defs) + 1)
+        phi0 = _name_leaves(phi0, names, len(defs) + 1)
         defs.extend((atom, leaf) for leaf, atom in names.items())
     return FlattenResult(phi0, tuple(defs))

@@ -36,8 +36,6 @@ from .formula import (
     Or,
     Top,
     Univ,
-    atoms_of,
-    desugar,
     kh_occurrences,
 )
 from .semantics import Lts, eval_core, eval_formula, make_lts
@@ -189,8 +187,8 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
     exhaustive tier is skipped when the formula mentions more atoms than the
     box covers (it could not be complete for that vocabulary).
     """
-    core = desugar(f)
-    atoms = sorted(atoms_of(core))
+    core = f.core
+    atoms = sorted(core.atoms)
     if len(atoms) <= min(_EXHAUSTIVE_MAX_ATOMS, bounds.atom_budget):
         model = _exhaustive_tier(core, atoms, bounds)
         if model is not None:

@@ -5,11 +5,11 @@ sets of modal-depth-0 formulas.  A query over at most ``_TABLE_MAX_SYMBOLS``
 symbols is answered from one evaluation of each member on the truth table of
 the sorted symbols (``semantics.truth_table`` and ``eval_formula``, the model
 checker's evaluator); no CNF is built.  Larger queries go to a deterministic
-DPLL over a structural (Tseitin) CNF encoding: lowest-index variable first,
-False branch first, unit propagation, chronological backtracking.  Both
-paths return the same verdicts, witnesses and model enumerations: the
-lowest satisfying row, first symbol most significant, is the model DPLL
-finds first.  Identical inputs always produce identical answers.
+DPLL over a structural (Tseitin) CNF encoding of the members' core forms
+(``Formula.core``): lowest-index variable first, False branch first, unit
+propagation, chronological backtracking.  Both paths return the same
+verdicts, witnesses and model enumerations: the lowest satisfying row, first
+symbol most significant, is the model DPLL finds first.  Identical inputs always produce identical answers.
 
 ``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
 to the same cutoff, its yes/no queries are then ANDs of member masks on one
@@ -40,8 +40,6 @@ from .formula import (
     Not,
     Or,
     Top,
-    atoms_of,
-    modal_depth,
     render,
 )
 from .semantics import Lts, eval_formula, truth_table
@@ -63,9 +61,6 @@ class CnfInstance:
     var_map: dict[str, int]
 
 
-_TRUE = Top()
-_FALSE = Bottom()
-
 # Queries over at most this many symbols are answered from a truth table when
 # no external solver is set.  On queries taken from decide runs, the table
 # costs 0.13 ms at 4 symbols against 0.29 ms for Tseitin CNF and DPLL, and
@@ -78,10 +73,9 @@ def _symbols(fs: Sequence[Formula], extra_atoms: Iterable[str] = ()) -> list[str
     """Sorted vocabulary of the members and ``extra_atoms``; a modal member
     raises ``ValueError``."""
     for f in fs:
-        depth = modal_depth(f)
-        if depth != 0:
-            raise ValueError(f"modal depth {depth} operand for the oracle: {render(f)}")
-    return sorted(set(extra_atoms).union(*(atoms_of(f) for f in fs)))
+        if f.depth != 0:
+            raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
+    return sorted(set(extra_atoms).union(*(f.atoms for f in fs)))
 
 
 def _row_assignment(symbols: Sequence[str], row: int) -> Assignment:
@@ -90,55 +84,12 @@ def _row_assignment(symbols: Sequence[str], row: int) -> Assignment:
     return {name: bool(row >> (n - 1 - j) & 1) for j, name in enumerate(symbols)}
 
 
-def _fold(f: Formula) -> Formula:
-    """Propagate true/false so only a whole-formula constant can survive."""
-    if isinstance(f, (Atom, Top, Bottom)):
-        return f
-    if isinstance(f, Not):
-        inner = _fold(f.f)
-        if isinstance(inner, Top):
-            return _FALSE
-        if isinstance(inner, Bottom):
-            return _TRUE
-        return Not(inner)
-    if isinstance(f, Or):
-        left, right = _fold(f.left), _fold(f.right)
-        if isinstance(left, Top) or isinstance(right, Top):
-            return _TRUE
-        if isinstance(left, Bottom):
-            return right
-        if isinstance(right, Bottom):
-            return left
-        return Or(left, right)
-    if isinstance(f, And):
-        left, right = _fold(f.left), _fold(f.right)
-        if isinstance(left, Bottom) or isinstance(right, Bottom):
-            return _FALSE
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return And(left, right)
-    if isinstance(f, Implies):
-        return _fold(Or(Not(f.left), f.right))
-    if isinstance(f, Iff):
-        left, right = _fold(f.left), _fold(f.right)
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        if isinstance(left, Bottom):
-            return _fold(Not(right))
-        if isinstance(right, Bottom):
-            return _fold(Not(left))
-        return Iff(left, right)
-    raise ValueError(f"not a propositional formula: {render(f)}")
-
-
 def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInstance:
     """Equisatisfiable CNF for the conjunction of ``fs``.
 
-    Tseitin definition clauses are emitted in both directions, so the CNF's
+    Each member's core form is encoded with one Tseitin variable per
+    distinct ``Or`` node and one for ``Bottom``, fixed false by a unit
+    clause.  Definition clauses are emitted in both directions, so the CNF's
     models project bijectively onto assignments of the proposition symbols
     that satisfy the conjunction — enumeration counts stay exact.
 
@@ -163,52 +114,15 @@ def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInst
             return cached
         if isinstance(g, Or):
             a, b = literal(g.left), literal(g.right)
-            e = next_var
-            next_var += 1
-            defs[g] = e
-            clauses.append((-e, a, b))
-            clauses.append((e, -a))
-            clauses.append((e, -b))
-            return e
-        if isinstance(g, And):
-            a, b = literal(g.left), literal(g.right)
-            e = next_var
-            next_var += 1
-            defs[g] = e
-            clauses.append((-e, a))
-            clauses.append((-e, b))
-            clauses.append((e, -a, -b))
-            return e
-        if isinstance(g, Iff):
-            a, b = literal(g.left), literal(g.right)
-            e = next_var
-            next_var += 1
-            defs[g] = e
-            clauses.append((-e, -a, b))
-            clauses.append((-e, a, -b))
-            clauses.append((e, a, b))
-            clauses.append((e, -a, -b))
-            return e
-        raise ValueError(f"not a propositional formula: {render(g)}")
-
-    contradiction = False
-    for f in fs:
-        folded = _fold(f)
-        if isinstance(folded, Top):
-            continue
-        if isinstance(folded, Bottom):
-            contradiction = True
-            continue
-        clauses.append((literal(folded),))
-
-    if contradiction:
-        # A member folded to false: force an unsatisfiable instance without
-        # breaking the nonempty-clause invariant.
-        v = next_var
+            clauses.extend(((-next_var, a, b), (next_var, -a), (next_var, -b)))
+        else:  # Bottom
+            clauses.append((-next_var,))
+        defs[g] = next_var
         next_var += 1
-        clauses.append((v,))
-        clauses.append((-v,))
+        return next_var - 1
 
+    for f in fs:
+        clauses.append((literal(f.core),))
     return CnfInstance(next_var - 1, tuple(clauses), var_map)
 
 

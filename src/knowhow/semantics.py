@@ -55,6 +55,9 @@ class Lts:
                 raise ValueError(f"relation for undeclared action {action!r}")
             if len(masks) != n or any(mask >> n for mask in masks):
                 raise ValueError(f"relation {action!r} references state index out of range")
+        for atom, mask in self.val.items():
+            if mask >> n:  # also true of a negative mask
+                raise ValueError(f"valuation {atom!r} references state index out of range")
 
     @property
     def all_states(self) -> StateSet:
@@ -103,7 +106,7 @@ class Pairs(Set[tuple[int, int]]):
                     yield src, dst
 
     def __contains__(self, pair: object) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(i, int) for i in pair)):
             return False
         src, dst = pair
         return 0 <= src < len(self._masks) and dst >= 0 and self._masks[src] >> dst & 1 == 1

@@ -195,6 +195,7 @@ def test_gen_formula_prints_nothing_on_bad_input(capsys):
         (["model", "--actions", "-1"], "must not be negative"),
         (["model", "--density", "1.5"], "density"),
         (["model", "--density", "-0.1"], "density"),
+        (["formula", "--count", "-2"], "must not be negative"),
     ],
 )
 def test_gen_rejects_bad_bounds(args, message, capsys):
@@ -246,6 +247,13 @@ def test_bench_empty_suite(fmt, capsys):
         assert json.loads(out) == []
     else:
         assert len(out.splitlines()) <= 1
+
+
+def test_bench_rejects_negative_count(capsys):
+    assert main(["bench", "--count", "-2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must not be negative\n"
 
 
 def test_bench_pinned_instance_reports_sat(capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,10 @@ from knowhow.formula import (
     render,
     subformulas,
 )
+from knowhow.khsat import Result, decide
+from knowhow.oracle import random_formula
+
+from tests.test_propsat import random_prop_formula
 
 P, Q, R, T = Atom("p"), Atom("q"), Atom("r"), Atom("t")
 
@@ -163,6 +170,110 @@ def test_kh_occurrences_counts_sugar():
     assert kh_occurrences(parse("A p & E q")) == 2
     assert kh_occurrences(parse("Kh(p, Kh(q, r))")) == 2
     assert kh_occurrences(parse("p | q")) == 0
+
+
+# ---------------------------------------------------------------------------
+# Cached structural facts
+
+
+def _ref_children(f):
+    if isinstance(f, (Atom, Bottom, Top)):
+        return ()
+    if isinstance(f, (Not, Univ, Exis)):
+        return (f.f,)
+    if isinstance(f, Kh):
+        return (f.pre, f.post)
+    return (f.left, f.right)
+
+
+def _ref_atoms(f):
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*map(_ref_atoms, _ref_children(f)))
+
+
+def _ref_depth(f):
+    inner = max(map(_ref_depth, _ref_children(f)), default=0)
+    return inner + 1 if isinstance(f, (Kh, Univ, Exis)) else inner
+
+
+def _ref_core(f):
+    """The desugaring rules as one recursion, independent of `Formula.core`."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    if isinstance(f, Bottom):
+        return Bottom()
+    if isinstance(f, Top):
+        return Not(Bottom())
+    if isinstance(f, Not):
+        return Not(_ref_core(f.f))
+    if isinstance(f, Or):
+        return Or(_ref_core(f.left), _ref_core(f.right))
+    if isinstance(f, And):
+        return Not(Or(Not(_ref_core(f.left)), Not(_ref_core(f.right))))
+    if isinstance(f, Implies):
+        return Or(Not(_ref_core(f.left)), _ref_core(f.right))
+    if isinstance(f, Iff):
+        return _ref_core(And(Implies(f.left, f.right), Implies(f.right, f.left)))
+    if isinstance(f, Kh):
+        return Kh(_ref_core(f.pre), _ref_core(f.post))
+    if isinstance(f, Univ):
+        return Kh(Not(_ref_core(f.f)), Bottom())
+    return Not(Kh(Not(Not(_ref_core(f.f))), Bottom()))
+
+
+def _rebuild(f):
+    """A structurally equal copy made of fresh nodes."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    return type(f)(*map(_rebuild, _ref_children(f)))
+
+
+def _sugar_rich_formulas():
+    rng = random.Random(8080)
+    for seed in range(150):
+        yield random_formula(3, 4, ("p", "q", "r"), seed)
+        yield random_prop_formula(rng, ["p", "q", "r", "s2"], rng.randint(0, 5))
+
+
+def test_cached_facts_match_reference_recursions_seeded():
+    for f in _sugar_rich_formulas():
+        for g in subformulas(f):
+            assert g.atoms == atoms_of(g) == _ref_atoms(g), g
+            assert g.depth == modal_depth(g) == _ref_depth(g), g
+            assert g.core == desugar(g) == _ref_core(g), g
+            assert g.core.core is g.core  # a core node is its own core
+            assert vars(g)["_hash"] == hash(g)  # kept after the dict lookups above
+
+
+def test_nodes_with_cached_facts_equal_fresh_nodes_seeded():
+    for f in _sugar_rich_formulas():
+        for g in subformulas(f):
+            facts = (g.atoms, g.depth, g.core, hash(g))
+            fresh = _rebuild(g)  # nothing read yet
+            assert "_hash" not in vars(fresh)
+            assert fresh is not g and fresh == g and g == fresh
+            assert {fresh: 1}[g] == 1 and {g: 1}[fresh] == 1
+            assert (fresh.atoms, fresh.depth, fresh.core, hash(fresh)) == facts
+
+
+def test_facts_of_deeply_nested_formulas():
+    # Facts are filled in one call frame per level, so a chain as deep as
+    # the parser accepts is no deeper for them.
+    f, g = Atom("p"), Atom("p")
+    for _ in range(600):
+        f, g = Not(f), Not(g)
+    assert (f.depth, f.atoms, f.core) == (0, {"p"}, f)
+    assert hash(f) == hash(g)
+    assert decide(parse("Kh(" + "~" * 600 + "p, q)")).result is Result.SAT
+
+
+def test_pickles_carry_fields_not_cached_facts():
+    f = parse("A (p -> q) & E ~r <-> Kh(p, true)")
+    facts = (f.atoms, f.depth, f.core, hash(f))
+    copy = pickle.loads(pickle.dumps(f))
+    assert set(vars(copy)) == {"left", "right"}
+    assert copy == f and (copy.atoms, copy.depth, copy.core, hash(copy)) == facts
 
 
 # ---------------------------------------------------------------------------

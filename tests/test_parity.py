@@ -11,6 +11,10 @@ into two digests:
 - the counter digest: the ``enumeration``, ``certificate`` and ``total``
   oracle-call counters of each run and each guess's call count.
 
+Both digests are also recomputed in a fresh interpreter under a fixed,
+non-default ``PYTHONHASHSEED``: output must not depend on string hashing,
+which changes how every dict- or set-keyed formula cache is laid out.
+
 ``EXPECTED_OUTPUT_DIGEST`` pins what the solver answers, so a refactor that
 should change no output can prove it; ``EXPECTED_COUNTER_DIGEST`` pins how many
 oracle queries it took.  A change that alters either digest on purpose must
@@ -20,6 +24,10 @@ record the new value here and justify the difference in ``CHANGES.md``.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from knowhow.formula import render
 from knowhow.khsat import decide
@@ -84,3 +92,13 @@ def test_decide_and_flatten_output_matches_recorded_digest():
     output, counters = suite_digests()
     assert output == EXPECTED_OUTPUT_DIGEST
     assert counters == EXPECTED_COUNTER_DIGEST
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="5", PYTHONPATH=str(root / "src"))
+    script = "from tests.test_parity import suite_digests; print(*suite_digests())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == [EXPECTED_OUTPUT_DIGEST, EXPECTED_COUNTER_DIGEST]

@@ -147,6 +147,44 @@ def test_is_sat_constant_members():
     assert is_sat([parse("p | true"), Not(P)])[0] is True
 
 
+# Members that are or contain constants; the CNF path encodes them as they
+# are, with one Tseitin variable for false.
+CONSTANT_QUERIES = [
+    ([Top()], {}),
+    ([Bottom()], None),
+    ([Or(P, Top())], {"p": False}),
+    ([And(P, Bottom())], None),
+    ([Or(P, Top()), Not(P)], {"p": False}),
+    ([Or(P, Bottom()), Not(Q)], {"p": True, "q": False}),
+    ([Implies(Bottom(), P), Iff(Top(), Q)], {"p": False, "q": True}),
+]
+
+
+def _constant_verdicts(solver_path=None):
+    for fs, witness in CONSTANT_QUERIES:
+        assert is_sat(fs, solver_path=solver_path) == (witness is not None, witness), fs
+        assert _cnf_is_sat(fs, solver_path) == (witness is not None, witness), fs
+    for f, models in [
+        (Top(), [{"p": False}, {"p": True}]),
+        (Bottom(), []),
+        (Or(P, Top()), [{"p": False}, {"p": True}]),
+        (And(P, Bottom()), []),
+        (Iff(P, Bottom()), [{"p": False}]),
+    ]:
+        assert enumerate_models(f, ["p"], solver_path=solver_path) == models, f
+        assert _cnf_enumerate_models(f, ["p"], solver_path) == models, f
+
+
+def test_constant_members_through_the_cnf_path():
+    _constant_verdicts()
+
+
+def test_to_cnf_encodes_false_as_a_unit_variable():
+    instance = to_cnf([Or(P, Bottom())])
+    assert instance.clauses == ((-2,), (-3, 1, 2), (3, -1), (3, -2), (3,))
+    assert to_cnf([Top()]).clauses == ((-1,), (-1,))
+
+
 def test_is_sat_agrees_with_truth_table_seeded():
     rng = random.Random(20240817)
     atoms = ["p", "q", "r", "s2"]
@@ -365,6 +403,10 @@ def test_external_solver_answers_every_decide_query(fake_solver, tmp_path):
     runs = (tmp_path / "solver-runs.log").read_text().splitlines()
     assert oracle.calls > 0
     assert len(runs) == oracle.calls
+
+
+def test_external_solver_constant_members(fake_solver):
+    _constant_verdicts(fake_solver)
 
 
 def test_external_solver_falsifying_model_is_an_error(falsifying_solver):

@@ -365,6 +365,24 @@ def test_lts_validates_successor_masks(succ, message):
         Lts(("s", "t"), ("a",), succ, {})
 
 
+@pytest.mark.parametrize(
+    "states, mask",
+    [(("s0",), 0b10), (("s", "t"), 0b100), (("s", "t"), 0b110), (("s", "t"), -1), (("s", "t"), -4)],
+)
+def test_lts_validates_valuation_masks(states, mask):
+    # A bit at or above len(states) names no state; a negative mask has
+    # infinitely many.
+    with pytest.raises(ValueError, match="valuation 'p' references state index out of range"):
+        Lts(states, (), {}, {"q": 1, "p": mask})
+
+
+def test_pairs_membership_is_false_for_non_int_pairs():
+    m = make_lts(["s0", "s1"], {}, {"a": [("s0", "s1")]})
+    assert (0, 1) in m.rel["a"]
+    for pair in [("s0", "s1"), (0, "1"), (None, 1), (0, 1, 2), [0, 1], "ab"]:
+        assert pair not in m.rel["a"]
+
+
 def test_successor_masks_are_the_stored_tuple():
     m = Lts(("s", "t"), ("a", "b"), {"a": (0b10, 0b11)}, {})
     assert m.successor_masks("a") is m.succ["a"]
