@@ -129,6 +129,9 @@ def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, cer
     primary = decide(f, "plain" if mode == "differential" else mode,
                      oracle=oracle, trace=want_trace)
     certificate = primary.certificate
+    # Dumped once: a large certificate's dump is the costliest step here.
+    wanted = certificate is not None and (fmt == "json" or certificate_out)
+    certificate_text = certificate.dump() if wanted else None
 
     pairs: list[tuple[str, object]] = [
         ("result", primary.result.value),
@@ -137,7 +140,7 @@ def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, cer
     ]
     if fmt == "json":
         partition = dict(primary.partition.k_assignment) if primary.partition else None
-        cert_doc = json.loads(certificate.dump()) if certificate else None
+        cert_doc = json.loads(certificate_text) if certificate_text else None
         pairs += [
             ("partition", partition),
             ("certificate", cert_doc),
@@ -168,9 +171,9 @@ def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, cer
         ]
 
     _echo_report(pairs, fmt)
-    if certificate_out and certificate is not None:
+    if certificate_out and certificate_text is not None:
         with open(certificate_out, "w", encoding="utf-8") as handle:
-            handle.write(certificate.dump())
+            handle.write(certificate_text)
     return EXIT_SAT if primary.result is Result.SAT else EXIT_UNSAT
 
 

@@ -376,10 +376,16 @@ def parse(text: str, *, allow_reserved: bool = False) -> Formula:
     """Parse concrete syntax into an AST.
 
     ``allow_reserved`` admits flattener-generated ``_k…`` atoms; user input
-    must leave it off so fresh definition atoms can never collide.
+    must leave it off so fresh definition atoms can never collide.  Input
+    nested deeper than the interpreter's recursion limit allows raises
+    ``ParseError`` at the token where parsing stopped.
     """
     parser = _Parser(_tokenize(text), allow_reserved)
-    result = parser.parse_formula()
+    try:
+        result = parser.parse_formula()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("formula nests too deeply", tok.line, tok.column) from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)

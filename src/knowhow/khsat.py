@@ -11,7 +11,12 @@ Pipeline (all satisfiability questions are propositional oracle calls):
 3. Check the pair for compatibility: a context fixpoint forces some asserted
    postconditions to be globally false; a composition closure tracks which
    witness plans chain; every denied conjunct must stay deniable against all
-   of that.
+   of that.  Each check is written once over truth sets that the oracle
+   supplies (``SatOracle.truth_sets``): it reads every side's truth set and
+   its complement once per call and asks each question as their
+   intersection (``SatOracle.ask``).  Inside ``decide``'s table scope those
+   are bitmasks; otherwise they are member formulas for ``is_sat``, in the
+   same order and with the same count.
 4. The first compatible guess (descending lexicographic order, so
    all-true first) whose built certificate verifies against the original
    formula yields SAT; exhausting all guesses yields UNSAT.
@@ -164,6 +169,11 @@ class Verdict:
 # Context fixpoint (sweep), positive and negative satisfiability
 
 
+def _sides(spec: PositiveSpec | NegativeSpec) -> list[Formula]:
+    """The conjuncts' sides in order: pre 1, post 1, pre 2, post 2, ..."""
+    return [side for conjunct in spec.conjuncts for side in conjunct]
+
+
 def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalContext:
     """Indices whose postconditions are unsatisfiable in context.
 
@@ -171,26 +181,26 @@ def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalCo
     context assembled so far, then folds the newly forced ones in.
     """
     oracle = oracle or SatOracle()
+    every, truth, falsity = oracle.truth_sets(_sides(p))
+    post, not_pre = truth[1::2], falsity[0::2]
     indices: set[int] = set()
-    members: list[Formula] = []
+    context = every
     for _ in range(p.n + 1):
-        context = list(members)
         newly = [
             k
             for k in range(1, p.n + 1)
-            if k not in indices and not oracle.sat(context + [p.post(k)])
+            if k not in indices and not oracle.ask(context & post[k - 1])
         ]
         for k in newly:
             indices.add(k)
-            members.append(Not(p.pre(k)))
-    ordered = sorted(indices)
-    members = [Not(p.pre(k)) for k in ordered]
+            context &= not_pre[k - 1]
+    members = tuple(Not(p.pre(k)) for k in sorted(indices))
     psi: Formula = Top()
     if members:
         psi = members[0]
         for member in members[1:]:
             psi = And(psi, member)
-    return GlobalContext(frozenset(indices), tuple(members), psi)
+    return GlobalContext(frozenset(indices), members, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +217,22 @@ def composition_closure(
     always run after x's."""
     oracle = oracle or SatOracle()
     n = p.n
-    edge = [
-        [not oracle.sat([psi, p.post(x), Not(p.pre(y))]) for y in range(1, n + 1)]
-        for x in range(1, n + 1)
-    ]
-    closed = [[x == y or edge[x][y] for y in range(n)] for x in range(n)]
+    _, truth, falsity = oracle.truth_sets([psi, *_sides(p)])
+    context, post, not_pre = truth[0], truth[2::2], falsity[1::2]
+    # Bit y of reach[x]: conjunct x + 1's plans chain to conjunct y + 1's.
+    reach = []
+    for x in range(n):
+        row = 1 << x
+        for y in range(n):
+            if not oracle.ask(context & post[x] & not_pre[y]):
+                row |= 1 << y
+        reach.append(row)
     for mid in range(n):
         for x in range(n):
-            if closed[x][mid]:
-                row_mid = closed[mid]
-                row_x = closed[x]
-                for y in range(n):
-                    if row_mid[y]:
-                        row_x[y] = True
+            if reach[x] >> mid & 1:
+                reach[x] |= reach[mid]
     pairs = frozenset(
-        (x + 1, y + 1) for x in range(n) for y in range(n) if closed[x][y]
+        (x + 1, y + 1) for x in range(n) for y in range(n) if reach[x] >> y & 1
     )
     return Closure(n, pairs)
 
@@ -244,27 +255,36 @@ def compatible(
     realizable in context and j's precondition forces x's, some state
     reachable through y's postcondition must still escape j's — otherwise the
     chained plan would witness the denied statement.
+
+    The context is the conjunction of ``ctx.members``: the negated
+    preconditions of ``ctx.indices``, in index order.
     """
     oracle = oracle or SatOracle()
     if ctx is None:
         ctx = global_indices(p, oracle)
-    context = list(ctx.members)
-    if not oracle.sat(context):
+    every, truth, falsity = oracle.truth_sets(_sides(p) + _sides(q))
+    split = 2 * p.n  # where q's sides begin
+    pre, post, not_pre = truth[0:split:2], truth[1:split:2], falsity[0:split:2]
+    denied_pre, denied_escape = truth[split::2], falsity[split + 1 :: 2]
+    context = every
+    for k in sorted(ctx.indices):
+        context &= not_pre[k - 1]
+    if not oracle.ask(context):
         return False
-    for pre_j, post_j in q.conjuncts:
-        if not oracle.sat(context + [pre_j, Not(post_j)]):
+    for j in range(q.m):
+        if not oracle.ask(context & denied_pre[j] & denied_escape[j]):
             return False
     closure = composition_closure(p, ctx.psi, oracle)
-    realizable = {
-        x: oracle.sat(context + [p.pre(x)]) for x in range(1, p.n + 1)
-    }
-    for pre_j, post_j in q.conjuncts:
-        for x, y in sorted(closure.pairs):
-            if not realizable[x]:
+    realizable = [oracle.ask(context & pre[x]) for x in range(p.n)]
+    pairs = sorted(closure.pairs)
+    for j in range(q.m):
+        in_pre_j = context & denied_pre[j]
+        for x, y in pairs:
+            if not realizable[x - 1]:
                 continue
-            if oracle.sat(context + [pre_j, Not(p.pre(x))]):
+            if oracle.ask(in_pre_j & not_pre[x - 1]):
                 continue  # j's precondition does not force x's
-            if not oracle.sat(context + [p.post(y), Not(post_j)]):
+            if not oracle.ask(context & post[y - 1] & denied_escape[j]):
                 return False
     return True
 
@@ -325,10 +345,11 @@ def _certify(
     ctx: GlobalContext,
     witness_pre: Formula,
     original: Formula,
+    oracle: SatOracle,
 ) -> certificate.Certificate | None:
     """The certificate built for a pair, if it verifies against the original
     formula; None otherwise."""
-    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre)
+    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre, oracle=oracle)
     return candidate if certificate.verify_certificate(candidate, original) else None
 
 
@@ -349,7 +370,7 @@ def _rescue(
     ctx = global_indices(p, oracle)
     if not compatible(p, q, oracle, ctx):
         return None
-    return _certify(p, q, ctx, exis_pre, original)
+    return _certify(p, q, ctx, exis_pre, original, oracle)
 
 
 def decide(
@@ -399,7 +420,7 @@ def decide(
             rescued = False
             if ok:
                 before = oracle.calls
-                cert = _certify(p, q, ctx, exis_pre, f)
+                cert = _certify(p, q, ctx, exis_pre, f, oracle)
                 if cert is None and mode == "plain":
                     cert = _rescue(flattening, assignment, f, oracle)
                     rescued = cert is not None

@@ -1,19 +1,23 @@
 """Propositional satisfiability oracle for modality-free formulas.
 
-Every algorithm in the decision procedure bottoms out in ``is_sat`` calls over
-sets of modal-depth-0 formulas.  A query over at most ``_TABLE_MAX_SYMBOLS``
-symbols is answered from one evaluation of each member on the truth table of
-the sorted symbols (``semantics.truth_table`` and ``eval_formula``, the model
-checker's evaluator); no CNF is built.  Larger queries go to a deterministic
+Every algorithm in the decision procedure bottoms out in satisfiability
+queries over sets of modal-depth-0 formulas.  A query over at most
+``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
+member on the truth table of the sorted symbols (``semantics.truth_table``
+and ``eval_formula``, the model checker's evaluator); no CNF is built.  Larger queries go to a deterministic
 DPLL over a structural (Tseitin) CNF encoding of the members' core forms
 (``Formula.core``): lowest-index variable first, False branch first, unit
 propagation, chronological backtracking.  Both paths return the same
 verdicts, witnesses and model enumerations: the lowest satisfying row, first
 symbol most significant, is the model DPLL finds first.  Identical inputs always produce identical answers.
 
-``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
-to the same cutoff, its yes/no queries are then ANDs of member masks on one
-truth table per call, each distinct member evaluated once.
+The decision procedure asks ``SatOracle`` about truth sets: it reads the
+truth sets of its conditions and their negations once, intersects them and
+asks whether the result is empty.  ``decide`` opens a ``SatOracle.scope``
+over its flattening's vocabulary: up to the same cutoff, a truth set is then
+an int mask on one truth table per call, each distinct condition evaluated
+once, and certificates are read off the same table.  Otherwise a truth set
+is the list of its member formulas, and each query goes to ``is_sat``.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -28,6 +32,8 @@ import subprocess
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
@@ -385,19 +391,39 @@ def _member_mask(table: Lts, f: Formula) -> int | None:
     return eval_formula(table, f)
 
 
+class Members(tuple):
+    """A truth set kept as the formulas whose conjunction it is: the
+    per-query path's truth-set term.  ``a & b`` lists ``a``'s members then
+    ``b``'s, as ``&`` intersects two masks on the table path."""
+
+    __slots__ = ()
+
+    def __and__(self, other: Members) -> Members:
+        return Members(tuple.__add__(self, other))
+
+
+TruthSet = int | Members
+
+
 @dataclass
 class SatOracle:
     """Counting facade over the oracle; one count per query.
 
-    An ``is_sat`` or ``sat`` query counts once.  An enumeration counts once
-    per model found, plus once for the closing round that finds none
-    (skipped when every projection was found), whichever path answers it.
+    Callers ask about truth sets (``TruthSet``): ``truth_sets`` supplies
+    those of given formulas and of their negations, callers intersect them
+    with ``&``, and ``ask`` counts one query and says whether a set is
+    non-empty.  An ``is_sat`` or ``sat`` query also counts once.  An
+    enumeration counts once per model found, plus once for the closing
+    round that finds none (skipped when every projection was found),
+    whichever path answers it.
 
     Inside ``scope(atoms)``, with no external solver and at most
-    ``_TABLE_MAX_SYMBOLS`` atoms, ``sat`` answers from one truth table over
-    those atoms: each distinct member's mask is evaluated once, cached by
-    formula, and a query is the AND of its members' masks.  A member with
-    an atom outside the scope sends its query down the per-query path.
+    ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
+    table over those atoms: each distinct formula's mask is evaluated once,
+    cached by formula, a negation is the complement ``every ^ mask`` and a
+    query is an AND of masks.  Otherwise, and for a batch with an atom
+    outside the scope, a truth set is its ``Members`` and ``ask`` hands
+    them to ``is_sat``, so DPLL or the external solver sees every query.
     """
 
     solver_path: str | None = None
@@ -410,25 +436,58 @@ class SatOracle:
         self.calls += 1
         return is_sat(fs, solver_path=self.solver_path)
 
-    def sat(self, fs: Sequence[Formula]) -> bool:
-        if self._scope is None:
-            return self.is_sat(fs)[0]
+    def truth_sets(
+        self, fs: Sequence[Formula]
+    ) -> tuple[TruthSet, list[TruthSet], list[TruthSet]]:
+        """The set of all valuations, the truth sets of ``fs`` and those of
+        their negations; no query is counted."""
+        masks = self._masks(fs)
+        if masks is None:
+            return Members(), [Members((f,)) for f in fs], [Members((Not(f),)) for f in fs]
+        every = self._scope[0].all_states
+        return every, masks, [every ^ mask for mask in masks]
+
+    def ask(self, term: TruthSet) -> bool:
+        """Whether a truth set is non-empty; one query."""
         self.calls += 1
-        table, masks = self._scope
-        rows = table.all_states
+        return _nonempty(term, self.solver_path)
+
+    def sat(self, fs: Sequence[Formula]) -> bool:
+        """Whether the conjunction of ``fs`` is satisfiable; one query."""
+        self.calls += 1
+        every, truth, _ = self.truth_sets(fs)
+        return _nonempty(reduce(and_, truth, every), self.solver_path)
+
+    def table_truth_sets(
+        self, symbols: Sequence[str], fs: Sequence[Formula]
+    ) -> tuple[Lts, list[int]] | None:
+        """The scope's truth table and the masks of ``fs`` on it, when that
+        table is over exactly the sorted ``symbols``; None otherwise."""
+        if self._scope is None or self._scope[0].val.keys() != set(symbols):
+            return None
+        masks = self._masks(fs)
+        return None if masks is None else (self._scope[0], masks)
+
+    def _masks(self, fs: Sequence[Formula]) -> list[int] | None:
+        """Masks of ``fs`` on the scope's table, or None without a table
+        scope or when a member has an atom outside the table."""
+        if self._scope is None:
+            return None
+        table, cache = self._scope
+        masks = []
         for f in fs:
-            mask = masks.get(f, -1)  # -1: not evaluated yet
+            mask = cache.get(f, -1)  # -1: not evaluated yet
             if mask == -1:
-                mask = masks[f] = _member_mask(table, f)
+                mask = cache[f] = _member_mask(table, f)
             if mask is None:
-                return is_sat(fs)[0]
-            rows &= mask
-        return rows != 0
+                return None
+            masks.append(mask)
+        return masks
 
     @contextmanager
     def scope(self, atoms: Iterable[str]) -> Iterator[None]:
-        """Answer ``sat`` from one truth table over ``atoms`` until exit;
-        the previous scope is restored on exit, also on an exception."""
+        """Answer from one truth table over ``atoms`` until exit; the
+        previous scope is restored on exit, also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
         use_table = self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS
@@ -443,3 +502,9 @@ class SatOracle:
             self.calls += 1
 
         return enumerate_models(f, proj, solver_path=self.solver_path, _on_solve=bump)
+
+
+def _nonempty(term: TruthSet, solver_path: str | None) -> bool:
+    if isinstance(term, Members):
+        return is_sat(term, solver_path=solver_path)[0]
+    return term != 0

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from knowhow import certificate
 from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_certificate
 from knowhow.formula import Atom, Bottom, Or, Top, atoms_of, parse
 from knowhow.khsat import NegativeSpec, PositiveSpec, Result, decide, global_indices
@@ -242,3 +243,44 @@ def test_dump_round_trips_with_sidecar_fields():
     assert again.states == c.model.states
     assert again.val == c.model.val
     assert again.rel == c.model.rel
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [(2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100))],
+)
+def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds, monkeypatch):
+    # Inside decide a certificate is read off the call's truth table; built
+    # on its own from the same pair it must dump byte for byte alike.
+    built = []
+    original = certificate.build_model
+
+    def recording_build(p, q, ctx, **kwargs):
+        c = original(p, q, ctx, **kwargs)
+        built.append((p, q, ctx, kwargs["witness_pre"], c))
+        return c
+
+    tables = []
+    original_table = certificate.truth_table
+
+    def counting_table(symbols):
+        tables.append(symbols)
+        return original_table(symbols)
+
+    monkeypatch.setattr(certificate, "build_model", recording_build)
+    monkeypatch.setattr(certificate, "truth_table", counting_table)
+    certified = 0
+    for seed in seeds:
+        f = random_formula(depth, leaves, atoms, seed)
+        for mode in ("plain", "augmented"):
+            built.clear()
+            verdict = decide(f, mode)
+            assert not tables  # no second table: the call's own was reused
+            if verdict.certificate is not None:
+                assert verdict.certificate is built[-1][-1]
+            for p, q, ctx, witness_pre, c in built:
+                alone = original(p, q, ctx, witness_pre=witness_pre)
+                assert alone.dump() == c.dump(), (seed, mode)
+                certified += 1
+            tables.clear()
+    assert certified >= len(seeds)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from knowhow.certificate import Certificate
 from knowhow.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 from knowhow.oracle import SearchBounds
 from knowhow.semantics import dump_model, make_lts
@@ -41,6 +42,26 @@ def test_check_sat_exit_code_and_certificate(tmp_path, capsys):
     assert cert["active_actions"] == ["a1", "a2"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_dumps_the_certificate_once(fmt, tmp_path, capsys, monkeypatch):
+    dumps = []
+    original = Certificate.dump
+
+    def counting_dump(self):
+        dumps.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Certificate, "dump", counting_dump)
+    out = tmp_path / "cert.json"
+    code = main(["check", "Kh(p, q) & ~Kh(q, p)", "--format", fmt, "--certificate-out", str(out)])
+    assert code == EXIT_SAT
+    assert len(dumps) == 1
+    report = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out.read_text()) == json.loads(report)["certificate"]
+    assert out.read_text() == original(dumps[0])
+
+
 def test_check_unsat_exit_code(capsys):
     assert main(["check", "p & ~p"]) == EXIT_UNSAT
     assert "result: UNSAT" in capsys.readouterr().out
@@ -51,6 +72,13 @@ def test_check_parse_error_is_diagnosed(capsys):
     err = capsys.readouterr().err
     assert "parse error" in err
     assert "line 1" in err
+
+
+def test_check_too_deep_nesting_is_a_parse_error(capsys):
+    assert main(["check", "~" * 3000 + "p"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: formula nests too deeply at line 1, column ")
+    assert captured.out == ""
 
 
 def test_check_requires_exactly_one_input_source(capsys):

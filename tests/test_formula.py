@@ -96,6 +96,22 @@ def test_parse_error_unexpected_end():
         parse("p &")
 
 
+@pytest.mark.parametrize(
+    "text", ["~" * 3000 + "p", "Kh(p, " * 400 + "p" + ")" * 400], ids=["not-3000", "kh-400"]
+)
+def test_too_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="formula nests too deeply at line 1, column") as exc:
+        parse(text)
+    # Reported at the token where parsing stopped, inside the nesting.
+    assert 1 < exc.value.column < len(text) // 2
+
+
+def test_deep_but_parseable_nesting_still_decides():
+    f = parse("~" * 900 + "p")
+    assert f.depth == 0
+    assert decide(f).result is Result.SAT
+
+
 def test_reserved_prefix_rejected():
     with pytest.raises(ParseError) as exc:
         parse("_k1 | p")

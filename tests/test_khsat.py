@@ -25,7 +25,7 @@ from knowhow.khsat import (
     per_guess_call_bound,
 )
 from knowhow.oracle import random_formula
-from knowhow.propsat import SatOracle, is_sat
+from knowhow.propsat import Members, SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
 from tests.test_propsat import truth_table_sat
 
@@ -346,15 +346,15 @@ def test_decide_shares_oracle_and_counts_calls():
 
 @dataclass
 class _RecordingOracle(SatOracle):
-    """Records each ``sat`` query, its answer and whether a scope table
-    was in force; with ``scoped`` off, ``scope`` builds no table."""
+    """Records each question (``ask``), its answer and whether it was a
+    mask on a table; with ``scoped`` off, ``scope`` builds no table."""
 
     scoped: bool = True
     queries: list = field(default_factory=list)
 
-    def sat(self, fs):
-        answer = super().sat(fs)
-        self.queries.append((list(fs), answer, self._scope is not None))
+    def ask(self, term):
+        answer = super().ask(term)
+        self.queries.append((term, answer, not isinstance(term, Members)))
         return answer
 
     @contextmanager
@@ -366,26 +366,34 @@ class _RecordingOracle(SatOracle):
             yield
 
 
+def _assert_same_questions(table_run, formula_run):
+    """Each table answer equals the per-query answer to the same question."""
+    assert all(from_table for _, _, from_table in table_run.queries)
+    assert not any(from_table for _, _, from_table in formula_run.queries)
+    assert len(table_run.queries) == len(formula_run.queries)
+    for (_, answer, _), (members, expected, _) in zip(table_run.queries, formula_run.queries):
+        assert answer == expected == is_sat(members)[0], [render(f) for f in members]
+    assert table_run.calls == formula_run.calls
+
+
 @pytest.mark.parametrize(
     "depth, leaves, atoms, seeds",
     [(2, 2, ("p", "q"), range(80)), (3, 3, ("p", "q", "r"), range(60))],
 )
 def test_scoped_sat_matches_per_query_is_sat(depth, leaves, atoms, seeds):
+    asked = 0
     for seed in seeds:
         f = random_formula(depth, leaves, atoms, seed)
         for mode in ("plain", "augmented"):
             scoped = _RecordingOracle()
             verdict = decide(f, mode, oracle=scoped, trace=True)
-            for fs, answer, in_scope in scoped.queries:
-                assert in_scope
-                assert answer == is_sat(fs)[0], (render(f), mode, fs)
             reference = _RecordingOracle(scoped=False)
             expected = decide(f, mode, oracle=reference, trace=True)
-            assert not any(in_scope for _, _, in_scope in reference.queries)
-            assert [a for _, a, _ in scoped.queries] == [a for _, a, _ in reference.queries]
-            assert scoped.calls == reference.calls
+            _assert_same_questions(scoped, reference)
             assert verdict.trace == expected.trace
             assert verdict.result is expected.result
+            asked += len(scoped.queries)
+    assert asked > 10 * len(seeds)
 
 
 def test_wide_flattening_builds_no_scope_table():
@@ -396,7 +404,33 @@ def test_wide_flattening_builds_no_scope_table():
         oracle = _RecordingOracle()
         assert decide(f, oracle=oracle).result is Result.SAT
         assert oracle.queries
-        assert all(in_scope is expect_table for _, _, in_scope in oracle.queries), n
+        assert all(from_table is expect_table for _, _, from_table in oracle.queries), n
+
+
+# Inputs of random_formula(4, 10, pqrstu) whose flattenings have 11 or 12
+# symbols, above the table cutoff.
+_WIDE_SEEDS = (3, 6, 8, 10, 11, 16, 21, 28, 32, 47, 53)
+
+
+@pytest.mark.parametrize("seed", _WIDE_SEEDS)
+def test_wide_vocabularies_answer_alike_on_both_paths(seed, monkeypatch):
+    f = random_formula(4, 10, ("p", "q", "r", "s", "t", "u"), seed)
+    formula_run = _RecordingOracle()
+    expected = decide(f, oracle=formula_run, trace=True)
+    monkeypatch.setattr(propsat, "_TABLE_MAX_SYMBOLS", 12)
+    table_run = _RecordingOracle()
+    verdict = decide(f, oracle=table_run, trace=True)
+    assert formula_run.queries
+    _assert_same_questions(table_run, formula_run)
+    assert verdict.result is expected.result
+    assert verdict.trace == expected.trace
+    assert (verdict.enumeration_calls, verdict.certificate_calls) == (
+        expected.enumeration_calls,
+        expected.certificate_calls,
+    )
+    # Field by field, which is what a dump writes out; the dumps of the
+    # 2048-state certificates run to hundreds of megabytes.
+    assert verdict.certificate == expected.certificate
 
 
 def test_decide_agrees_with_bounded_search_smoke():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import stat
@@ -30,6 +31,7 @@ from knowhow.formula import (
 )
 from knowhow.khsat import decide
 from knowhow.propsat import (
+    Members,
     SatOracle,
     SolverError,
     _cnf_enumerate_models,
@@ -500,6 +502,47 @@ def test_scope_is_restored_on_exit_and_on_error():
                 oracle.sat([Kh(P, Q)])
         assert oracle._scope is outer
     assert oracle._scope is None
+
+
+def test_truth_sets_are_masks_in_a_table_scope():
+    oracle = SatOracle()
+    with oracle.scope(["p", "q"]):
+        every, truth, falsity = oracle.truth_sets([P, Or(P, Q)])
+        assert every == 0b1111
+        assert truth == [0b1100, 0b1110]  # row 3 is p & q, row 0 is ~p & ~q
+        assert falsity == [0b0011, 0b0001]
+        assert oracle.ask(truth[1] & falsity[0]) is True
+        assert oracle.ask(truth[0] & falsity[0]) is False
+    assert oracle.calls == 2  # reading truth sets asks nothing
+
+
+def test_truth_sets_are_members_outside_a_table_scope(fake_solver, tmp_path):
+    # No scope; a solver's scope, which builds no table; q outside the scope.
+    for oracle, atoms in ((SatOracle(), None), (SatOracle(fake_solver), ["p", "q"]), (SatOracle(), ["p"])):
+        with oracle.scope(atoms) if atoms else contextlib.nullcontext():
+            every, truth, falsity = oracle.truth_sets([P, Or(P, Q)])
+            assert every == Members() and isinstance(every, Members)
+            assert truth == [Members((P,)), Members((Or(P, Q),))]
+            assert falsity == [Members((Not(P),)), Members((Not(Or(P, Q)),))]
+            question = every & truth[1] & falsity[0]
+            assert question == Members((Or(P, Q), Not(P)))
+            assert oracle.ask(question) is True
+            assert oracle.ask(truth[0] & falsity[0]) is False
+        assert oracle.calls == 2
+    runs = (tmp_path / "solver-runs.log").read_text().splitlines()
+    assert len(runs) == 2  # the solver saw both of its questions
+
+
+def test_table_truth_sets_need_a_scope_over_exactly_the_symbols():
+    oracle = SatOracle()
+    psi = And(Not(P), Not(Q))
+    with oracle.scope(["p", "q"]):
+        table, masks = oracle.table_truth_sets(["p", "q"], [psi, Q])
+        assert masks == [0b0001, 0b1010] and table.all_states == 0b1111
+        assert oracle.table_truth_sets(["p"], [P]) is None  # another table
+        assert oracle.table_truth_sets(["p", "q"], [Atom("r")]) is None
+    assert oracle.table_truth_sets(["p", "q"], [P]) is None  # no scope
+    assert oracle.calls == 0
 
 
 # ---------------------------------------------------------------------------
