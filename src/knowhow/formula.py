@@ -18,104 +18,82 @@ Concrete grammar (ASCII, whitespace-insensitive)::
 Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 ``_k`` are generated by the flattener and rejected in user input.
 
-Every node class derives from ``Formula``, which keeps each node's structural
-measures (hash, atoms, modal depth, core form) once they are computed.
+Every node class derives from ``Formula``.  A node's hash, atoms and modal
+depth are filled together by one iterative pass on first read, its core form
+by another; nodes that ``core`` builds are marked core as they are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter, is_
 from typing import Callable, Iterator
 
 RESERVED_PREFIX = "_k"
 
-_ATOMS, _DEPTH, _CORE = attrgetter("atoms"), attrgetter("depth"), attrgetter("core")
-
 
 class _fact:
-    """A node fact computed on its first read and kept in the node's
-    ``__dict__``, where later reads find it first.  Children that lack it
-    are filled in before the node, one call frame per level of nesting."""
+    """A fact of a node whose facts are not filled yet: reading it fills
+    them, and later reads find the value kept on the node before this."""
 
-    def __init__(self, compute: Callable[[Formula, tuple[Formula, ...]], object]) -> None:
-        self.compute = compute
-        self.name = compute.__name__
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
 
     def __get__(self, node: Formula | None, owner: type | None = None) -> object:
         if node is None:
             return self
-        children = node.children
-        for child in children:
-            if self.name not in child.__dict__:
-                self.__get__(child)
-        value = node.__dict__[self.name] = self.compute(node, children)
-        return value
+        _fill(node, "_hash", _fill_facts)
+        return getattr(node, self.name)
 
 
 class Formula:
     """Common base of the formula node classes.
 
-    Nodes are immutable, and each works out a structural fact the first
-    time it is read and keeps it: its hash, ``atoms``, ``depth`` and
-    ``core``.  A node already in the core fragment is its own ``core``.
-    Equality stays structural; equal nodes are not shared or interned.
+    Nodes are immutable.  The first read of a node's hash, ``atoms`` or
+    ``depth`` fills all three, on the node and on every node below it that
+    lacks them, in one iterative post-order pass; the first read of
+    ``core`` fills the core forms the same way.  A node in the core
+    fragment is its own ``core``: it keeps ``_core = None``, not a
+    reference to itself, and the nodes ``core`` builds are marked so when
+    they are built.  Equality stays structural; equal nodes are not shared
+    or interned.
     """
 
     __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
+    children: tuple[Formula, ...] = ()  # the immediate subformulas, left to right
 
-    @property
-    def children(self) -> tuple[Formula, ...]:
-        """The immediate subformulas, left to right."""
-        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+    atoms = _fact()  # the atom names occurring in the formula
+    depth = _fact()  # nesting of the know-how modality (A/E count as one level)
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            _fill(self, "_hash", _fill_facts)
+            return self._hash
+
+    @property
+    def core(self) -> Formula:
+        """The same formula over Atom, Bottom, Not, Or and Kh only."""
+        if not hasattr(self, "_core"):
+            _fill(self, "_core", _fill_core)
+        return self._core or self  # None: the node is its own core
 
     def __getstate__(self) -> dict[str, object]:
         # Pickle the fields only: a string's hash differs between processes.
-        return {name: self.__dict__[name] for name in self.__match_args__}
-
-    @_fact
-    def _hash(self, children: tuple[Formula, ...]) -> int:
-        return hash((type(self).__name__, *map(self.__dict__.__getitem__, self.__match_args__)))
-
-    @_fact
-    def atoms(self, children: tuple[Formula, ...]) -> frozenset[str]:
-        """The atom names occurring in the formula."""
-        if isinstance(self, Atom):
-            return frozenset((self.name,))
-        return frozenset().union(*map(_ATOMS, children))
-
-    @_fact
-    def depth(self, children: tuple[Formula, ...]) -> int:
-        """Nesting of the know-how modality (A/E count as one level)."""
-        inner = max(map(_DEPTH, children), default=0)
-        return inner + 1 if isinstance(self, (Kh, Univ, Exis)) else inner
-
-    @_fact
-    def core(self, children: tuple[Formula, ...]) -> Formula:
-        """The same formula over Atom, Bottom, Not, Or and Kh only."""
-        if isinstance(self, (Atom, Bottom, Not, Or, Kh)):
-            cores = tuple(map(_CORE, children))
-            return self if all(map(is_, cores, children)) else type(self)(*cores)
-        if isinstance(self, Top):
-            return Not(Bottom())
-        if isinstance(self, And):
-            return Not(Or(Not(self.left.core), Not(self.right.core)))
-        if isinstance(self, Implies):
-            return Or(Not(self.left.core), self.right.core)
-        if isinstance(self, Iff):
-            return And(Implies(self.left, self.right), Implies(self.right, self.left)).core
-        if isinstance(self, Univ):
-            return Kh(Not(self.f.core), Bottom())
-        return Not(Kh(Not(Not(self.f.core)), Bottom()))  # Exis
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def _node(cls: type) -> type:
-    """A frozen dataclass node: structural equality, the base's kept hash."""
+    """A frozen dataclass node: structural equality, the base's kept hash,
+    and ``children`` read straight off its fields."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = Formula.__hash__
+    names = cls.__match_args__
+    if names and "children" not in vars(cls):
+        get = attrgetter(*names)
+        cls.children = property(get if len(names) > 1 else lambda node: (get(node),))
     return cls
 
 
@@ -179,6 +157,71 @@ class Univ(Formula):
 @_node
 class Exis(Formula):
     f: Formula
+
+
+# ---------------------------------------------------------------------------
+# Filling node facts
+
+_keep = object.__setattr__  # past the frozen guard, and not through ``__dict__``
+_MODAL = {Kh, Univ, Exis}
+
+
+def _fill(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
+    """Call ``fill_one(node, children)`` once on ``root`` and on every node
+    below it that lacks the attribute ``name``, each after its children, in
+    one frame whatever the nesting."""
+    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(root, None)]
+    while stack:
+        node, children = stack.pop()
+        if children is not None:
+            fill_one(node, children)
+        elif not hasattr(node, name):  # else a shared node, filled on an earlier visit
+            children = node.children
+            stack.append((node, children))
+            stack += [(child, None) for child in children if not hasattr(child, name)]
+
+
+def _fill_facts(node: Formula, children: tuple[Formula, ...]) -> None:
+    cls, fields = type(node), children
+    if cls is Atom:
+        atoms, depth, fields = frozenset((node.name,)), 0, (node.name,)
+    elif len(children) == 2:
+        left, right = children
+        atoms, depth = left.atoms | right.atoms, max(left.depth, right.depth)
+    elif children:
+        atoms, depth = children[0].atoms, children[0].depth
+    else:
+        atoms, depth = frozenset(), 0
+    _keep(node, "atoms", atoms)
+    _keep(node, "depth", depth + (cls in _MODAL))
+    _keep(node, "_hash", hash((cls.__name__, *fields)))  # last: marks the node filled
+
+
+def _core_node(cls: type, *fields: Formula) -> Formula:
+    """A new node of the core fragment, marked as its own core."""
+    node = cls(*fields)
+    _keep(node, "_core", None)
+    return node
+
+
+_neg, _or = partial(_core_node, Not), partial(_core_node, Or)
+# The core form of each sugar node from its children's core forms.
+_DESUGAR: dict[type, Callable[..., Formula]] = {
+    Top: lambda: _neg(_core_node(Bottom)),
+    And: lambda left, right: _neg(_or(_neg(left), _neg(right))),
+    Implies: lambda left, right: _or(_neg(left), right),
+    Iff: lambda left, right: _neg(_or(_neg(_or(_neg(left), right)), _neg(_or(_neg(right), left)))),
+    Univ: lambda f: _core_node(Kh, _neg(f), _core_node(Bottom)),
+    Exis: lambda f: _neg(_core_node(Kh, _neg(_neg(f)), _core_node(Bottom))),
+}
+
+
+def _fill_core(node: Formula, children: tuple[Formula, ...]) -> None:
+    cls, cores = type(node), [child.core for child in children]
+    if cls in _DESUGAR:
+        _keep(node, "_core", _DESUGAR[cls](*cores))
+    else:  # None: the node is already in the core fragment
+        _keep(node, "_core", None if all(map(is_, cores, children)) else _core_node(cls, *cores))
 
 
 class ParseError(ValueError):

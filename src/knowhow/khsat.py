@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import certificate
 from .formula import (
@@ -195,11 +196,7 @@ def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalCo
             indices.add(k)
             context &= not_pre[k - 1]
     members = tuple(Not(p.pre(k)) for k in sorted(indices))
-    psi: Formula = Top()
-    if members:
-        psi = members[0]
-        for member in members[1:]:
-            psi = And(psi, member)
+    psi = reduce(And, members) if members else Top()
     return GlobalContext(frozenset(indices), members, psi)
 
 
@@ -320,12 +317,9 @@ def _build_pair(
     """The candidate pair for one guess, plus the existential precondition."""
     partition = _partition(result, assignment)
     p_plus, p_minus = partition.p_plus, partition.p_minus
-    positives: list[tuple[Formula, Formula]] = [
-        (result.defs[i - 1][1].pre, result.defs[i - 1][1].post) for i in p_plus
-    ]
-    negatives: list[tuple[Formula, Formula]] = [
-        (result.defs[i - 1][1].pre, result.defs[i - 1][1].post) for i in p_minus
-    ]
+    sides = [(leaf.pre, leaf.post) for _, leaf in result.defs]
+    positives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_plus]
+    negatives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_minus]
     exis_pre: Formula = result.phi0
     if mode == "augmented":
         for i in p_plus:
@@ -397,19 +391,18 @@ def decide(
     oracle = oracle or SatOracle()
     flattening = flatten(f)
     proj = sorted(k.name for k, _ in flattening.defs)
-
-    before = oracle.calls
-    assignments = oracle.enumerate_models(flattening.phi0, proj)
-    enumeration_calls = oracle.calls - before
-    assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
-
     records: list[GuessRecord] = []
     certificate_calls = 0
     tried = 0
     cert = None
-    # Every compatibility query draws its atoms from this vocabulary.
+    # Every query of the call, the guess enumeration's too, draws its atoms
+    # from this vocabulary; each definition atom stands in phi0 or in a side.
     vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
-    with oracle.scope(vocabulary.union(proj)):
+    with oracle.scope(vocabulary):
+        before = oracle.calls
+        assignments = oracle.enumerate_models(flattening.phi0, proj)
+        enumeration_calls = oracle.calls - before
+        assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
         for assignment in assignments:
             tried += 1
             p, q, exis_pre = _build_pair(flattening, assignment, mode)

@@ -12,6 +12,7 @@ satisfiable exactly when the input is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .formula import (
     And,
@@ -35,12 +36,7 @@ class FlattenResult:
     def definitions(self) -> Formula:
         """The definition conjunct: A _ki <-> leaf_i for every definition."""
         parts = [Iff(Univ(k), leaf) for k, leaf in self.defs]
-        if not parts:
-            return Top()
-        combined = parts[0]
-        for part in parts[1:]:
-            combined = And(combined, part)
-        return combined
+        return reduce(And, parts) if parts else Top()
 
 
 def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> Formula:
@@ -63,14 +59,14 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
     ``allow_reserved`` is set (useful for re-flattening an already flattened
     skeleton, which introduces no fresh atoms and hence cannot collide).
     """
+    phi0 = f.core  # the same atoms as ``f``, and the tree every later layer reads
     if not allow_reserved:
-        reserved = sorted(a for a in f.atoms if a.startswith(RESERVED_PREFIX))
+        reserved = sorted(a for a in phi0.atoms if a.startswith(RESERVED_PREFIX))
         if reserved:
             raise ValueError(
                 f"input uses reserved atom(s) {', '.join(reserved)}; "
                 f"the {RESERVED_PREFIX!r} prefix is for generated definitions"
             )
-    phi0 = f.core
     defs: list[tuple[Atom, Kh]] = []
     while phi0.depth != 0:
         names: dict[Kh, Atom] = {}

@@ -16,8 +16,8 @@ truth sets of its conditions and their negations once, intersects them and
 asks whether the result is empty.  ``decide`` opens a ``SatOracle.scope``
 over its flattening's vocabulary: up to the same cutoff, a truth set is then
 an int mask on one truth table per call, each distinct condition evaluated
-once, and certificates are read off the same table.  Otherwise a truth set
-is the list of its member formulas, and each query goes to ``is_sat``.
+once, and guesses and certificates are read off the same table.  Otherwise
+a truth set is the list of its member formulas, each query to ``is_sat``.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -82,12 +82,6 @@ def _symbols(fs: Sequence[Formula], extra_atoms: Iterable[str] = ()) -> list[str
         if f.depth != 0:
             raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
     return sorted(set(extra_atoms).union(*(f.atoms for f in fs)))
-
-
-def _row_assignment(symbols: Sequence[str], row: int) -> Assignment:
-    """The valuation of truth-table row ``row`` (first symbol most significant)."""
-    n = len(symbols)
-    return {name: bool(row >> (n - 1 - j) & 1) for j, name in enumerate(symbols)}
 
 
 def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInstance:
@@ -266,7 +260,8 @@ def is_sat(
         rows &= eval_formula(table, f)
     if not rows:
         return False, None
-    return True, _row_assignment(symbols, (rows & -rows).bit_length() - 1)
+    lowest = rows & -rows
+    return True, {name: bool(table.val[name] & lowest) for name in symbols}
 
 
 def _cnf_is_sat(
@@ -303,14 +298,21 @@ def enumerate_models(
         return _cnf_enumerate_models(f, proj_list, solver_path, _on_solve)
     table = truth_table(symbols)
     rows = eval_formula(table, f)
+    return _table_projections(table, rows, proj_list, _on_solve or (lambda: None))
+
+
+def _table_projections(
+    table: Lts, rows: int, proj_list: list[str], on_solve: Callable[[], None]
+) -> list[Assignment]:
+    """``enumerate_models`` on a truth table over at least the ``proj_list``
+    symbols, from the rows where the formula holds."""
     results: list[Assignment] = []
     while len(results) < 1 << len(proj_list):
-        if _on_solve is not None:
-            _on_solve()
+        on_solve()
         if not rows:
             break
-        model = _row_assignment(symbols, (rows & -rows).bit_length() - 1)
-        projected = {name: model[name] for name in proj_list}
+        lowest = rows & -rows
+        projected = {name: bool(table.val[name] & lowest) for name in proj_list}
         results.append(projected)
         # Drop every row with this projection, as a blocking clause would.
         same = table.all_states
@@ -498,10 +500,16 @@ class SatOracle:
             self._scope = saved
 
     def enumerate_models(self, f: Formula, proj: Iterable[str]) -> list[Assignment]:
+        """Counted ``enumerate_models``, on the scope's table if it has the atoms."""
+
         def bump() -> None:
             self.calls += 1
 
-        return enumerate_models(f, proj, solver_path=self.solver_path, _on_solve=bump)
+        proj_list = sorted(set(proj))
+        masks = self._masks([f])
+        if masks is None or not self._scope[0].val.keys() >= set(proj_list):
+            return enumerate_models(f, proj_list, solver_path=self.solver_path, _on_solve=bump)
+        return _table_projections(self._scope[0], masks[0], proj_list, bump)
 
 
 def _nonempty(term: TruthSet, solver_path: str | None) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowhow import formula
 from knowhow.formula import (
     And,
     Atom,
@@ -274,14 +276,89 @@ def test_nodes_with_cached_facts_equal_fresh_nodes_seeded():
 
 
 def test_facts_of_deeply_nested_formulas():
-    # Facts are filled in one call frame per level, so a chain as deep as
-    # the parser accepts is no deeper for them.
+    # Facts are filled in one frame, so a chain as deep as the parser
+    # accepts is no deeper for them.
     f, g = Atom("p"), Atom("p")
     for _ in range(600):
         f, g = Not(f), Not(g)
     assert (f.depth, f.atoms, f.core) == (0, {"p"}, f)
     assert hash(f) == hash(g)
     assert decide(parse("Kh(" + "~" * 600 + "p, q)")).result is Result.SAT
+
+
+def _nodes(f):
+    """Every node of ``f``, parents first, found without hashing or reading
+    any fact."""
+    stack, found = [f], []
+    while stack:
+        found.append(stack.pop())
+        stack.extend(_ref_children(found[-1]))
+    return found
+
+
+_READS = {
+    "hash": hash,
+    "atoms": lambda g: g.atoms,
+    "depth": lambda g: g.depth,
+    "core": lambda g: g.core,
+}
+
+
+@pytest.mark.parametrize("first", list(_READS))
+def test_facts_do_not_depend_on_read_order_seeded(first):
+    for f in _sugar_rich_formulas():
+        fresh = _rebuild(f)
+        _READS[first](fresh)
+        for g in _nodes(fresh):
+            _READS[first](g)
+            assert g.atoms == _ref_atoms(g), g
+            assert g.depth == _ref_depth(g), g
+            assert g.core == _ref_core(g), g
+            assert g.core.core is g.core
+            assert hash(g) == hash((type(g).__name__, *(getattr(g, n) for n in g.__match_args__)))
+
+
+def test_facts_of_a_20000_deep_chain_need_no_recursion():
+    f = Atom("p")
+    for i in range(20_000):
+        f = Not(f) if i % 1000 else Univ(f)
+    assert (f.depth, f.atoms) == (20, {"p"})
+    assert hash(f) == hash(("Not", f.f))
+    assert f.core.depth == 20
+
+
+def test_shared_subformulas_are_filled_once(monkeypatch):
+    # Each Iff's core form uses both sides twice, so filling a shared node
+    # on every visit would grow with the number of paths, not of nodes.
+    f = Atom("p")
+    for _ in range(30):
+        f = Iff(f, f)
+    filled = []
+    for name in ("_fill_facts", "_fill_core"):
+        fill_one = getattr(formula, name)
+        monkeypatch.setattr(
+            formula, name, lambda node, children, fill_one=fill_one: (
+                filled.append((fill_one, node)), fill_one(node, children)
+            )
+        )
+    assert f.core.atoms == {"p"}
+    assert len(filled) == len({(fill_one, id(node)) for fill_one, node in filled})
+
+
+def test_reading_facts_leaves_no_reference_cycles():
+    # A core node keeps no reference to itself, so dropping formulas whose
+    # facts were all read leaves nothing for the cycle collector.
+    texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            for g in subformulas(parse(text)):
+                g.atoms, g.depth, g.core, hash(g)
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pickles_carry_fields_not_cached_facts():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from knowhow import propsat
+from knowhow import certificate, propsat, semantics
 from knowhow.certificate import verify_certificate
 from knowhow.formula import And, Atom, Bottom, Kh, Not, Top, parse, render
 from knowhow.khsat import (
@@ -17,6 +17,7 @@ from knowhow.khsat import (
     NegativeSpec,
     PositiveSpec,
     Result,
+    _guess_order_key,
     compatible,
     composition_closure,
     decide,
@@ -431,6 +432,53 @@ def test_wide_vocabularies_answer_alike_on_both_paths(seed, monkeypatch):
     # Field by field, which is what a dump writes out; the dumps of the
     # 2048-state certificates run to hundreds of megabytes.
     assert verdict.certificate == expected.certificate
+
+
+_SUITES_S_M = ((2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100)))
+
+
+def test_decide_builds_one_truth_table_per_call(monkeypatch):
+    built = []
+
+    def counting_truth_table(atoms):
+        built.append(tuple(atoms))
+        return semantics.truth_table(atoms)
+
+    for module in (propsat, certificate):
+        monkeypatch.setattr(module, "truth_table", counting_truth_table)
+    calls = 0
+    for depth, leaves, atoms, seeds in _SUITES_S_M:
+        for seed in seeds:
+            f = random_formula(depth, leaves, atoms, seed)
+            for mode in ("plain", "augmented"):
+                built.clear()
+                verdict = decide(f, mode)
+                phi0, defs = verdict.flattening.phi0, verdict.flattening.defs
+                vocabulary = phi0.atoms.union(*(leaf.atoms for _, leaf in defs))
+                if len(vocabulary) <= propsat._TABLE_MAX_SYMBOLS:
+                    assert built == [tuple(sorted(vocabulary))], (seed, mode)
+                    calls += 1
+    assert calls == 2 * 250
+
+
+def test_guess_enumeration_matches_the_unscoped_enumeration():
+    # The same projections, the same round count and the same guess order
+    # as enumerating phi0's models on their own table.
+    for depth, leaves, atoms, seeds in _SUITES_S_M:
+        for seed in seeds:
+            f = random_formula(depth, leaves, atoms, seed)
+            verdict = decide(f, trace=True)
+            flattening = verdict.flattening
+            rounds = []
+            expected = propsat.enumerate_models(
+                flattening.phi0,
+                [k.name for k, _ in flattening.defs],
+                _on_solve=lambda: rounds.append(1),
+            )
+            assert verdict.enumeration_calls == len(rounds), seed
+            expected.sort(key=lambda a: _guess_order_key(flattening.defs, a))
+            tried = [record.k_assignment for record in verdict.trace]
+            assert tried == expected[: len(tried)], seed
 
 
 def test_decide_agrees_with_bounded_search_smoke():

@@ -10,10 +10,15 @@ import pytest
 from knowhow.formula import (
     And,
     Atom,
+    Exis,
     Formula,
+    Iff,
+    Implies,
     Kh,
     Not,
     Or,
+    Top,
+    Univ,
     atoms_of,
     desugar,
     kh_occurrences,
@@ -62,6 +67,24 @@ def test_flatten_rejects_reserved_atoms():
     phi0 = flatten(parse("Kh(p, q) | r")).phi0
     with pytest.raises(ValueError, match="_k1"):
         flatten(phi0)
+
+
+@pytest.mark.parametrize(
+    "f, listed",
+    [
+        (Univ(Atom("_k1")), "_k1"),
+        (Iff(Top(), Atom("_k2")), "_k2"),
+        (And(Exis(Atom("_k2")), Implies(Atom("_k10"), P)), "_k10, _k2"),
+    ],
+)
+def test_flatten_rejects_reserved_atoms_under_sugar(f, listed):
+    # The check reads the atoms of the core form; sugar hides none of them.
+    with pytest.raises(ValueError) as raised:
+        flatten(f)
+    assert str(raised.value) == (
+        f"input uses reserved atom(s) {listed}; the '_k' prefix is for generated definitions"
+    )
+    assert flatten(f, allow_reserved=True).phi0.depth == 0
 
 
 def test_reflattening_phi0_adds_nothing():

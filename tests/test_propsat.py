@@ -264,6 +264,35 @@ def test_table_path_matches_dpll_seeded():
         assert len(table_solves) == len(cnf_solves)
 
 
+def test_scoped_enumeration_reads_the_scope_table_seeded(monkeypatch):
+    # Inside a scope over a wider vocabulary, the same projections (in a
+    # possibly different order) with the same round count, and no new table;
+    # a projection symbol outside the scope falls back to its own table.
+    rng = random.Random(6262)
+    atoms = ["p", "q", "r", "s2", "t"]
+    cases = []
+    for _ in range(200):
+        f = random_prop_formula(rng, atoms, rng.randint(0, 4))
+        proj = rng.sample(atoms + ["u"], rng.randint(0, 4))
+        rounds = []
+        expected = enumerate_models(f, proj, _on_solve=lambda: rounds.append(1))
+        cases.append((f, proj, expected, len(rounds)))
+    oracle = SatOracle()
+    with oracle.scope(atoms + ["u", "v"]):
+        monkeypatch.setattr(propsat, "truth_table", lambda symbols: pytest.fail("a second table"))
+        for f, proj, expected, rounds in cases:
+            before = oracle.calls
+            got = oracle.enumerate_models(f, proj)
+            assert sorted(map(sorted, map(dict.items, got))) == sorted(
+                map(sorted, map(dict.items, expected))
+            ), (f, proj)
+            assert oracle.calls - before == rounds
+    monkeypatch.undo()
+    with oracle.scope(["p", "q"]):
+        outside = oracle.enumerate_models(Or(P, Q), ["p", "r"])
+    assert outside == enumerate_models(Or(P, Q), ["p", "r"])
+
+
 def test_queries_above_the_cutoff_take_the_cnf_path(monkeypatch):
     encoded = []
     original = propsat.to_cnf
