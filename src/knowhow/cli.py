@@ -17,7 +17,7 @@ import time
 import click
 
 from .certificate import CapacityError, Certificate
-from .formula import Formula, Kh, ParseError, parse, render
+from .formula import Formula, Kh, ParseError, fold, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
@@ -57,17 +57,10 @@ def _read_formula(formula: str | None, file: str | None) -> Formula:
 
 def _top_level_kh(f: Formula) -> list[Kh]:
     """Maximal Kh subformulas of the desugared formula, first-seen order."""
-    found: list[Kh] = []
-
-    def walk(g: Formula) -> None:
-        if not isinstance(g, Kh):
-            for child in g.children:
-                walk(child)
-        elif g not in found:
-            found.append(g)
-
-    walk(f.core)
-    return found
+    found: dict[Formula, Formula] = {}  # keys in first-seen order
+    # A Kh is a leaf of the fold: it is recorded and not descended into.
+    fold(f.core, lambda g, _: g, lambda g: found.setdefault(g, g) if isinstance(g, Kh) else None)
+    return list(found)
 
 
 def _echo_report(pairs: list[tuple[str, object]], fmt: str) -> None:
@@ -338,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
+        return EXIT_ERROR
+    except RecursionError as exc:  # evaluation recurses once per nesting level
+        click.echo(f"error: formula nests too deeply ({exc})", err=True)
         return EXIT_ERROR
     except (CapacityError, SolverError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -4,16 +4,15 @@ The logic extends propositional logic with a binary modality ``Kh(pre, post)``
 ("the agent knows how to reach ``post`` from ``pre``").  ``A f`` (everywhere)
 abbreviates ``Kh(~f, false)`` and ``E f`` (somewhere) abbreviates ``~A ~f``.
 
-Concrete grammar (ASCII, whitespace-insensitive)::
+Concrete syntax (ASCII, whitespace-insensitive): a primary is an atom,
+``true``, ``false``, ``Kh(formula, formula)`` or ``(formula)``, and primaries
+combine by the operators of the table ``_OPERATORS``, which gives each
+operator token its precedence, associativity and node class.  ``parse`` and
+``render`` both read the grammar from that table alone::
 
-    formula := iff
-    iff     := implies ("<->" iff)?          # right-associative
-    implies := or ("->" implies)?            # right-associative
-    or      := and ("|" and)*                # left-associative
-    and     := unary ("&" unary)*            # left-associative
-    unary   := ("~" | "A" | "E") unary | primary
-    primary := atom | "true" | "false" | "Kh" "(" formula "," formula ")"
-             | "(" formula ")"
+    ~  A  E   prefix, binding tightest
+    &  |      left-associative
+    ->  <->   right-associative, ``<->`` binding loosest
 
 Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 ``_k`` are generated by the flattener and rejected in user input.
@@ -21,6 +20,8 @@ Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 Every node class derives from ``Formula``.  A node's hash, atoms and modal
 depth are filled together by one iterative pass on first read, its core form
 by another; nodes that ``core`` builds are marked core as they are built.
+``fold`` walks a formula bottom-up in one call frame whatever its nesting;
+parsing is iterative too, so neither is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, is_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 RESERVED_PREFIX = "_k"
+T = TypeVar("T")
 
 
 class _fact:
@@ -56,8 +58,8 @@ class Formula:
     ``core`` fills the core forms the same way.  A node in the core
     fragment is its own ``core``: it keeps ``_core = None``, not a
     reference to itself, and the nodes ``core`` builds are marked so when
-    they are built.  Equality stays structural; equal nodes are not shared
-    or interned.
+    they are built.  Equality is structural, also compared in one frame;
+    equal nodes are not shared or interned.
     """
 
     __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
@@ -73,6 +75,19 @@ class Formula:
             _fill(self, "_hash", _fill_facts)
             return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or type(a) is Atom and a.name != b.name:
+                return False
+            pairs += zip(a.children, b.children)
+        return True
+
     @property
     def core(self) -> Formula:
         """The same formula over Atom, Bottom, Not, Or and Kh only."""
@@ -86,10 +101,9 @@ class Formula:
 
 
 def _node(cls: type) -> type:
-    """A frozen dataclass node: structural equality, the base's kept hash,
-    and ``children`` read straight off its fields."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
+    """A frozen dataclass node with the base's equality and kept hash, and
+    ``children`` read straight off its fields."""
+    cls = dataclass(frozen=True, eq=False)(cls)
     names = cls.__match_args__
     if names and "children" not in vars(cls):
         get = attrgetter(*names)
@@ -197,7 +211,7 @@ def _fill_facts(node: Formula, children: tuple[Formula, ...]) -> None:
     _keep(node, "_hash", hash((cls.__name__, *fields)))  # last: marks the node filled
 
 
-def _core_node(cls: type, *fields: Formula) -> Formula:
+def _core_node(cls: type, *fields: object) -> Formula:
     """A new node of the core fragment, marked as its own core."""
     node = cls(*fields)
     _keep(node, "_core", None)
@@ -224,6 +238,42 @@ def _fill_core(node: Formula, children: tuple[Formula, ...]) -> None:
         _keep(node, "_core", None if all(map(is_, cores, children)) else _core_node(cls, *cores))
 
 
+# ---------------------------------------------------------------------------
+# Folding
+
+
+def fold(
+    f: Formula,
+    combine: Callable[[Formula, list[T]], T],
+    leaf: Callable[[Formula], T | None] = lambda node: None,
+) -> T:
+    """Fold ``f`` bottom-up, in one frame whatever its nesting.
+
+    Each node is first offered to ``leaf``, in left-to-right pre-order: a
+    value other than None is the node's value, and its children are not
+    visited.  Otherwise the node's value is ``combine(node, values)``, where
+    ``values`` are its children's values, left to right.  A subformula that
+    occurs twice is folded twice.
+    """
+    values: list[T] = []
+    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(f, None)]
+    while stack:
+        node, children = stack.pop()
+        if children is None:
+            value = leaf(node)
+            if value is None:
+                children = node.children
+                stack.append((node, children))
+                stack += [(child, None) for child in reversed(children)]
+                continue
+        else:
+            first = len(values) - len(children)
+            value = combine(node, values[first:])
+            del values[first:]
+        values.append(value)
+    return values[0]
+
+
 class ParseError(ValueError):
     """Syntax error with position and the tokens that would have been legal."""
 
@@ -243,14 +293,14 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # ATOM, IDENT-keywords folded into their own kinds, punctuation
+    kind: str  # ATOM, EOF, or the text of a keyword or punctuation token
     text: str
     line: int
     column: int
 
 
 _PUNCT = ["<->", "->", "~", "&", "|", "(", ")", ","]
-_KEYWORDS = {"true": "TRUE", "false": "FALSE", "Kh": "KH", "A": "UNIV", "E": "EXIS"}
+_KEYWORDS = {"true", "false", "Kh", "A", "E"}
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -284,11 +334,12 @@ def _tokenize(text: str) -> list[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = _KEYWORDS.get(word)
-            if kind is None:
-                if not (word[0].islower() or word[0] == "_"):
-                    raise ParseError(f"unknown keyword {word!r}", line, col)
+            if word in _KEYWORDS:
+                kind = word
+            elif word[0].islower() or word[0] == "_":
                 kind = "ATOM"
+            else:
+                raise ParseError(f"unknown keyword {word!r}", line, col)
             tokens.append(_Token(kind, word, line, col))
             col += j - i
             i = j
@@ -299,196 +350,137 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Operator table, parser and printer
+
+
+class _Op(NamedTuple):
+    precedence: int  # higher binds tighter
+    assoc: str  # "left", "right", or "prefix" for a unary operator
+    cls: type
+
+
+# The concrete syntax's operators by token; the parser and the printer read
+# precedence, associativity and node class from here alone.
+_OPERATORS: dict[str, _Op] = {
+    "<->": _Op(1, "right", Iff),
+    "->": _Op(2, "right", Implies),
+    "|": _Op(3, "left", Or),
+    "&": _Op(4, "left", And),
+    "~": _Op(5, "prefix", Not),
+    "A": _Op(5, "prefix", Univ),
+    "E": _Op(5, "prefix", Exis),
+}
+_TOKEN_OF = {op.cls: token for token, op in _OPERATORS.items()}
+_ATOMIC = 6  # an atom, a constant, Kh(…) or a parenthesized formula
+_CONSTANTS = {"true": Top, "false": Bottom}
+_CONSTANT_TEXT = {cls: text for text, cls in _CONSTANTS.items()}
 
 _PRIMARY_EXPECTED = ("an atom", "'true'", "'false'", "'Kh'", "'A'", "'E'", "'~'", "'('")
+# The token that ends each open group: the input itself, a parenthesis, and
+# the first and second arguments of Kh (a "," opens the second).
+_CLOSER = {None: "EOF", "(": ")", "Kh": ",", ",": ")"}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], allow_reserved: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_reserved = allow_reserved
+def _unexpected(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    message = f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
+    return ParseError(message, tok.line, tok.column, expected)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.column,
-                expected=(f"'{kind}'",),
-            )
-        return self.advance()
-
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek().kind == "<->":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek().kind == "|":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek().kind == "&":
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "UNIV":
-            self.advance()
-            return Univ(self.parse_unary())
-        if tok.kind == "EXIS":
-            self.advance()
-            return Exis(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ATOM":
-            self.advance()
-            if tok.text.startswith(RESERVED_PREFIX) and not self.allow_reserved:
-                raise ParseError(
-                    f"atom {tok.text!r} uses the reserved prefix {RESERVED_PREFIX!r}",
-                    tok.line,
-                    tok.column,
-                )
-            if tok.text[0] == "_" and not tok.text.startswith(RESERVED_PREFIX):
-                raise ParseError(
-                    f"atom {tok.text!r} may not start with '_'", tok.line, tok.column
-                )
-            return Atom(tok.text)
-        if tok.kind == "TRUE":
-            self.advance()
-            return Top()
-        if tok.kind == "FALSE":
-            self.advance()
-            return Bottom()
-        if tok.kind == "KH":
-            self.advance()
-            self.expect("(")
-            pre = self.parse_formula()
-            self.expect(",")
-            post = self.parse_formula()
-            self.expect(")")
-            return Kh(pre, post)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
+def _primary(tok: _Token, allow_reserved: bool) -> Formula:
+    if tok.kind in _CONSTANTS:
+        return _CONSTANTS[tok.kind]()
+    if tok.kind != "ATOM":
+        raise _unexpected(tok, _PRIMARY_EXPECTED)
+    if tok.text.startswith(RESERVED_PREFIX) and not allow_reserved:
         raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line,
-            tok.column,
-            expected=_PRIMARY_EXPECTED,
+            f"atom {tok.text!r} uses the reserved prefix {RESERVED_PREFIX!r}", tok.line, tok.column
         )
+    if tok.text[0] == "_" and not tok.text.startswith(RESERVED_PREFIX):
+        raise ParseError(f"atom {tok.text!r} may not start with '_'", tok.line, tok.column)
+    return Atom(tok.text)
+
+
+def _reduce(operands: list[Formula], pending: list[_Token], floor: int) -> None:
+    """Apply the pending operators, innermost first, down to the first one
+    binding looser than ``floor`` or the innermost open group."""
+    while pending and (op := _OPERATORS.get(pending[-1].kind)) and op.precedence >= floor:
+        pending.pop()
+        if op.assoc == "prefix":
+            operands[-1] = op.cls(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = op.cls(operands[-1], right)
 
 
 def parse(text: str, *, allow_reserved: bool = False) -> Formula:
     """Parse concrete syntax into an AST.
 
-    ``allow_reserved`` admits flattener-generated ``_k…`` atoms; user input
-    must leave it off so fresh definition atoms can never collide.  Input
-    nested deeper than the interpreter's recursion limit allows raises
-    ``ParseError`` at the token where parsing stopped.
+    Precedence climbing over explicit operand and operator stacks, so the
+    nesting depth is bounded by memory only.  ``allow_reserved`` admits
+    flattener-generated ``_k…`` atoms; user input must leave it off so fresh
+    definition atoms can never collide.
     """
-    parser = _Parser(_tokenize(text), allow_reserved)
-    try:
-        result = parser.parse_formula()
-    except RecursionError:
-        tok = parser.peek()
-        raise ParseError("formula nests too deeply", tok.line, tok.column) from None
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
-    return result
+    operands: list[Formula] = []
+    pending: list[_Token] = []  # operators and open groups, innermost last
+    tokens = iter(_tokenize(text))  # ends with EOF, which returns or raises
+    want_operand = True
+    while True:
+        tok = next(tokens)
+        op = _OPERATORS.get(tok.kind)
+        if want_operand:
+            if tok.kind == "Kh" and (paren := next(tokens)).kind != "(":
+                raise _unexpected(paren, ("'('",))
+            if tok.kind in ("(", "Kh") or (op and op.assoc == "prefix"):
+                pending.append(tok)
+            else:
+                operands.append(_primary(tok, allow_reserved))
+                want_operand = False
+        elif op and op.assoc != "prefix":
+            # An equal operator stays pending before a right-associative one.
+            _reduce(operands, pending, op.precedence + (op.assoc == "right"))
+            pending.append(tok)
+            want_operand = True
+        else:  # no operator continues the operand: the innermost group ends here
+            _reduce(operands, pending, 0)
+            group = pending.pop().kind if pending else None
+            if tok.kind != _CLOSER[group]:
+                if group is None:
+                    raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
+                raise _unexpected(tok, (f"'{_CLOSER[group]}'",))
+            if group is None:
+                return operands[0]
+            if group == "Kh":
+                pending.append(tok)
+                want_operand = True
+            elif group == ",":
+                post = operands.pop()
+                operands[-1] = Kh(operands[-1], post)
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-
-_PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOMIC = 1, 2, 3, 4, 5, 6
-
-
-def _precedence(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _PREC_IFF
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (Not, Univ, Exis)):
-        return _PREC_UNARY
-    return _PREC_ATOMIC
+def _operand(part: tuple[str, int], minimum: int) -> str:
+    text, precedence = part
+    return text if precedence >= minimum else f"({text})"
 
 
-def _render(f: Formula, minimum: int) -> str:
-    prec = _precedence(f)
-    if isinstance(f, Atom):
-        text = f.name
-    elif isinstance(f, Top):
-        text = "true"
-    elif isinstance(f, Bottom):
-        text = "false"
-    elif isinstance(f, Kh):
-        text = f"Kh({_render(f.pre, 0)}, {_render(f.post, 0)})"
-    elif isinstance(f, Not):
-        text = "~" + _render(f.f, _PREC_UNARY)
-    elif isinstance(f, Univ):
-        text = "A " + _render(f.f, _PREC_UNARY)
-    elif isinstance(f, Exis):
-        text = "E " + _render(f.f, _PREC_UNARY)
-    elif isinstance(f, Iff):
-        text = f"{_render(f.left, _PREC_IMPLIES)} <-> {_render(f.right, _PREC_IFF)}"
-    elif isinstance(f, Implies):
-        text = f"{_render(f.left, _PREC_OR)} -> {_render(f.right, _PREC_IMPLIES)}"
-    elif isinstance(f, Or):
-        text = f"{_render(f.left, _PREC_OR)} | {_render(f.right, _PREC_AND)}"
-    elif isinstance(f, And):
-        text = f"{_render(f.left, _PREC_AND)} & {_render(f.right, _PREC_UNARY)}"
-    else:  # pragma: no cover - exhaustive over constructors
-        raise TypeError(f"not a formula: {f!r}")
-    if prec < minimum:
-        return f"({text})"
-    return text
+def _render_node(node: Formula, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    """A node's text and precedence from its children's."""
+    token = _TOKEN_OF.get(type(node))
+    if token is None:
+        if isinstance(node, Kh):
+            return f"Kh({parts[0][0]}, {parts[1][0]})", _ATOMIC
+        return node.name if isinstance(node, Atom) else _CONSTANT_TEXT[type(node)], _ATOMIC
+    precedence, assoc, _ = _OPERATORS[token]
+    if assoc == "prefix":
+        space = " " if token.isalpha() else ""  # "A p": "Ap" would lex as one word
+        return token + space + _operand(parts[0], precedence), precedence
+    tighter = precedence + 1
+    left, right = (precedence, tighter) if assoc == "left" else (tighter, precedence)
+    return f"{_operand(parts[0], left)} {token} {_operand(parts[1], right)}", precedence
 
 
 def render(f: Formula) -> str:
     """Minimal-parenthesization text; ``parse(render(f)) == f``."""
-    return _render(f, 0)
+    return fold(f, _render_node)[0]
 
 
 # ---------------------------------------------------------------------------

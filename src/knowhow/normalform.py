@@ -23,6 +23,8 @@ from .formula import (
     RESERVED_PREFIX,
     Top,
     Univ,
+    _core_node,
+    fold,
 )
 
 
@@ -42,14 +44,19 @@ class FlattenResult:
 def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> Formula:
     """Replace every depth-1 modality of the core formula ``f`` by its name,
     assigning fresh names ``_k{first}``, ``_k{first+1}``, ... in
-    left-to-right first-occurrence order."""
-    if f.depth == 0:
-        return f
-    if isinstance(f, Kh) and f.depth == 1:
-        if f not in names:
-            names[f] = Atom(f"{RESERVED_PREFIX}{first + len(names)}")
-        return names[f]
-    return type(f)(*(_name_leaves(child, names, first) for child in f.children))
+    left-to-right first-occurrence order.  The nodes it rebuilds are core
+    nodes, and are marked so."""
+
+    def leaf(g: Formula) -> Formula | None:
+        if g.depth == 0:
+            return g
+        if isinstance(g, Kh) and g.depth == 1:
+            if g not in names:
+                names[g] = _core_node(Atom, f"{RESERVED_PREFIX}{first + len(names)}")
+            return names[g]
+        return None
+
+    return fold(f, lambda g, children: _core_node(type(g), *children), leaf)
 
 
 def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:

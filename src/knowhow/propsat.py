@@ -34,20 +34,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .formula import (
-    And,
-    Atom,
-    Bottom,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Top,
-    render,
-)
+from .formula import Atom, Formula, Not, Or, fold, render
 from .semantics import Lts, eval_formula, truth_table
 
 Assignment = dict[str, bool]
@@ -103,17 +92,15 @@ def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInst
     clauses: list[tuple[int, ...]] = []
     defs: dict[Formula, int] = {}
 
-    def literal(g: Formula) -> int:
+    def known(g: Formula) -> int | None:  # an atom's or an encoded node's literal
+        return var_map[g.name] if isinstance(g, Atom) else defs.get(g)
+
+    def literal(g: Formula, children: list[int]) -> int:
         nonlocal next_var
-        if isinstance(g, Atom):
-            return var_map[g.name]
         if isinstance(g, Not):
-            return -literal(g.f)
-        cached = defs.get(g)
-        if cached is not None:
-            return cached
+            return -children[0]
         if isinstance(g, Or):
-            a, b = literal(g.left), literal(g.right)
+            a, b = children
             clauses.extend(((-next_var, a, b), (next_var, -a), (next_var, -b)))
         else:  # Bottom
             clauses.append((-next_var,))
@@ -122,7 +109,7 @@ def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInst
         return next_var - 1
 
     for f in fs:
-        clauses.append((literal(f.core),))
+        clauses.append((fold(f.core, literal, known),))
     return CnfInstance(next_var - 1, tuple(clauses), var_map)
 
 
@@ -362,27 +349,6 @@ def export_dimacs(instance: CnfInstance) -> str:
     for clause in instance.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def eval_prop(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Truth value of a modality-free formula; absent atoms read as False."""
-    if isinstance(f, Atom):
-        return bool(assignment.get(f.name, False))
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Not):
-        return not eval_prop(f.f, assignment)
-    if isinstance(f, Or):
-        return eval_prop(f.left, assignment) or eval_prop(f.right, assignment)
-    if isinstance(f, And):
-        return eval_prop(f.left, assignment) and eval_prop(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not eval_prop(f.left, assignment)) or eval_prop(f.right, assignment)
-    if isinstance(f, Iff):
-        return eval_prop(f.left, assignment) == eval_prop(f.right, assignment)
-    raise ValueError(f"not a propositional formula: {render(f)}")
 
 
 def _member_mask(table: Lts, f: Formula) -> int | None:

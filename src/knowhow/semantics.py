@@ -258,7 +258,10 @@ def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, 
             return kh(walk(g.pre), walk(g.post))
         raise TypeError(f"not a core formula: {g!r}")
 
-    return walk(f)
+    try:
+        return walk(f)
+    finally:
+        del walk  # empties the closure's own cell: no cycle for the collector
 
 
 # ---------------------------------------------------------------------------

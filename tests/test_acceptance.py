@@ -39,7 +39,7 @@ from knowhow.khsat import (
 )
 from knowhow.normalform import flatten
 from knowhow.oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
-from knowhow.propsat import eval_prop, is_sat
+from knowhow.propsat import is_sat
 from knowhow.semantics import (
     Lts,
     eval_formula,
@@ -49,6 +49,7 @@ from knowhow.semantics import (
     strongly_executable,
 )
 from tests.conftest import report_criterion
+from tests.test_propsat import eval_prop
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 

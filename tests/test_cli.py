@@ -74,11 +74,22 @@ def test_check_parse_error_is_diagnosed(capsys):
     assert "line 1" in err
 
 
-def test_check_too_deep_nesting_is_a_parse_error(capsys):
-    assert main(["check", "~" * 3000 + "p"]) == EXIT_ERROR
+def test_deep_disjunction_flattens_and_check_fails_cleanly(capsys):
+    # Parsing, flattening and printing take any depth; evaluation recurses
+    # once per level, and check reports that as one error line.
+    text = " | ".join(["p"] * 3000)
+    assert main(["flatten", text]) == 0
+    assert capsys.readouterr().out == f"skeleton: {text}\n"
+    assert main(["check", text]) == EXIT_ERROR
     captured = capsys.readouterr()
-    assert captured.err.startswith("parse error: formula nests too deeply at line 1, column ")
     assert captured.out == ""
+    assert captured.err.startswith("error: formula nests too deeply")
+    assert captured.err.count("\n") == 1
+
+
+def test_flatten_names_a_deeply_negated_leaf(capsys):
+    assert main(["flatten", "~" * 2000 + "Kh(p, q)"]) == 0
+    assert capsys.readouterr().out == f"skeleton: {'~' * 2000}_k1\n  _k1 := Kh(p, q)\n"
 
 
 def test_check_requires_exactly_one_input_source(capsys):

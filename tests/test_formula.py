@@ -99,13 +99,20 @@ def test_parse_error_unexpected_end():
 
 
 @pytest.mark.parametrize(
-    "text", ["~" * 3000 + "p", "Kh(p, " * 400 + "p" + ")" * 400], ids=["not-3000", "kh-400"]
+    "text, rendered",
+    [
+        ("(" * 20_000 + "p" + ")" * 20_000, "p"),
+        ("~" * 20_000 + "p", "~" * 20_000 + "p"),
+        ("Kh(p, " * 400 + "p" + ")" * 400, "Kh(p, " * 400 + "p" + ")" * 400),
+    ],
+    ids=["parens-20000", "not-20000", "kh-400"],
 )
-def test_too_deep_nesting_is_a_parse_error(text):
-    with pytest.raises(ParseError, match="formula nests too deeply at line 1, column") as exc:
-        parse(text)
-    # Reported at the token where parsing stopped, inside the nesting.
-    assert 1 < exc.value.column < len(text) // 2
+def test_deep_nesting_parses_and_round_trips(text, rendered):
+    # Parsing, printing and equality keep their own stacks: no recursion
+    # limit applies.
+    f = parse(text)
+    assert render(f) == rendered
+    assert parse(render(f)) == f
 
 
 def test_deep_but_parseable_nesting_still_decides():

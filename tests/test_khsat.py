@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -510,3 +511,21 @@ def test_nested_definitions_rescued_by_atom_pinning_certificate():
     assert record.rescued
     assert verify_certificate(v.certificate, f)
     assert v.certificate.model.val["_k1"] == (1 << len(v.certificate.model.states)) - 1
+
+
+def test_decide_leaves_no_reference_cycles():
+    # The model checker's self-calling walker is emptied after each call, so
+    # deciding leaves nothing for the cycle collector.
+    texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for text in texts:
+            decide(parse(text))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

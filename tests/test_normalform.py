@@ -63,6 +63,13 @@ def test_flatten_shares_identical_occurrences():
     assert len(result.defs) == 1
 
 
+def test_flatten_shares_deep_identical_occurrences():
+    # Two separately parsed leaves, equal and 3000 levels deep.
+    leaf = "Kh(" + "~" * 3000 + "p, q)"
+    result = flatten(parse(f"{leaf} & ~{leaf}"))
+    assert len(result.defs) == 1
+
+
 def test_flatten_rejects_reserved_atoms():
     phi0 = flatten(parse("Kh(p, q) | r")).phi0
     with pytest.raises(ValueError, match="_k1"):

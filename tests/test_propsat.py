@@ -37,13 +37,34 @@ from knowhow.propsat import (
     _cnf_enumerate_models,
     _cnf_is_sat,
     enumerate_models,
-    eval_prop,
     export_dimacs,
     is_sat,
     to_cnf,
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+
+def eval_prop(f, assignment) -> bool:
+    """Reference evaluator: truth value of a modality-free formula, by cases
+    on the full syntax; absent atoms read as False."""
+    if isinstance(f, Atom):
+        return bool(assignment.get(f.name, False))
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Not):
+        return not eval_prop(f.f, assignment)
+    if isinstance(f, Or):
+        return eval_prop(f.left, assignment) or eval_prop(f.right, assignment)
+    if isinstance(f, And):
+        return eval_prop(f.left, assignment) and eval_prop(f.right, assignment)
+    if isinstance(f, Implies):
+        return (not eval_prop(f.left, assignment)) or eval_prop(f.right, assignment)
+    if isinstance(f, Iff):
+        return eval_prop(f.left, assignment) == eval_prop(f.right, assignment)
+    raise ValueError(f"not a propositional formula: {f!r}")
 
 
 def truth_table_sat(fs, symbols=None) -> bool:
@@ -116,6 +137,14 @@ def test_to_cnf_deterministic_variable_numbering():
     assert instance.var_map == {"p": 1, "q": 2, "r": 3}
     again = to_cnf([parse("q | p"), parse("r & p")])
     assert again == instance
+
+
+def test_to_cnf_takes_any_depth():
+    chain = parse(" | ".join(["p", "q"] * 1500))  # 2999 distinct Or nodes
+    instance = to_cnf([chain, parse("~" * 5001 + "p")])
+    assert instance.var_count == 2 + 2999
+    assert len(instance.clauses) == 3 * 2999 + 2
+    assert instance.clauses[-1] == (-1,)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from knowhow.formula import Atom, Kh, Not, Or, Univ, parse
 from knowhow.oracle import random_lts
-from knowhow.propsat import eval_prop
 from knowhow.semantics import (
     Lts,
     dump_model,
@@ -26,6 +25,8 @@ from knowhow.semantics import (
     plan_image,
     strongly_executable,
 )
+
+from tests.test_propsat import eval_prop
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
