@@ -17,7 +17,7 @@ import time
 import click
 
 from .certificate import CapacityError, Certificate
-from .formula import Formula, Kh, ParseError, fold, parse, render
+from .formula import Atom, Formula, Kh, ParseError, fold, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
@@ -41,6 +41,20 @@ def _resolve_solver(flag_value: str | None) -> str | None:
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError("count must not be negative")
+
+
+def _atom_names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated ``--atoms`` list; each must parse back
+    as that very atom, so every generated formula reads back as printed."""
+    names = tuple(a.strip() for a in text.split(",") if a.strip())
+    for name in names:
+        try:
+            readable = parse(name) == Atom(name)
+        except ParseError:
+            readable = False
+        if not readable:
+            raise ValueError(f"--atoms: {name!r} is not an atom name")
+    return names
 
 
 def _read_formula(formula: str | None, file: str | None) -> Formula:
@@ -236,7 +250,7 @@ def gen() -> None:
 def gen_formula(depth, leaves, atoms, seed, count):
     """Print seeded random formulas, one per line, seeds in comments."""
     _check_count(count)
-    names = tuple(a.strip() for a in atoms.split(",") if a.strip())
+    names = _atom_names(atoms)
     # Generated before any output, so a bad option prints nothing.
     formulas = [random_formula(depth, leaves, names, seed + i) for i in range(count)]
     for i, f in enumerate(formulas):
@@ -253,8 +267,7 @@ def gen_formula(depth, leaves, atoms, seed, count):
 @click.option("--seed", type=int, default=0, show_default=True)
 def gen_model(states, actions, atoms, density, seed):
     """Print one seeded random model document (seed recorded inside)."""
-    names = tuple(a.strip() for a in atoms.split(",") if a.strip())
-    model = random_lts(states, actions, names, density, seed)
+    model = random_lts(states, actions, _atom_names(atoms), density, seed)
     click.echo(dump_model(model, extra={"seed": seed}))
     return 0
 
@@ -275,7 +288,7 @@ def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formula
     _check_count(count)
     solver_path = _resolve_solver(solver)
     bounds = SearchBounds(random_trials=trials, seed=seed)
-    names = tuple(a.strip() for a in atoms.split(",") if a.strip())
+    names = _atom_names(atoms)
     instances: list[tuple[str, Formula]] = [
         ("pinned", parse(text)) for text in extra_formulas
     ]

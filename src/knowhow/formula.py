@@ -26,6 +26,7 @@ parsing is iterative too, so neither is bounded by the recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, is_
@@ -299,41 +300,23 @@ class _Token:
     column: int
 
 
-_PUNCT = ["<->", "->", "~", "&", "|", "(", ")", ","]
 _KEYWORDS = {"true", "false", "Kh", "A", "E"}
+# One lexeme per match: a newline, a run of other whitespace, punctuation, a
+# word, or any other character, which is an error.
+_LEXEME = re.compile(r"(\n)|([^\S\n]+)|(<->|->|[~&|(),])|(\w+)|(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        matched = False
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token(punct, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    line, line_start = 1, 0  # columns count characters from the line's start
+    for match in _LEXEME.finditer(text):
+        newline, space, punct, word, other = match.groups()
+        col = match.start() - line_start + 1
+        if newline:
+            line, line_start = line + 1, match.end()
+        elif punct:
+            tokens.append(_Token(punct, punct, line, col))
+        elif word and (word[0].isalpha() or word[0] == "_"):  # not a digit or numeral
             if word in _KEYWORDS:
                 kind = word
             elif word[0].islower() or word[0] == "_":
@@ -341,11 +324,9 @@ def _tokenize(text: str) -> list[_Token]:
             else:
                 raise ParseError(f"unknown keyword {word!r}", line, col)
             tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        elif not space:
+            raise ParseError(f"unexpected character {(word or other)[0]!r}", line, col)
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

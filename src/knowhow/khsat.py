@@ -333,38 +333,27 @@ def _build_pair(
     return PositiveSpec(tuple(positives)), NegativeSpec(tuple(negatives)), exis_pre
 
 
-def _certify(
-    p: PositiveSpec,
-    q: NegativeSpec,
-    ctx: GlobalContext,
-    witness_pre: Formula,
-    original: Formula,
-    oracle: SatOracle,
-) -> certificate.Certificate | None:
-    """The certificate built for a pair, if it verifies against the original
-    formula; None otherwise."""
-    candidate = certificate.build_model(p, q, ctx, witness_pre=witness_pre, oracle=oracle)
-    return candidate if certificate.verify_certificate(candidate, original) else None
-
-
-def _rescue(
+def _check_guess(
     flattening: FlattenResult,
     assignment: dict[str, bool],
+    mode: str,
     original: Formula,
     oracle: SatOracle,
-) -> certificate.Certificate | None:
-    """Certify a guess from its atom-pinning pair instead.
+) -> tuple[PositiveSpec, NegativeSpec, bool, certificate.Certificate | None]:
+    """One guess through the mode's pair: the pair, whether it is compatible,
+    and its certificate if that verifies against the original formula.
 
-    With every definition atom forced to its guessed value globally, each
-    definition's literal reading coincides with its expansion, so a
-    certificate for the enriched pair also satisfies the original formula
-    whenever that pair is itself compatible.
+    Without definitions the only guess is the empty assignment, and the
+    enumeration has already shown the skeleton satisfiable, so the
+    compatibility check is skipped.  Building and verifying the certificate
+    asks the oracle nothing.
     """
-    p, q, exis_pre = _build_pair(flattening, assignment, "augmented")
+    p, q, exis_pre = _build_pair(flattening, assignment, mode)
     ctx = global_indices(p, oracle)
-    if not compatible(p, q, oracle, ctx):
-        return None
-    return _certify(p, q, ctx, exis_pre, original, oracle)
+    if flattening.defs and not compatible(p, q, oracle, ctx):
+        return p, q, False, None
+    candidate = certificate.build_model(p, q, ctx, witness_pre=exis_pre, oracle=oracle)
+    return p, q, True, candidate if certificate.verify_certificate(candidate, original) else None
 
 
 def decide(
@@ -379,12 +368,9 @@ def decide(
     A compatible guess is accepted only if a certificate built for it
     verifies against the original formula.  In ``plain`` mode the candidate
     pair does not pin the definition atoms' global values, so the first
-    certificate attempt can fail on alternation-deep inputs; the certificate
-    is then rebuilt from the same guess's atom-pinning pair (``_rescue``).
-    A guess whose certificates all fail is recorded in the trace and skipped.
-    Without definitions the only guess is the empty assignment, and the
-    enumeration has already shown the skeleton satisfiable, so the
-    compatibility check is skipped.
+    certificate attempt can fail on alternation-deep inputs; the same guess
+    is then checked again on its atom-pinning (``augmented``) pair.  A guess
+    whose certificates all fail is recorded in the trace and skipped.
     """
     if mode not in ("plain", "augmented"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,7 +379,6 @@ def decide(
     proj = sorted(k.name for k, _ in flattening.defs)
     records: list[GuessRecord] = []
     certificate_calls = 0
-    tried = 0
     cert = None
     # Every query of the call, the guess enumeration's too, draws its atoms
     # from this vocabulary; each definition atom stands in phi0 or in a side.
@@ -404,39 +389,36 @@ def decide(
         enumeration_calls = oracle.calls - before
         assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
         for assignment in assignments:
-            tried += 1
-            p, q, exis_pre = _build_pair(flattening, assignment, mode)
             before = oracle.calls
-            ctx = global_indices(p, oracle)
-            ok = not flattening.defs or compatible(p, q, oracle, ctx)
+            p, q, ok, cert = _check_guess(flattening, assignment, mode, f, oracle)
             guess_calls = oracle.calls - before
-            rescued = False
-            if ok:
+            # With every definition atom forced to its guessed value globally,
+            # each definition's literal reading coincides with its expansion,
+            # so a certificate for the atom-pinning pair also satisfies the
+            # original formula whenever that pair is itself compatible.
+            retry = ok and cert is None and mode == "plain"
+            if retry:
                 before = oracle.calls
-                cert = _certify(p, q, ctx, exis_pre, f, oracle)
-                if cert is None and mode == "plain":
-                    cert = _rescue(flattening, assignment, f, oracle)
-                    rescued = cert is not None
+                cert = _check_guess(flattening, assignment, "augmented", f, oracle)[3]
                 certificate_calls += oracle.calls - before
-            if trace:
-                records.append(
-                    GuessRecord(
-                        k_assignment=dict(assignment),
-                        n=p.n,
-                        m=q.m,
-                        compatible=ok,
-                        certificate_verified=cert is not None if ok else None,
-                        oracle_calls=guess_calls,
-                        rescued=rescued,
-                    )
+            records.append(
+                GuessRecord(
+                    k_assignment=dict(assignment),
+                    n=p.n,
+                    m=q.m,
+                    compatible=ok,
+                    certificate_verified=cert is not None if ok else None,
+                    oracle_calls=guess_calls,
+                    rescued=retry and cert is not None,
                 )
+            )
             if cert is not None:
                 break
 
     return Verdict(
         result=Result.SAT if cert is not None else Result.UNSAT,
         mode=mode,
-        guesses_tried=tried,
+        guesses_tried=len(records),
         partition=_partition(flattening, assignment) if cert is not None else None,
         certificate=cert,
         flattening=flattening,

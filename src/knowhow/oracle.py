@@ -135,21 +135,16 @@ def _witness_table(n: int, k: int) -> np.ndarray:
 
 
 def _decode_model(n: int, k: int, combo: int, atoms: list[str], val_masks: dict[str, int]) -> Lts:
-    states = [f"s{i}" for i in range(n)]
-    actions = ["a", "b"][:k]
-    props = {
-        s: [atom for atom in atoms if val_masks.get(atom, 0) >> i & 1]
-        for i, s in enumerate(states)
+    """The model of relation combination ``combo`` of shape (n, k) under the
+    valuation masks, its successor masks read straight off ``combo``'s bits."""
+    row_mask = (1 << n) - 1
+    actions = ("a", "b")[:k]
+    succ = {
+        action: tuple(combo >> (a * n * n + s * n) & row_mask for s in range(n))
+        for a, action in enumerate(actions)
     }
-    rel = {}
-    for a_idx, action in enumerate(actions):
-        pairs = []
-        for s in range(n):
-            for t in range(n):
-                if combo >> (a_idx * n * n + s * n + t) & 1:
-                    pairs.append((states[s], states[t]))
-        rel[action] = pairs
-    return make_lts(states, props, rel)
+    val = {atom: val_masks[atom] for atom in atoms if val_masks.get(atom, 0)}
+    return Lts(tuple(f"s{i}" for i in range(n)), actions, succ, val)
 
 
 def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:

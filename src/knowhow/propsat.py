@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .formula import Atom, Formula, Not, Or, fold, render
 from .semantics import Lts, eval_formula, truth_table
@@ -263,11 +263,7 @@ def _cnf_is_sat(
 
 
 def enumerate_models(
-    f: Formula,
-    proj: Iterable[str],
-    *,
-    solver_path: str | None = None,
-    _on_solve: Callable[[], None] | None = None,
+    f: Formula, proj: Iterable[str], *, solver_path: str | None = None
 ) -> list[Assignment]:
     """All distinct projections of models of ``f`` onto the ``proj`` symbols.
 
@@ -275,29 +271,20 @@ def enumerate_models(
     vary freely.  Projections come in the order they first appear over the
     truth table's ascending rows (first sorted symbol most significant, False
     first), which is the order DPLL with blocking clauses finds them in.
-    ``_on_solve`` runs once per round of the blocking-clause loop: once per
-    projection found, plus a closing round that finds none, skipped once all
-    2^|proj| projections are found.
     """
     proj_list = sorted(set(proj))
     symbols = _symbols([f], proj_list)
     if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
-        return _cnf_enumerate_models(f, proj_list, solver_path, _on_solve)
+        return _cnf_enumerate_models(f, proj_list, solver_path)
     table = truth_table(symbols)
-    rows = eval_formula(table, f)
-    return _table_projections(table, rows, proj_list, _on_solve or (lambda: None))
+    return _table_projections(table, eval_formula(table, f), proj_list)
 
 
-def _table_projections(
-    table: Lts, rows: int, proj_list: list[str], on_solve: Callable[[], None]
-) -> list[Assignment]:
+def _table_projections(table: Lts, rows: int, proj_list: list[str]) -> list[Assignment]:
     """``enumerate_models`` on a truth table over at least the ``proj_list``
     symbols, from the rows where the formula holds."""
     results: list[Assignment] = []
-    while len(results) < 1 << len(proj_list):
-        on_solve()
-        if not rows:
-            break
+    while rows and len(results) < 1 << len(proj_list):
         lowest = rows & -rows
         projected = {name: bool(table.val[name] & lowest) for name in proj_list}
         results.append(projected)
@@ -310,10 +297,7 @@ def _table_projections(
 
 
 def _cnf_enumerate_models(
-    f: Formula,
-    proj_list: list[str],
-    solver_path: str | None = None,
-    on_solve: Callable[[], None] | None = None,
+    f: Formula, proj_list: list[str], solver_path: str | None = None
 ) -> list[Assignment]:
     """``enumerate_models`` through Tseitin CNF and DPLL (or the external
     solver), one solve per model plus blocking clauses; ``proj_list`` is
@@ -324,8 +308,6 @@ def _cnf_enumerate_models(
     while len(results) < 1 << len(proj_list):
         working = CnfInstance(instance.var_count, tuple(clauses), instance.var_map)
         model = _solve(working, solver_path)
-        if on_solve is not None:
-            on_solve()
         if model is None:
             break
         projected = {name: model[instance.var_map[name] - 1] for name in proj_list}
@@ -467,15 +449,16 @@ class SatOracle:
 
     def enumerate_models(self, f: Formula, proj: Iterable[str]) -> list[Assignment]:
         """Counted ``enumerate_models``, on the scope's table if it has the atoms."""
-
-        def bump() -> None:
-            self.calls += 1
-
         proj_list = sorted(set(proj))
         masks = self._masks([f])
         if masks is None or not self._scope[0].val.keys() >= set(proj_list):
-            return enumerate_models(f, proj_list, solver_path=self.solver_path, _on_solve=bump)
-        return _table_projections(self._scope[0], masks[0], proj_list, bump)
+            models = enumerate_models(f, proj_list, solver_path=self.solver_path)
+        else:
+            models = _table_projections(self._scope[0], masks[0], proj_list)
+        # One blocking-clause round per model, plus the closing round that
+        # finds none, which the loop skips once every projection is found.
+        self.calls += len(models) + (len(models) < 1 << len(proj_list))
+        return models
 
 
 def _nonempty(term: TruthSet, solver_path: str | None) -> bool:

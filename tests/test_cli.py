@@ -8,6 +8,7 @@ import pytest
 
 from knowhow.certificate import Certificate
 from knowhow.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
+from knowhow.formula import parse, render
 from knowhow.oracle import SearchBounds
 from knowhow.semantics import dump_model, make_lts
 
@@ -251,6 +252,25 @@ def test_gen_formula_output_round_trips_through_check(tmp_path, capsys):
     src = tmp_path / "gen.txt"
     src.write_text(text)
     assert main(["check", "--file", str(src)]) in (EXIT_SAT, EXIT_UNSAT)
+
+
+@pytest.mark.parametrize("command", [["gen", "formula"], ["gen", "model"], ["bench", "--count", "1"]])
+@pytest.mark.parametrize("name", ["true", "P", "A", "_k1", "x-y", "p q"])
+def test_atoms_that_do_not_read_back_are_errors(command, name, capsys):
+    # "true" would print as the constant; the others would print lines
+    # that do not parse.
+    assert main([*command, "--atoms", f"p,{name}"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --atoms: {name!r} is not an atom name"]
+
+
+def test_gen_formula_lines_render_as_they_parse(capsys):
+    assert main(["gen", "formula", "--count", "20", "--atoms", "p,q2,r_x"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(lines) == 20
+    for line in lines:
+        assert render(parse(line)) == line
 
 
 def test_gen_model_records_seed_and_loads(capsys):

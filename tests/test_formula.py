@@ -88,6 +88,23 @@ def test_parse_error_has_position_and_expected_set():
     assert exc.value.expected
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("p &\t)", "unexpected ')'", 1, 5),  # a tab is one column
+        ("p\r&\r#", "unexpected character '#'", 1, 5),  # so is a carriage return
+        ("p &\n  q )", "unexpected trailing ')'", 2, 5),  # columns restart on a new line
+        ("p &\n\tq &", "unexpected end of input", 2, 5),
+        ("(p &\n\n Kh(", "unexpected end of input", 3, 5),  # and so does the end
+    ],
+)
+def test_parse_error_columns_count_characters_from_the_line_start(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(f"{message} at line {line}, column {column}")
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_parse_error_on_trailing_input():
     with pytest.raises(ParseError):
         parse("p q")

@@ -29,7 +29,7 @@ from knowhow.khsat import (
 from knowhow.oracle import random_formula
 from knowhow.propsat import Members, SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
-from tests.test_propsat import truth_table_sat
+from tests.test_propsat import dpll_enumeration, truth_table_sat
 
 P, Q, R, T, S = Atom("p"), Atom("q"), Atom("r"), Atom("t"), Atom("s")
 
@@ -463,20 +463,17 @@ def test_decide_builds_one_truth_table_per_call(monkeypatch):
 
 
 def test_guess_enumeration_matches_the_unscoped_enumeration():
-    # The same projections, the same round count and the same guess order
-    # as enumerating phi0's models on their own table.
+    # The same projections and the same guess order as enumerating phi0's
+    # models on their own table, and as many rounds as DPLL's solves.
     for depth, leaves, atoms, seeds in _SUITES_S_M:
         for seed in seeds:
             f = random_formula(depth, leaves, atoms, seed)
             verdict = decide(f, trace=True)
             flattening = verdict.flattening
-            rounds = []
-            expected = propsat.enumerate_models(
-                flattening.phi0,
-                [k.name for k, _ in flattening.defs],
-                _on_solve=lambda: rounds.append(1),
-            )
-            assert verdict.enumeration_calls == len(rounds), seed
+            proj = [k.name for k, _ in flattening.defs]
+            expected = propsat.enumerate_models(flattening.phi0, proj)
+            rounds = dpll_enumeration(flattening.phi0, proj)[1]
+            assert verdict.enumeration_calls == rounds, seed
             expected.sort(key=lambda a: _guess_order_key(flattening.defs, a))
             tried = [record.k_assignment for record in verdict.trace]
             assert tried == expected[: len(tried)], seed

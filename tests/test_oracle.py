@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from knowhow.formula import atoms_of, desugar, kh_occurrences, modal_depth, parse
 from knowhow.oracle import (
     SearchBounds,
+    _decode_model,
     _witness_table,
     bounded_sat_search,
     random_formula,
@@ -116,6 +118,38 @@ def test_witness_table_matches_plan_search():
             for post in range(1 << n):
                 expected = has_witness_plan(model, pre, post) is not None
                 assert bool(table[combo, pre, post]) == expected
+
+
+def _decode_from_pairs(n, k, combo, atoms, val_masks):
+    """Reference decode: state-id props and pair lists through ``make_lts``."""
+    states = [f"s{i}" for i in range(n)]
+    props = {
+        s: [atom for atom in atoms if val_masks.get(atom, 0) >> i & 1]
+        for i, s in enumerate(states)
+    }
+    rel = {
+        action: [
+            (states[s], states[t])
+            for s in range(n)
+            for t in range(n)
+            if combo >> (a * n * n + s * n + t) & 1
+        ]
+        for a, action in enumerate(["a", "b"][:k])
+    }
+    return make_lts(states, props, rel)
+
+
+def test_decoded_model_matches_the_pair_list_decode_seeded():
+    rng = random.Random(2700)
+    for n, k in itertools.product(range(1, 4), range(3)):
+        for _ in range(300):
+            atoms = sorted(rng.sample(["p", "q"], rng.randint(0, 2)))
+            val_masks = {atom: rng.randrange(1 << n) for atom in atoms if rng.random() < 0.9}
+            combo = rng.randrange(1 << (k * n * n))
+            got = _decode_model(n, k, combo, atoms, val_masks)
+            expected = _decode_from_pairs(n, k, combo, atoms, val_masks)
+            assert got == expected, (n, k, combo, val_masks)
+            assert dump_model(got) == dump_model(expected)
 
 
 def test_random_formula_is_deterministic():

@@ -88,6 +88,22 @@ def truth_table_projections(f, proj) -> set[tuple[bool, ...]]:
     return found
 
 
+def dpll_enumeration(f, proj) -> tuple[list[dict[str, bool]], int]:
+    """The DPLL path's projections of ``f``'s models onto ``proj``, and the
+    number of solves it actually ran: the reference for round counts."""
+    solves = []
+    solve = propsat._solve
+
+    def counting_solve(instance, solver_path):
+        solves.append(1)
+        return solve(instance, solver_path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propsat, "_solve", counting_solve)
+        models = _cnf_enumerate_models(f, sorted(set(proj)))
+    return models, len(solves)
+
+
 def random_prop_formula(rng: random.Random, atoms: list[str], depth: int):
     if depth == 0 or rng.random() < 0.3:
         roll = rng.random()
@@ -277,8 +293,9 @@ def test_enumerate_models_counts_match_truth_table_seeded():
 
 
 def test_table_path_matches_dpll_seeded():
-    # Verdicts, witnesses, enumeration order and per-solve counts must equal
-    # the reference solver's, so no count or certificate depends on the path.
+    # Verdicts, witnesses, enumeration order and round counts must equal
+    # the reference solver's, so no count or certificate depends on the path;
+    # the oracle's count is held to the solves DPLL actually runs.
     rng = random.Random(5151)
     atoms = ["p", "q", "r", "s2", "t"]
     for _ in range(300):
@@ -286,11 +303,12 @@ def test_table_path_matches_dpll_seeded():
         assert is_sat(fs) == _cnf_is_sat(fs), fs
         f = random_prop_formula(rng, atoms, rng.randint(0, 4))
         proj = sorted(rng.sample(atoms + ["u"], rng.randint(0, 4)))
-        table_solves, cnf_solves = [], []
-        got = enumerate_models(f, proj, _on_solve=lambda: table_solves.append(1))
-        expected = _cnf_enumerate_models(f, proj, on_solve=lambda: cnf_solves.append(1))
+        got = enumerate_models(f, proj)
+        expected, solves = dpll_enumeration(f, proj)
         assert got == expected, (f, proj)
-        assert len(table_solves) == len(cnf_solves)
+        oracle = SatOracle()
+        assert oracle.enumerate_models(f, proj) == got
+        assert oracle.calls == solves, (f, proj)
 
 
 def test_scoped_enumeration_reads_the_scope_table_seeded(monkeypatch):
@@ -303,9 +321,8 @@ def test_scoped_enumeration_reads_the_scope_table_seeded(monkeypatch):
     for _ in range(200):
         f = random_prop_formula(rng, atoms, rng.randint(0, 4))
         proj = rng.sample(atoms + ["u"], rng.randint(0, 4))
-        rounds = []
-        expected = enumerate_models(f, proj, _on_solve=lambda: rounds.append(1))
-        cases.append((f, proj, expected, len(rounds)))
+        expected = enumerate_models(f, proj)
+        cases.append((f, proj, expected, dpll_enumeration(f, proj)[1]))
     oracle = SatOracle()
     with oracle.scope(atoms + ["u", "v"]):
         monkeypatch.setattr(propsat, "truth_table", lambda symbols: pytest.fail("a second table"))
