@@ -47,19 +47,21 @@ class Certificate:
 
 
 def build_model(
-    p, q, ctx, *, witness_pre: Formula | None = None, oracle: SatOracle | None = None
+    p, q, indices, *, witness_pre: Formula | None = None, oracle: SatOracle | None = None
 ) -> Certificate:
-    """Build the explicit model for a positive/negative pair and its context.
+    """Build the explicit model for a positive/negative pair and the context
+    indices of ``p`` (``khsat.global_indices``).
 
     ``witness_pre`` designates the propositional condition whose satisfying
     state (lowest-numbered) is recorded as the certificate's witness state.
     States are the context-satisfying valuations over the pair's atoms, in
     truth-table order (first sorted atom most significant, False first):
-    the rows of ``ctx.psi``'s truth set on the truth table of those atoms,
-    not oracle queries.  Their count is exponential in the atom count;
-    ``MAX_ATOMS`` caps it; a context that admits no valuation raises
-    ``ValueError``.  The atom valuations and the pre-, post- and witness
-    condition masks are the table's masks restricted to those rows.
+    the rows of the truth table of those atoms where no precondition of
+    ``indices`` holds, not oracle queries.  Their count is exponential in
+    the atom count; ``MAX_ATOMS`` caps it; a context that admits no
+    valuation raises ``ValueError``.  The atom valuations and the pre-,
+    post- and witness condition masks are the table's masks restricted to
+    those rows.
 
     When ``oracle`` is in a table scope over exactly the pair's atoms, as
     inside ``decide``, the table and its cached masks are the scope's, so
@@ -78,14 +80,17 @@ def build_model(
     if n > MAX_ATOMS:
         raise CapacityError(f"certificate needs {n} atoms; cap is {MAX_ATOMS}")
 
-    conditions = [ctx.psi, *(side for conjunct in p.conjuncts for side in conjunct)]
+    conditions = [side for conjunct in p.conjuncts for side in conjunct]
     if witness_pre is not None:
         conditions.append(witness_pre)
     shared = oracle.table_truth_sets(ordered_atoms, conditions) if oracle is not None else None
     if shared is None:
         table = truth_table(ordered_atoms)
         shared = table, [eval_formula(table, f) for f in conditions]
-    table, (admitted, *masks) = shared
+    table, masks = shared
+    admitted = table.all_states
+    for k in indices:
+        admitted &= ~masks[2 * k - 2]
     if not admitted:
         raise ValueError("the context admits no state over the pair's atoms")
     restrict = _restriction(admitted, table.all_states)
@@ -102,7 +107,7 @@ def build_model(
     # postcondition state.
     succ: dict[str, tuple[int, ...]] = {}
     for k in range(1, p.n + 1):
-        pre_mask = 0 if k in ctx.indices else restrict(masks[2 * k - 2])
+        pre_mask = 0 if k in indices else restrict(masks[2 * k - 2])
         if pre_mask:
             post_of = {"0": 0, "1": restrict(masks[2 * k - 1])}
             succ[f"a{k}"] = tuple(map(post_of.__getitem__, f"{pre_mask:0{size}b}"[::-1]))

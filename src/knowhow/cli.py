@@ -62,8 +62,8 @@ def _read_formula(formula: str | None, file: str | None) -> Formula:
         raise click.UsageError("provide a formula either inline or via --file")
     if file is not None:
         with open(file, encoding="utf-8") as handle:
-            lines = [ln for ln in handle if not ln.lstrip().startswith("#")]
-        text = " ".join(ln.strip() for ln in lines if ln.strip())
+            # Comment lines are blanked, not dropped, so errors keep their lines.
+            text = "".join("\n" if ln.lstrip().startswith("#") else ln for ln in handle)
     else:
         text = formula
     return parse(text)

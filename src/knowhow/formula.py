@@ -302,8 +302,9 @@ class _Token:
 
 _KEYWORDS = {"true", "false", "Kh", "A", "E"}
 # One lexeme per match: a newline, a run of other whitespace, punctuation, a
-# word, or any other character, which is an error.
-_LEXEME = re.compile(r"(\n)|([^\S\n]+)|(<->|->|[~&|(),])|(\w+)|(.)", re.DOTALL)
+# word of ASCII letters, digits and '_', or any other character, which is an
+# error.
+_LEXEME = re.compile(r"(\n)|([^\S\n]+)|(<->|->|[~&|(),])|([A-Za-z0-9_]+)|(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -316,7 +317,7 @@ def _tokenize(text: str) -> list[_Token]:
             line, line_start = line + 1, match.end()
         elif punct:
             tokens.append(_Token(punct, punct, line, col))
-        elif word and (word[0].isalpha() or word[0] == "_"):  # not a digit or numeral
+        elif word and not word[0].isdigit():  # a leading digit is an error
             if word in _KEYWORDS:
                 kind = word
             elif word[0].islower() or word[0] == "_":

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import reduce
 
 from . import certificate
 from .formula import (
@@ -41,11 +40,10 @@ from .formula import (
     Bottom,
     Formula,
     Not,
-    Top,
     render,
 )
 from .normalform import FlattenResult, flatten
-from .propsat import SatOracle
+from .propsat import SatOracle, TruthSet
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -91,34 +89,6 @@ class NegativeSpec:
     @property
     def m(self) -> int:
         return len(self.conjuncts)
-
-
-@dataclass(frozen=True)
-class GlobalContext:
-    """Fixpoint of the context sweep.
-
-    ``indices`` are the positive conjuncts whose postconditions cannot hold
-    in context; ``members`` are the negated preconditions accumulated for
-    them, in index order; ``psi`` is their conjunction (true when empty).
-    """
-
-    indices: frozenset[int]
-    members: tuple[Formula, ...]
-    psi: Formula
-
-
-@dataclass(frozen=True)
-class Closure:
-    """Reflexive-transitive composition closure over positive conjuncts.
-
-    ``pairs`` holds 1-indexed (x, y): chaining witness plans starting from
-    conjunct x's precondition can reach conjunct y's postcondition."""
-
-    n: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
 
 
 @dataclass(frozen=True)
@@ -175,11 +145,21 @@ def _sides(spec: PositiveSpec | NegativeSpec) -> list[Formula]:
     return [side for conjunct in spec.conjuncts for side in conjunct]
 
 
-def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalContext:
+def _context(every: TruthSet, not_pre: list[TruthSet], indices: frozenset[int]) -> TruthSet:
+    """The context's truth set: the negated preconditions of ``indices``, in
+    index order, intersected with ``every``."""
+    context = every
+    for k in sorted(indices):
+        context &= not_pre[k - 1]
+    return context
+
+
+def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> frozenset[int]:
     """Indices whose postconditions are unsatisfiable in context.
 
     Runs n+1 sweeps; each sweep tests every remaining index against the
-    context assembled so far, then folds the newly forced ones in.
+    context assembled so far, then folds the newly forced ones in.  The
+    indices are the whole context: its truth set is ``_context`` of them.
     """
     oracle = oracle or SatOracle()
     every, truth, falsity = oracle.truth_sets(_sides(p))
@@ -195,9 +175,7 @@ def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalCo
         for k in newly:
             indices.add(k)
             context &= not_pre[k - 1]
-    members = tuple(Not(p.pre(k)) for k in sorted(indices))
-    psi = reduce(And, members) if members else Top()
-    return GlobalContext(frozenset(indices), members, psi)
+    return frozenset(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +183,19 @@ def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> GlobalCo
 
 
 def composition_closure(
-    p: PositiveSpec, psi: Formula, oracle: SatOracle | None = None
-) -> Closure:
-    """Reflexive-transitive closure of the plan-chaining edge relation.
+    p: PositiveSpec, indices: frozenset[int], oracle: SatOracle | None = None
+) -> frozenset[tuple[int, int]]:
+    """Reflexive-transitive closure of the plan-chaining edge relation, as
+    1-indexed pairs (x, y).
 
-    There is an edge x → y when, under the context, every state reached by
-    conjunct x's plans satisfies conjunct y's precondition — so y's plan can
-    always run after x's."""
+    There is an edge x → y when, under the context of ``indices``, every
+    state reached by conjunct x's plans satisfies conjunct y's precondition
+    — so y's plan can always run after x's."""
     oracle = oracle or SatOracle()
     n = p.n
-    _, truth, falsity = oracle.truth_sets([psi, *_sides(p)])
-    context, post, not_pre = truth[0], truth[2::2], falsity[1::2]
+    every, truth, falsity = oracle.truth_sets(_sides(p))
+    post, not_pre = truth[1::2], falsity[0::2]
+    context = _context(every, not_pre, indices)
     # Bit y of reach[x]: conjunct x + 1's plans chain to conjunct y + 1's.
     reach = []
     for x in range(n):
@@ -228,10 +208,7 @@ def composition_closure(
         for x in range(n):
             if reach[x] >> mid & 1:
                 reach[x] |= reach[mid]
-    pairs = frozenset(
-        (x + 1, y + 1) for x in range(n) for y in range(n) if reach[x] >> y & 1
-    )
-    return Closure(n, pairs)
+    return frozenset((x + 1, y + 1) for x in range(n) for y in range(n) if reach[x] >> y & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +219,7 @@ def compatible(
     p: PositiveSpec,
     q: NegativeSpec,
     oracle: SatOracle | None = None,
-    ctx: GlobalContext | None = None,
+    indices: frozenset[int] | None = None,
 ) -> bool:
     """Joint satisfiability of a positive and a negative conjunction.
 
@@ -253,27 +230,24 @@ def compatible(
     reachable through y's postcondition must still escape j's — otherwise the
     chained plan would witness the denied statement.
 
-    The context is the conjunction of ``ctx.members``: the negated
-    preconditions of ``ctx.indices``, in index order.
+    The context is that of ``indices`` (``global_indices`` when None): the
+    negated preconditions of those conjuncts, in index order.
     """
     oracle = oracle or SatOracle()
-    if ctx is None:
-        ctx = global_indices(p, oracle)
+    if indices is None:
+        indices = global_indices(p, oracle)
     every, truth, falsity = oracle.truth_sets(_sides(p) + _sides(q))
     split = 2 * p.n  # where q's sides begin
     pre, post, not_pre = truth[0:split:2], truth[1:split:2], falsity[0:split:2]
     denied_pre, denied_escape = truth[split::2], falsity[split + 1 :: 2]
-    context = every
-    for k in sorted(ctx.indices):
-        context &= not_pre[k - 1]
+    context = _context(every, not_pre, indices)
     if not oracle.ask(context):
         return False
     for j in range(q.m):
         if not oracle.ask(context & denied_pre[j] & denied_escape[j]):
             return False
-    closure = composition_closure(p, ctx.psi, oracle)
+    pairs = sorted(composition_closure(p, indices, oracle))
     realizable = [oracle.ask(context & pre[x]) for x in range(p.n)]
-    pairs = sorted(closure.pairs)
     for j in range(q.m):
         in_pre_j = context & denied_pre[j]
         for x, y in pairs:
@@ -349,10 +323,10 @@ def _check_guess(
     asks the oracle nothing.
     """
     p, q, exis_pre = _build_pair(flattening, assignment, mode)
-    ctx = global_indices(p, oracle)
-    if flattening.defs and not compatible(p, q, oracle, ctx):
+    indices = global_indices(p, oracle)
+    if flattening.defs and not compatible(p, q, oracle, indices):
         return p, q, False, None
-    candidate = certificate.build_model(p, q, ctx, witness_pre=exis_pre, oracle=oracle)
+    candidate = certificate.build_model(p, q, indices, witness_pre=exis_pre, oracle=oracle)
     return p, q, True, candidate if certificate.verify_certificate(candidate, original) else None
 
 

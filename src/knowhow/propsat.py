@@ -32,8 +32,6 @@ import subprocess
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .formula import Atom, Formula, Not, Or, fold, render
@@ -362,10 +360,9 @@ class SatOracle:
     Callers ask about truth sets (``TruthSet``): ``truth_sets`` supplies
     those of given formulas and of their negations, callers intersect them
     with ``&``, and ``ask`` counts one query and says whether a set is
-    non-empty.  An ``is_sat`` or ``sat`` query also counts once.  An
-    enumeration counts once per model found, plus once for the closing
-    round that finds none (skipped when every projection was found),
-    whichever path answers it.
+    non-empty.  An enumeration counts once per model found, plus once for
+    the closing round that finds none (skipped when every projection was
+    found), whichever path answers it.
 
     Inside ``scope(atoms)``, with no external solver and at most
     ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
@@ -382,10 +379,6 @@ class SatOracle:
         default=None, init=False, repr=False, compare=False
     )
 
-    def is_sat(self, fs: Sequence[Formula]) -> tuple[bool, Assignment | None]:
-        self.calls += 1
-        return is_sat(fs, solver_path=self.solver_path)
-
     def truth_sets(
         self, fs: Sequence[Formula]
     ) -> tuple[TruthSet, list[TruthSet], list[TruthSet]]:
@@ -400,13 +393,9 @@ class SatOracle:
     def ask(self, term: TruthSet) -> bool:
         """Whether a truth set is non-empty; one query."""
         self.calls += 1
-        return _nonempty(term, self.solver_path)
-
-    def sat(self, fs: Sequence[Formula]) -> bool:
-        """Whether the conjunction of ``fs`` is satisfiable; one query."""
-        self.calls += 1
-        every, truth, _ = self.truth_sets(fs)
-        return _nonempty(reduce(and_, truth, every), self.solver_path)
+        if isinstance(term, Members):
+            return is_sat(term, solver_path=self.solver_path)[0]
+        return term != 0
 
     def table_truth_sets(
         self, symbols: Sequence[str], fs: Sequence[Formula]
@@ -459,9 +448,3 @@ class SatOracle:
         # finds none, which the loop skips once every projection is found.
         self.calls += len(models) + (len(models) < 1 << len(proj_list))
         return models
-
-
-def _nonempty(term: TruthSet, solver_path: str | None) -> bool:
-    if isinstance(term, Members):
-        return is_sat(term, solver_path=solver_path)[0]
-    return term != 0

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import time
+from functools import reduce
 
 import pytest
 
 from knowhow import certificate
 from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_certificate
-from knowhow.formula import Atom, Bottom, Or, Top, atoms_of, parse
+from knowhow.formula import And, Atom, Bottom, Not, Or, Top, atoms_of, parse
 from knowhow.khsat import NegativeSpec, PositiveSpec, Result, decide, global_indices
 from knowhow.oracle import random_formula
 from knowhow.propsat import _cnf_enumerate_models
@@ -122,17 +123,18 @@ def test_states_follow_the_oracle_enumeration_order():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        ctx = global_indices(p)
-        constrained += bool(ctx.indices)
+        indices = global_indices(p)
+        constrained += bool(indices)
         ordered_atoms = sorted(
             set().union(*(atoms_of(a) | atoms_of(b) for a, b in p.conjuncts + q.conjuncts))
         )
-        expected = _cnf_enumerate_models(ctx.psi, ordered_atoms)
+        context = reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top())
+        expected = _cnf_enumerate_models(context, ordered_atoms)
         if not expected:  # an unsatisfiable context leaves no state to build
             with pytest.raises(ValueError, match="admits no state"):
-                build_model(p, q, ctx)
+                build_model(p, q, indices)
             continue
-        c = build_model(p, q, ctx)
+        c = build_model(p, q, indices)
         got = [
             {a: bool(c.model.val.get(a, 0) >> i & 1) for a in ordered_atoms}
             for i in range(len(c.model.states))
@@ -166,16 +168,16 @@ def test_action_masks_are_the_pre_post_product_seeded():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        ctx = global_indices(p)
+        indices = global_indices(p)
         try:
-            c = build_model(p, q, ctx)
+            c = build_model(p, q, indices)
         except ValueError:  # the context admits no state
             continue
         checked += 1
         size = len(c.model.states)
         expected = {}
         for k in range(1, p.n + 1):
-            pre_mask = 0 if k in ctx.indices else eval_formula(c.model, p.pre(k))
+            pre_mask = 0 if k in indices else eval_formula(c.model, p.pre(k))
             if pre_mask:
                 post_mask = eval_formula(c.model, p.post(k))
                 expected[f"a{k}"] = product_masks(pre_mask, post_mask, size)
@@ -201,10 +203,10 @@ def test_context_indices_are_inert_in_the_model():
     # For every index forced into the context, the postcondition holds
     # nowhere and the negated precondition holds everywhere.
     p = pos(("p", "false"), ("q", "p"), ("r", "r"))
-    ctx = global_indices(p)
-    c = build_model(p, NegativeSpec(()), ctx)
-    assert sorted(ctx.indices) == [1, 2]
-    for i in sorted(ctx.indices):
+    indices = global_indices(p)
+    c = build_model(p, NegativeSpec(()), indices)
+    assert sorted(indices) == [1, 2]
+    for i in sorted(indices):
         assert eval_formula(c.model, p.post(i)) == 0
         assert eval_formula(c.model, p.pre(i)) == 0
 
@@ -255,9 +257,9 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
     built = []
     original = certificate.build_model
 
-    def recording_build(p, q, ctx, **kwargs):
-        c = original(p, q, ctx, **kwargs)
-        built.append((p, q, ctx, kwargs["witness_pre"], c))
+    def recording_build(p, q, indices, **kwargs):
+        c = original(p, q, indices, **kwargs)
+        built.append((p, q, indices, kwargs["witness_pre"], c))
         return c
 
     tables = []
@@ -278,8 +280,8 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
             assert not tables  # no second table: the call's own was reused
             if verdict.certificate is not None:
                 assert verdict.certificate is built[-1][-1]
-            for p, q, ctx, witness_pre, c in built:
-                alone = original(p, q, ctx, witness_pre=witness_pre)
+            for p, q, indices, witness_pre, c in built:
+                alone = original(p, q, indices, witness_pre=witness_pre)
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
             tables.clear()

@@ -109,6 +109,21 @@ def test_check_reads_files_and_skips_comments(tmp_path, capsys):
     assert main(["check", "--file", str(src)]) == EXIT_SAT
 
 
+def test_check_reads_a_formula_spanning_several_lines(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("# one formula\nKh(p,\n   q)\n# between its lines\n  & r\n")
+    assert main(["check", "--file", str(src)]) == EXIT_SAT
+
+
+def test_check_reports_a_second_formula_at_its_line_and_column(tmp_path, capsys):
+    # A file holds one formula; gen's second formula sits on line 4.
+    assert main(["gen", "formula", "--count", "2", "--seed", "0"]) == 0
+    src = tmp_path / "two.txt"
+    src.write_text(capsys.readouterr().out)
+    assert main(["check", "--file", str(src)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "parse error: unexpected trailing 'q' at line 4, column 1\n"
+
+
 def test_check_json_report_fields(capsys):
     code = main(["check", "Kh(p, q)", "--format", "json", "--trace"])
     assert code == EXIT_SAT
@@ -255,7 +270,7 @@ def test_gen_formula_output_round_trips_through_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["gen", "formula"], ["gen", "model"], ["bench", "--count", "1"]])
-@pytest.mark.parametrize("name", ["true", "P", "A", "_k1", "x-y", "p q"])
+@pytest.mark.parametrize("name", ["true", "P", "A", "_k1", "x-y", "p q", "é", "pé²"])
 def test_atoms_that_do_not_read_back_are_errors(command, name, capsys):
     # "true" would print as the constant; the others would print lines
     # that do not parse.

@@ -96,6 +96,11 @@ def test_parse_error_has_position_and_expected_set():
         ("p &\n  q )", "unexpected trailing ')'", 2, 5),  # columns restart on a new line
         ("p &\n\tq &", "unexpected end of input", 2, 5),
         ("(p &\n\n Kh(", "unexpected end of input", 3, 5),  # and so does the end
+        # Atoms are ASCII: any other letter or digit is an error at its own column.
+        ("é", "unexpected character 'é'", 1, 1),
+        ("ß", "unexpected character 'ß'", 1, 1),
+        ("p²", "unexpected character '²'", 1, 2),
+        ("pé²", "unexpected character 'é'", 1, 2),
     ],
 )
 def test_parse_error_columns_count_characters_from_the_line_start(text, message, line, column):

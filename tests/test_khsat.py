@@ -6,14 +6,15 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 import pytest
 
-from knowhow import certificate, propsat, semantics
+from knowhow import certificate, formula, propsat, semantics
 from knowhow.certificate import verify_certificate
-from knowhow.formula import And, Atom, Bottom, Kh, Not, Top, parse, render
+from knowhow.formula import And, Atom, Bottom, Kh, Not, Or, Top, parse, render
 from knowhow.khsat import (
-    Closure,
     GuessPartition,
     NegativeSpec,
     PositiveSpec,
@@ -46,23 +47,22 @@ def neg(*pairs) -> NegativeSpec:
 # Context fixpoint
 
 
+def context_members(p: PositiveSpec, indices) -> list:
+    """The context of ``indices``: their negated preconditions, in index order."""
+    return [Not(p.pre(k)) for k in sorted(indices)]
+
+
 def test_global_indices_forced_pair():
-    ctx = global_indices(PositiveSpec(((P, Bottom()), (Q, P))))
-    assert sorted(ctx.indices) == [1, 2]
-    assert ctx.members == (Not(P), Not(Q))
-    assert render(ctx.psi) == "~p & ~q"
+    indices = global_indices(PositiveSpec(((P, Bottom()), (Q, P))))
+    assert isinstance(indices, frozenset) and indices == frozenset({1, 2})
 
 
 def test_global_indices_nothing_forced():
-    ctx = global_indices(pos(("p", "q")))
-    assert ctx.indices == frozenset()
-    assert ctx.members == ()
-    assert ctx.psi == Top()
+    assert global_indices(pos(("p", "q"))) == frozenset()
 
 
 def test_global_indices_single_bottom():
-    ctx = global_indices(PositiveSpec(((P, Bottom()),)))
-    assert sorted(ctx.indices) == [1]
+    assert global_indices(PositiveSpec(((P, Bottom()),))) == frozenset({1})
 
 
 def test_global_indices_fixpoint_characterization():
@@ -73,18 +73,43 @@ def test_global_indices_fixpoint_characterization():
     for _ in range(150):
         n = rng.randint(0, 4)
         p = pos(*((rng.choice(shapes), rng.choice(shapes)) for _ in range(n)))
-        ctx = global_indices(p)
-        members = list(ctx.members)
+        indices = global_indices(p)
+        members = context_members(p, indices)
         for k in range(1, n + 1):
-            in_i = k in ctx.indices
+            in_i = k in indices
             assert truth_table_sat(members + [p.post(k)]) == (not in_i)
+
+
+def test_context_checks_fill_no_core_form(monkeypatch):
+    # The context travels as its indices and is read off the sides' truth
+    # sets, so once the sides' cores are read no formula needs its core.
+    p = PositiveSpec(((P, Bottom()), (Q, P)))
+    q = NegativeSpec(((Or(P, Q), Bottom()),))
+    filled = []
+    original = formula._fill_core
+
+    def recording_fill(node, children):
+        filled.append(node)
+        return original(node, children)
+
+    oracle = SatOracle()
+    with oracle.scope(["p", "q"]):
+        for side in (side for conjunct in p.conjuncts + q.conjuncts for side in conjunct):
+            side.core
+        monkeypatch.setattr(formula, "_fill_core", recording_fill)
+        indices = global_indices(p, oracle)
+        assert indices == frozenset({1, 2})
+        assert compatible(p, q, oracle, indices) is False
+        assert composition_closure(p, indices, oracle) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert len(certificate.build_model(p, q, indices, oracle=oracle).model.states) == 1
+    assert filled == []
 
 
 def sat_positive(p: PositiveSpec, oracle: SatOracle | None = None) -> bool:
     """Reference: satisfiability of a pure positive conjunction."""
     oracle = oracle or SatOracle()
-    ctx = global_indices(p, oracle)
-    return oracle.sat(list(ctx.members))
+    every, truth, _ = oracle.truth_sets(context_members(p, global_indices(p, oracle)))
+    return oracle.ask(reduce(and_, truth, every))
 
 
 def sat_negative(q: NegativeSpec, oracle: SatOracle | None = None) -> bool:
@@ -92,7 +117,8 @@ def sat_negative(q: NegativeSpec, oracle: SatOracle | None = None) -> bool:
     statement needs a precondition state that escapes the postcondition (else
     the empty plan would witness it)."""
     oracle = oracle or SatOracle()
-    return all(oracle.sat([And(pre, Not(post))]) for pre, post in q.conjuncts)
+    _, escapes, _ = oracle.truth_sets([And(pre, Not(post)) for pre, post in q.conjuncts])
+    return all(oracle.ask(escape) for escape in escapes)
 
 
 def test_sat_positive_examples():
@@ -102,8 +128,8 @@ def test_sat_positive_examples():
 
 
 def test_sat_positive_witness_respects_context():
-    ctx = global_indices(PositiveSpec(((P, Bottom()), (Q, P))))
-    sat, witness = is_sat(list(ctx.members))
+    p = PositiveSpec(((P, Bottom()), (Q, P)))
+    sat, witness = is_sat(context_members(p, global_indices(p)))
     assert sat and witness == {"p": False, "q": False}
 
 
@@ -119,17 +145,17 @@ def test_sat_negative_examples():
 
 def test_closure_three_conjunct_golden():
     p = pos(("p", "p & q"), ("q", "r"), ("r | s", "t"))
-    c = composition_closure(p, Top())
-    assert c.pairs == frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)})
+    pairs = composition_closure(p, frozenset())
+    assert pairs == frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)})
 
 
 def test_closure_single_conjunct_reflexive_only():
-    assert composition_closure(pos(("p", "q")), Top()).pairs == frozenset({(1, 1)})
+    assert composition_closure(pos(("p", "q")), frozenset()) == frozenset({(1, 1)})
 
 
 def test_closure_chain_edge():
-    c = composition_closure(pos(("p", "q"), ("q", "r")), Top())
-    assert c.pairs == frozenset({(1, 1), (2, 2), (1, 2)})
+    pairs = composition_closure(pos(("p", "q"), ("q", "r")), frozenset())
+    assert pairs == frozenset({(1, 1), (2, 2), (1, 2)})
 
 
 def _closure_by_reachability(p: PositiveSpec, psi) -> set[tuple[int, int]]:
@@ -160,11 +186,12 @@ def test_closure_laws_on_random_specs():
     for _ in range(120):
         n = rng.randint(1, 4)
         p = pos(*((rng.choice(shapes), rng.choice(shapes)) for _ in range(n)))
-        psi = parse(rng.choice(["true", "~p", "~q"]))
-        c = composition_closure(p, psi)
+        indices = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
+        psi = reduce(And, context_members(p, indices), Top())
+        pairs = composition_closure(p, indices)
         for x in range(1, n + 1):
-            assert (x, x) in c
-        assert c.pairs == frozenset(_closure_by_reachability(p, psi))
+            assert (x, x) in pairs
+        assert pairs == frozenset(_closure_by_reachability(p, psi))
 
 
 # ---------------------------------------------------------------------------

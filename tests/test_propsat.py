@@ -8,6 +8,8 @@ import random
 import stat
 import subprocess
 import sys
+from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -519,10 +521,17 @@ def test_check_reports_bad_solver_answers_as_errors(falsifying_solver, verdictle
 # counting facade
 
 
+def ask_conjunction(oracle: SatOracle, fs) -> bool:
+    """Whether the conjunction of ``fs`` is satisfiable, asked as ``decide``
+    asks: the members' truth sets intersected, one query."""
+    every, truth, _ = oracle.truth_sets(fs)
+    return oracle.ask(reduce(and_, truth, every))
+
+
 def test_oracle_counts_calls():
     oracle = SatOracle()
-    oracle.is_sat([P])
-    oracle.is_sat([Not(P)])
+    ask_conjunction(oracle, [P])
+    ask_conjunction(oracle, [Not(P)])
     assert oracle.calls == 2
     oracle.enumerate_models(Or(P, Q), ["p", "q"])
     assert oracle.calls == 2 + 4  # three models plus the final UNSAT round
@@ -539,9 +548,9 @@ def test_scope_answers_from_cached_member_masks(monkeypatch):
     monkeypatch.setattr(propsat, "eval_formula", counting_eval)
     oracle = SatOracle()
     with oracle.scope(["p", "q"]):
-        assert oracle.sat([Or(P, Q), Not(P)]) is True
-        assert oracle.sat([Or(P, Q), Not(P), Not(Q)]) is False
-        assert oracle.sat([]) is True
+        assert ask_conjunction(oracle, [Or(P, Q), Not(P)]) is True
+        assert ask_conjunction(oracle, [Or(P, Q), Not(P), Not(Q)]) is False
+        assert ask_conjunction(oracle, []) is True
     assert oracle.calls == 3
     assert evaluated == [Or(P, Q), Not(P), Not(Q)]  # each member once
 
@@ -551,8 +560,8 @@ def test_scope_rejects_modal_members():
     with oracle.scope(["p", "q"]):
         for _ in range(2):  # a failed member is not cached
             with pytest.raises(ValueError, match="modal depth 1 operand"):
-                oracle.sat([P, Kh(P, Q)])
-    assert oracle.calls == 2
+                ask_conjunction(oracle, [P, Kh(P, Q)])
+    assert oracle.calls == 0  # reading the truth sets failed; nothing was asked
 
 
 def test_scope_sends_foreign_atoms_down_the_per_query_path():
@@ -560,10 +569,10 @@ def test_scope_sends_foreign_atoms_down_the_per_query_path():
     # the first and third queries unsatisfiable.
     oracle = SatOracle()
     with oracle.scope(["p"]):
-        assert oracle.sat([Q]) is True
-        assert oracle.sat([Q, Not(Q)]) is False
-        assert oracle.sat([P, Implies(P, Q)]) is True
-        assert oracle.sat([P, Not(P)]) is False
+        assert ask_conjunction(oracle, [Q]) is True
+        assert ask_conjunction(oracle, [Q, Not(Q)]) is False
+        assert ask_conjunction(oracle, [P, Implies(P, Q)]) is True
+        assert ask_conjunction(oracle, [P, Not(P)]) is False
     assert oracle.calls == 4
 
 
@@ -574,7 +583,7 @@ def test_scope_is_restored_on_exit_and_on_error():
         with pytest.raises(ValueError):
             with oracle.scope(["p", "q"]):
                 assert oracle._scope is not outer
-                oracle.sat([Kh(P, Q)])
+                ask_conjunction(oracle, [Kh(P, Q)])
         assert oracle._scope is outer
     assert oracle._scope is None
 
