@@ -119,7 +119,7 @@ def cli() -> None:
 @click.option("--mode", type=click.Choice(["plain", "augmented", "differential"]), default="plain", show_default=True)
 @click.option("--solver", help=f"External solver executable (default: ${SOLVER_ENV_VAR}).")
 @click.option("--max-states", type=int, default=3, show_default=True, help="Bounded-search state cap for the differential cross-check.")
-@click.option("--trials", type=int, default=200, show_default=True, help="Random trials for the differential cross-check.")
+@click.option("--trials", type=int, default=200, show_default=True, help="Random trials for the differential cross-check; they run only for formulas over more than 2 atoms or with --max-states above 3.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--trace", is_flag=True, help="Record per-guess oracle-call counts.")
@@ -280,7 +280,7 @@ def gen_model(states, actions, atoms, density, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["plain", "augmented", "differential"]), default="plain", show_default=True)
 @click.option("--solver", help=f"External solver executable (default: ${SOLVER_ENV_VAR}).")
-@click.option("--trials", type=int, default=0, show_default=True, help="Random trials for the oracle cross-check (0 = exhaustive box only).")
+@click.option("--trials", type=int, default=0, show_default=True, help="Random trials for the oracle cross-check; they run only for formulas over more than 2 atoms, and 2-atom formulas get the exhaustive box alone.")
 @click.option("--formula", "extra_formulas", multiple=True, help="Pinned instance prepended to the generated suite (repeatable).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formulas, fmt):

@@ -2,9 +2,12 @@
 
 ``bounded_sat_search`` is a falsifier, not a decision procedure: it
 exhaustively enumerates every labelled transition system in a small box
-(up to 3 states, 2 actions, 2 atoms), then tries seeded random models.  Any
-model it returns is re-checked with the exact evaluator before being handed
-back, so a hit is always trustworthy; a miss proves nothing outside the box.
+(up to 3 states, 2 actions, 2 atoms), then tries seeded random models.
+Random trials run only for formulas over more than 2 atoms or for bounds
+beyond 3 states or 2 actions: with bounds inside the box every draw is a
+model the sweep has already rejected.  Any model it returns is re-checked
+with the exact evaluator before being handed back, so a hit is always
+trustworthy; a miss proves nothing outside the box.
 
 The exhaustive tier is vectorized with numpy: for each (state count, action
 count) shape, a formula-independent table of witness-plan existence — indexed
@@ -50,7 +53,9 @@ class SearchBounds:
     """Knobs for the bounded search.
 
     The exhaustive tier runs over the fixed box intersected with these
-    bounds; the random tier draws ``random_trials`` models within them.
+    bounds; the random tier draws ``random_trials`` models within them.  The
+    trials run only for formulas over more than 2 atoms (or more than
+    ``atom_budget``) or for bounds beyond 3 states or 2 actions.
     """
 
     max_states: int = 3
@@ -180,7 +185,10 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
 
     Every returned model has been re-verified by the exact evaluator.  The
     exhaustive tier is skipped when the formula mentions more atoms than the
-    box covers (it could not be complete for that vocabulary).
+    box covers (it could not be complete for that vocabulary).  When it ran
+    and the bounds lie inside the box (at most 3 states and 2 actions), its
+    miss is returned without random trials, which could only redraw models
+    it has already rejected.
     """
     core = f.core
     atoms = sorted(core.atoms)
@@ -188,6 +196,11 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
         model = _exhaustive_tier(core, atoms, bounds)
         if model is not None:
             return model
+        if (
+            bounds.max_states <= _EXHAUSTIVE_MAX_STATES
+            and bounds.max_actions <= _EXHAUSTIVE_MAX_ACTIONS
+        ):
+            return None  # every random draw would lie inside the swept box
     rng = random.Random(bounds.seed)
     for _ in range(bounds.random_trials):
         n = rng.randint(1, bounds.max_states)

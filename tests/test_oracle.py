@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from knowhow.formula import atoms_of, desugar, kh_occurrences, modal_depth, parse
+from knowhow import oracle
+from knowhow.formula import atoms_of, kh_occurrences, modal_depth, parse
 from knowhow.oracle import (
     SearchBounds,
     _decode_model,
@@ -57,6 +58,35 @@ def test_search_random_tier_handles_wide_vocabulary():
     assert eval_formula(model, parse("p & q & r")) != 0
 
 
+def _count_built_models(monkeypatch) -> list[int]:
+    """State counts of the random models the search builds, in order."""
+    built: list[int] = []
+    real_lts = oracle.random_lts
+
+    def counting_lts(states, *args):
+        built.append(states)
+        return real_lts(states, *args)
+
+    monkeypatch.setattr(oracle, "random_lts", counting_lts)
+    return built
+
+
+def test_box_miss_draws_no_random_model(monkeypatch):
+    built = _count_built_models(monkeypatch)
+    for text in ("p & ~p", "~Kh(p, p)"):
+        for bounds in (SearchBounds(max_states=2), SearchBounds()):
+            assert bounded_sat_search(parse(text), bounds) is None
+            assert built == [], (text, bounds)
+    # Bounds beyond the box, or three atoms, leave the random tier running.
+    bounds = SearchBounds(max_states=4, max_actions=1, random_trials=60)
+    assert bounded_sat_search(parse("p & ~p"), bounds) is None
+    assert len(built) == 60
+    built.clear()
+    bounds = SearchBounds(max_states=2, random_trials=50)
+    assert bounded_sat_search(parse("p & q & r & ~p"), bounds) is None
+    assert len(built) == 50
+
+
 def _box_models(atoms: list[str], max_states: int, max_actions: int):
     """Every model with up to the given shape, in a plain nested loop."""
     for n in range(1, max_states + 1):
@@ -88,36 +118,45 @@ def _box_models(atoms: list[str], max_states: int, max_actions: int):
 
 
 def test_exhaustive_tier_agrees_with_plain_enumeration():
-    """Cross-check the vectorized tier against a naive model sweep."""
-    bounds = SearchBounds(max_states=2, max_actions=1, atom_budget=1, random_trials=0)
-    for seed in range(60):
-        f = random_formula(2, 2, ("p",), seed)
-        atoms = sorted(atoms_of(desugar(f)))
-        brute = any(eval_formula(m, f) != 0 for m in _box_models(atoms, 2, 1))
-        found = bounded_sat_search(f, bounds)
-        assert (found is not None) == brute, f"disagreement on seed {seed}"
-        if found is not None:
-            assert eval_formula(found, f) != 0
+    """Cross-check the vectorized tier against a naive model sweep on full
+    boxes, where an exhaustive miss is the final answer: 1 atom with 2
+    states and 1 action, the 2-atom, 2-state, 2-action box that ``check
+    --mode differential --max-states 2`` searches, and 1 atom with 3 states
+    and 1 action."""
+    cases = [
+        (("p",), 2, 1, range(60)),
+        (("p", "q"), 2, 2, range(300)),
+        (("p",), 3, 1, range(200)),
+    ]
+    for atoms, max_states, max_actions, seeds in cases:
+        box = list(_box_models(list(atoms), max_states, max_actions))
+        bounds = SearchBounds(
+            max_states=max_states,
+            max_actions=max_actions,
+            atom_budget=len(atoms),
+            random_trials=0,
+        )
+        for seed in seeds:
+            f = random_formula(2, 2, atoms, seed)
+            brute = any(eval_formula(m, f) != 0 for m in box)
+            found = bounded_sat_search(f, bounds)
+            assert (found is not None) == brute, f"disagreement on {atoms} seed {seed}"
+            if found is not None:
+                assert eval_formula(found, f) != 0
 
 
 def test_witness_table_matches_plan_search():
-    n, k = 2, 1
-    table = _witness_table(n, k)
-    states = ["s0", "s1"]
-    for combo in range(1 << (k * n * n)):
-        rel = {
-            "a": [
-                (states[s], states[t])
-                for s in range(n)
-                for t in range(n)
-                if combo >> (s * n + t) & 1
-            ]
-        }
-        model = make_lts(states, {s: [] for s in states}, rel)
-        for pre in range(1 << n):
-            for post in range(1 << n):
-                expected = has_witness_plan(model, pre, post) is not None
-                assert bool(table[combo, pre, post]) == expected
+    shapes = [(n, k, range(1 << (k * n * n))) for n in (1, 2) for k in (0, 1, 2)]
+    shapes.append((3, 1, range(1 << 9)))
+    shapes.append((3, 2, random.Random(14).sample(range(1 << 18), 300)))
+    for n, k, combos in shapes:
+        table = _witness_table(n, k)
+        for combo in combos:
+            model = _decode_from_pairs(n, k, combo, [], {})
+            for pre in range(1 << n):
+                for post in range(1 << n):
+                    expected = has_witness_plan(model, pre, post) is not None
+                    assert bool(table[combo, pre, post]) == expected, (n, k, combo)
 
 
 def _decode_from_pairs(n, k, combo, atoms, val_masks):
