@@ -4,10 +4,11 @@ Pipeline (all satisfiability questions are propositional oracle calls):
 
 1. Flatten the input into a skeleton ``phi0`` and definitions
    ``_ki := Kh(pre_i, post_i)``.
-2. Enumerate the distinct definition-atom projections of ``phi0``'s models;
-   each projection partitions the definitions into asserted (``P+``) and
-   denied (``P-``) sets and yields a candidate pair (positive conjunction,
-   negative conjunction).
+2. Guess lazily: a depth-first descent over the definition atoms, in
+   definition order and True first, asks the oracle which partial
+   valuations ``phi0`` admits; each full one partitions the definitions into
+   asserted (``P+``) and denied (``P-``) sets and yields a candidate pair
+   (positive conjunction, negative conjunction).
 3. Check the pair for compatibility: a context fixpoint forces some asserted
    postconditions to be globally false; a composition closure tracks which
    witness plans chain; every denied conjunct must stay deniable against all
@@ -17,9 +18,10 @@ Pipeline (all satisfiability questions are propositional oracle calls):
    intersection (``SatOracle.ask``).  Inside ``decide``'s table scope those
    are bitmasks; otherwise they are member formulas for ``is_sat``, in the
    same order and with the same count.
-4. The first compatible guess (descending lexicographic order, so
-   all-true first) whose built certificate verifies against the original
-   formula yields SAT; exhausting all guesses yields UNSAT.
+4. The first compatible guess (descending lexicographic order, all-true
+   first, ``_k1`` most significant) whose built certificate verifies against
+   the original formula yields SAT, and the descent stops there; exhausting
+   all guesses yields UNSAT.
 
 ``plain`` mode builds the pair exactly as stated above.  ``augmented`` mode
 additionally pins every definition atom's value globally (asserted atoms true
@@ -112,7 +114,7 @@ class Result(enum.Enum):
 
 @dataclass(frozen=True)
 class GuessRecord:
-    """Per-guess trace entry (populated when decide runs with tracing)."""
+    """One tried guess; the verdict keeps them when decide runs with tracing."""
 
     k_assignment: dict[str, bool] = field(hash=False)
     n: int
@@ -271,11 +273,6 @@ def per_guess_call_bound(n: int, m: int) -> int:
 # Top-level decision procedure
 
 
-def _guess_order_key(defs: tuple, assignment: dict[str, bool]) -> tuple:
-    # Descending lexicographic with _k1 most significant: all-true first.
-    return tuple(not assignment[k.name] for k, _ in defs)
-
-
 def _partition(result: FlattenResult, assignment: dict[str, bool]) -> GuessPartition:
     numbered = list(enumerate(result.defs, start=1))
     return GuessPartition(
@@ -350,19 +347,17 @@ def decide(
         raise ValueError(f"unknown mode {mode!r}")
     oracle = oracle or SatOracle()
     flattening = flatten(f)
-    proj = sorted(k.name for k, _ in flattening.defs)
     records: list[GuessRecord] = []
     certificate_calls = 0
     cert = None
+    start = oracle.calls
     # Every query of the call, the guess enumeration's too, draws its atoms
     # from this vocabulary; each definition atom stands in phi0 or in a side.
     vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
     with oracle.scope(vocabulary):
-        before = oracle.calls
-        assignments = oracle.enumerate_models(flattening.phi0, proj)
-        enumeration_calls = oracle.calls - before
-        assignments.sort(key=lambda a: _guess_order_key(flattening.defs, a))
-        for assignment in assignments:
+        # Definition order, True first: all-true first, _k1 most significant.
+        guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
+        for assignment in guesses:
             before = oracle.calls
             p, q, ok, cert = _check_guess(flattening, assignment, mode, f, oracle)
             guess_calls = oracle.calls - before
@@ -389,6 +384,9 @@ def decide(
             if cert is not None:
                 break
 
+    # The queries that no guess check made are the guess enumeration's.
+    checks = sum(record.oracle_calls for record in records) + certificate_calls
+    enumeration_calls = oracle.calls - start - checks
     return Verdict(
         result=Result.SAT if cert is not None else Result.UNSAT,
         mode=mode,

@@ -15,7 +15,9 @@ by relation combination, precondition mask, and postcondition mask — is
 computed once by a subset-reachability fixpoint and cached.  Evaluating a
 formula over all relation combinations of a shape then runs the model
 checker's own walker (``semantics.eval_core``) on integer arrays of truth
-masks, with ``Kh`` read from that table.
+masks, with ``Kh`` read from that table.  Of the valuations that are equal
+up to a permutation of the states it visits only the least: they have
+isomorphic models, so the first model found is the same.
 """
 
 from __future__ import annotations
@@ -152,6 +154,21 @@ def _decode_model(n: int, k: int, combo: int, atoms: list[str], val_masks: dict[
     return Lts(tuple(f"s{i}" for i in range(n)), actions, succ, val)
 
 
+@lru_cache(maxsize=None)
+def _least_valuations(n: int, atom_count: int) -> list[int]:
+    """The valuation counters of ``n`` states over ``atom_count`` atoms that
+    are least among their images under permutations of the states: those
+    whose states' atom sets, read as numbers (last atom most significant),
+    never grow from one state to the next.  A model with its states permuted
+    is isomorphic, so the sweep's first hit is always such a counter."""
+
+    def kind(counter: int, s: int) -> int:
+        return sum((counter >> (idx * n + s) & 1) << idx for idx in range(atom_count))
+
+    counters = range(1 << (atom_count * n))
+    return [c for c in counters if all(kind(c, s) >= kind(c, s + 1) for s in range(n - 1))]
+
+
 def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:
     max_states = min(_EXHAUSTIVE_MAX_STATES, bounds.max_states)
     max_actions = min(_EXHAUSTIVE_MAX_ACTIONS, bounds.max_actions)
@@ -165,7 +182,7 @@ def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> L
             def kh(pre, post):
                 return np.where(table[rows, pre, post], all_mask, 0).astype(np.int16)
 
-            for val_counter in range(1 << (len(atoms) * n)):
+            for val_counter in _least_valuations(n, len(atoms)):
                 val_masks = {
                     atom: (val_counter >> (idx * n)) & all_mask
                     for idx, atom in enumerate(atoms)

@@ -4,20 +4,23 @@ Every algorithm in the decision procedure bottoms out in satisfiability
 queries over sets of modal-depth-0 formulas.  A query over at most
 ``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
 member on the truth table of the sorted symbols (``semantics.truth_table``
-and ``eval_formula``, the model checker's evaluator); no CNF is built.  Larger queries go to a deterministic
-DPLL over a structural (Tseitin) CNF encoding of the members' core forms
-(``Formula.core``): lowest-index variable first, False branch first, unit
-propagation, chronological backtracking.  Both paths return the same
-verdicts, witnesses and model enumerations: the lowest satisfying row, first
-symbol most significant, is the model DPLL finds first.  Identical inputs always produce identical answers.
+and ``eval_formula``, the model checker's evaluator); no CNF is built.
+Larger queries go to a deterministic DPLL over a structural (Tseitin) CNF
+encoding of the members' core forms (``Formula.core``): lowest-index
+variable first, False branch first, unit propagation, chronological
+backtracking.  Both paths return the same verdicts and witnesses: the
+lowest satisfying row, first symbol most significant, is the model DPLL
+finds first.  Identical inputs always produce identical answers.
 
 The decision procedure asks ``SatOracle`` about truth sets: it reads the
 truth sets of its conditions and their negations once, intersects them and
-asks whether the result is empty.  ``decide`` opens a ``SatOracle.scope``
-over its flattening's vocabulary: up to the same cutoff, a truth set is then
-an int mask on one truth table per call, each distinct condition evaluated
-once, and guesses and certificates are read off the same table.  Otherwise
-a truth set is the list of its member formulas, each query to ``is_sat``.
+asks whether the result is empty; even its guesses come from such queries,
+a descent over the definition atoms (``SatOracle.enumerate_models``).
+``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
+to the same cutoff, a truth set is then an int mask on one truth table per
+call, each distinct condition evaluated once, and certificates are read off
+the same table.  Otherwise a truth set is the list of its member formulas,
+each query to ``is_sat``.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -62,29 +65,25 @@ class CnfInstance:
 _TABLE_MAX_SYMBOLS = 10
 
 
-def _symbols(fs: Sequence[Formula], extra_atoms: Iterable[str] = ()) -> list[str]:
-    """Sorted vocabulary of the members and ``extra_atoms``; a modal member
-    raises ``ValueError``."""
+def _symbols(fs: Sequence[Formula]) -> list[str]:
+    """Sorted vocabulary of the members; a modal member raises ``ValueError``."""
     for f in fs:
         if f.depth != 0:
             raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
-    return sorted(set(extra_atoms).union(*(f.atoms for f in fs)))
+    return sorted(set().union(*(f.atoms for f in fs)))
 
 
-def to_cnf(fs: Sequence[Formula], *, extra_atoms: Iterable[str] = ()) -> CnfInstance:
+def to_cnf(fs: Sequence[Formula]) -> CnfInstance:
     """Equisatisfiable CNF for the conjunction of ``fs``.
 
     Each member's core form is encoded with one Tseitin variable per
     distinct ``Or`` node and one for ``Bottom``, fixed false by a unit
     clause.  Definition clauses are emitted in both directions, so the CNF's
     models project bijectively onto assignments of the proposition symbols
-    that satisfy the conjunction — enumeration counts stay exact.
-
-    ``extra_atoms`` widens the vocabulary with symbols that must receive
-    variables (and hence values) even if no formula mentions them.
+    that satisfy the conjunction.
     """
     fs = list(fs)
-    symbols = _symbols(fs, extra_atoms)
+    symbols = _symbols(fs)
     var_map = {name: i + 1 for i, name in enumerate(symbols)}
     next_var = len(symbols) + 1
     clauses: list[tuple[int, ...]] = []
@@ -263,61 +262,14 @@ def _cnf_is_sat(
 def enumerate_models(
     f: Formula, proj: Iterable[str], *, solver_path: str | None = None
 ) -> list[Assignment]:
-    """All distinct projections of models of ``f`` onto the ``proj`` symbols.
-
-    The vocabulary is atoms(f) ∪ proj, so projection symbols foreign to ``f``
-    vary freely.  Projections come in the order they first appear over the
-    truth table's ascending rows (first sorted symbol most significant, False
-    first), which is the order DPLL with blocking clauses finds them in.
-    """
-    proj_list = sorted(set(proj))
-    symbols = _symbols([f], proj_list)
-    if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
-        return _cnf_enumerate_models(f, proj_list, solver_path)
-    table = truth_table(symbols)
-    return _table_projections(table, eval_formula(table, f), proj_list)
-
-
-def _table_projections(table: Lts, rows: int, proj_list: list[str]) -> list[Assignment]:
-    """``enumerate_models`` on a truth table over at least the ``proj_list``
-    symbols, from the rows where the formula holds."""
-    results: list[Assignment] = []
-    while rows and len(results) < 1 << len(proj_list):
-        lowest = rows & -rows
-        projected = {name: bool(table.val[name] & lowest) for name in proj_list}
-        results.append(projected)
-        # Drop every row with this projection, as a blocking clause would.
-        same = table.all_states
-        for name in proj_list:
-            same &= table.val[name] if projected[name] else ~table.val[name]
-        rows &= ~same
-    return results
-
-
-def _cnf_enumerate_models(
-    f: Formula, proj_list: list[str], solver_path: str | None = None
-) -> list[Assignment]:
-    """``enumerate_models`` through Tseitin CNF and DPLL (or the external
-    solver), one solve per model plus blocking clauses; ``proj_list`` is
-    sorted and duplicate-free."""
-    instance = to_cnf([f], extra_atoms=proj_list)
-    clauses = list(instance.clauses)
-    results: list[Assignment] = []
-    while len(results) < 1 << len(proj_list):
-        working = CnfInstance(instance.var_count, tuple(clauses), instance.var_map)
-        model = _solve(working, solver_path)
-        if model is None:
-            break
-        projected = {name: model[instance.var_map[name] - 1] for name in proj_list}
-        results.append(projected)
-        # Block this projection; projections are deduplicated by construction.
-        clauses.append(
-            tuple(
-                -instance.var_map[name] if projected[name] else instance.var_map[name]
-                for name in proj_list
-            )
-        )
-    return results
+    """All distinct projections of models of ``f`` onto the ``proj`` symbols,
+    over the sorted symbols with True first: ``SatOracle.enumerate_models``
+    in a scope over atoms(f) ∪ proj, so projection symbols foreign to ``f``
+    vary freely."""
+    proj = sorted(set(proj))
+    oracle = SatOracle(solver_path)
+    with oracle.scope(f.atoms | set(proj)):
+        return list(oracle.enumerate_models(f, [Atom(name) for name in proj]))
 
 
 def export_dimacs(instance: CnfInstance) -> str:
@@ -360,9 +312,8 @@ class SatOracle:
     Callers ask about truth sets (``TruthSet``): ``truth_sets`` supplies
     those of given formulas and of their negations, callers intersect them
     with ``&``, and ``ask`` counts one query and says whether a set is
-    non-empty.  An enumeration counts once per model found, plus once for
-    the closing round that finds none (skipped when every projection was
-    found), whichever path answers it.
+    non-empty.  An enumeration is a descent of such queries, so it counts
+    one per branch it tries, whichever path answers it.
 
     Inside ``scope(atoms)``, with no external solver and at most
     ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
@@ -436,15 +387,23 @@ class SatOracle:
         finally:
             self._scope = saved
 
-    def enumerate_models(self, f: Formula, proj: Iterable[str]) -> list[Assignment]:
-        """Counted ``enumerate_models``, on the scope's table if it has the atoms."""
-        proj_list = sorted(set(proj))
-        masks = self._masks([f])
-        if masks is None or not self._scope[0].val.keys() >= set(proj_list):
-            models = enumerate_models(f, proj_list, solver_path=self.solver_path)
-        else:
-            models = _table_projections(self._scope[0], masks[0], proj_list)
-        # One blocking-clause round per model, plus the closing round that
-        # finds none, which the loop skips once every projection is found.
-        self.calls += len(models) + (len(models) < 1 << len(proj_list))
-        return models
+    def enumerate_models(self, f: Formula, atoms: Sequence[Atom]) -> Iterator[Assignment]:
+        """The distinct projections of ``f``'s models onto ``atoms``, lazily.
+
+        A depth-first descent over the truth sets of ``f`` and of ``atoms``,
+        in the order given, True branch first, that asks once for each
+        branch before it enters it (the root included).  The first g
+        projections cost at most 1 + 2·g·len(atoms) queries, and nothing is
+        asked past the last one taken."""
+        every, truth, falsity = self.truth_sets([f, *atoms])
+        stack: list[tuple[TruthSet, tuple[bool, ...]]] = [(every & truth[0], ())]
+        while stack:
+            term, values = stack.pop()
+            if not self.ask(term):
+                continue
+            i = len(values) + 1  # the next atom's place among the truth sets
+            if i > len(atoms):
+                yield {atom.name: value for atom, value in zip(atoms, values)}
+            else:  # the False branch waits under the True branch
+                stack.append((term & falsity[i], (*values, False)))
+                stack.append((term & truth[i], (*values, True)))

@@ -13,13 +13,13 @@ from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_ce
 from knowhow.formula import And, Atom, Bottom, Not, Or, Top, atoms_of, parse
 from knowhow.khsat import NegativeSpec, PositiveSpec, Result, decide, global_indices
 from knowhow.oracle import random_formula
-from knowhow.propsat import _cnf_enumerate_models
 from knowhow.semantics import (
     eval_formula,
     load_model,
     plan_image,
     strongly_executable,
 )
+from tests.test_propsat import projections_by_dpll
 
 
 def pos(*pairs) -> PositiveSpec:
@@ -108,10 +108,11 @@ def test_capacity_cap_is_loud():
 
 
 def test_states_follow_the_oracle_enumeration_order():
-    # The truth-table grid must list the context's models in the order the
-    # deterministic DPLL enumeration (the oracle's CNF path) finds them, so
-    # state numbering (and every dumped certificate) stays the one the
-    # reference solver gives.
+    # The truth-table grid must list the context's models in ascending row
+    # order (first sorted atom most significant, False first), the order
+    # DPLL with blocking clauses used to find them in, so state numbering
+    # (and every dumped certificate) stays the one the reference gives: the
+    # reverse of the True-first reference enumeration.
     atoms = ("p", "q", "r", "s")
     constrained = 0
     for seed in range(60):
@@ -129,7 +130,7 @@ def test_states_follow_the_oracle_enumeration_order():
             set().union(*(atoms_of(a) | atoms_of(b) for a, b in p.conjuncts + q.conjuncts))
         )
         context = reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top())
-        expected = _cnf_enumerate_models(context, ordered_atoms)
+        expected = projections_by_dpll(context, ordered_atoms)[0][::-1]
         if not expected:  # an unsatisfiable context leaves no state to build
             with pytest.raises(ValueError, match="admits no state"):
                 build_model(p, q, indices)

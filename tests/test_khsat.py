@@ -12,14 +12,13 @@ from operator import and_
 import pytest
 
 from knowhow import certificate, formula, propsat, semantics
-from knowhow.certificate import verify_certificate
+from knowhow.certificate import CapacityError, verify_certificate
 from knowhow.formula import And, Atom, Bottom, Kh, Not, Or, Top, parse, render
 from knowhow.khsat import (
     GuessPartition,
     NegativeSpec,
     PositiveSpec,
     Result,
-    _guess_order_key,
     compatible,
     composition_closure,
     decide,
@@ -30,7 +29,7 @@ from knowhow.khsat import (
 from knowhow.oracle import random_formula
 from knowhow.propsat import Members, SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
-from tests.test_propsat import dpll_enumeration, truth_table_sat
+from tests.test_propsat import projections_by_dpll, truth_table_sat
 
 P, Q, R, T, S = Atom("p"), Atom("q"), Atom("r"), Atom("t"), Atom("s")
 
@@ -489,21 +488,59 @@ def test_decide_builds_one_truth_table_per_call(monkeypatch):
     assert calls == 2 * 250
 
 
-def test_guess_enumeration_matches_the_unscoped_enumeration():
-    # The same projections and the same guess order as enumerating phi0's
-    # models on their own table, and as many rounds as DPLL's solves.
-    for depth, leaves, atoms, seeds in _SUITES_S_M:
-        for seed in seeds:
-            f = random_formula(depth, leaves, atoms, seed)
-            verdict = decide(f, trace=True)
+# Ten definitions over p and q, so _k10 sorts before _k2 by name and the
+# vocabulary (12 symbols) is above the table cutoff; it tries four guesses.
+_TEN_DEFINITIONS = parse(
+    "(Kh(p, q) | Kh(q, p) | Kh(p, ~q) | Kh(~p, q) | Kh(p & q, ~p))"
+    " & ~(Kh(q, p | q) & Kh(~q, p) & Kh(p | q, ~q) & Kh(~p, ~q) & Kh(q & ~p, p))"
+)
+
+
+def test_guesses_are_a_prefix_of_the_brute_force_order():
+    # Every assignment of the definition atoms in definition order, True
+    # first, kept where DPLL finds the skeleton satisfiable with it.
+    inputs = [
+        random_formula(depth, leaves, atoms, seed)
+        for depth, leaves, atoms, seeds in _SUITES_S_M
+        for seed in seeds
+    ]
+    inputs += [_TEN_DEFINITIONS, random_formula(4, 10, ("p", "q", "r", "s", "t", "u"), 21)]
+    for f in inputs:
+        for mode in ("plain", "augmented"):
+            verdict = decide(f, mode, trace=True)
             flattening = verdict.flattening
             proj = [k.name for k, _ in flattening.defs]
-            expected = propsat.enumerate_models(flattening.phi0, proj)
-            rounds = dpll_enumeration(flattening.phi0, proj)[1]
-            assert verdict.enumeration_calls == rounds, seed
-            expected.sort(key=lambda a: _guess_order_key(flattening.defs, a))
+            expected = projections_by_dpll(flattening.phi0, proj)[0]
             tried = [record.k_assignment for record in verdict.trace]
-            assert tried == expected[: len(tried)], seed
+            assert tried == expected[: len(tried)], (render(f), mode)
+    # The last input, XL seed 21, asks per query (Members), as the ten
+    # definitions do.
+    vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
+    assert len(vocabulary) > propsat._TABLE_MAX_SYMBOLS
+    assert len(decide(_TEN_DEFINITIONS, trace=True).trace) == 4
+
+
+_SUITES_S_M_XL = (
+    (2, 2, ("p", "q"), range(300)),
+    (3, 3, ("p", "q", "r"), range(300)),
+    (4, 10, ("p", "q", "r", "s", "t", "u"), range(60)),
+)
+
+
+def test_enumeration_queries_stay_within_two_per_definition_per_guess():
+    capacity_errors = 0
+    for depth, leaves, atoms, seeds in _SUITES_S_M_XL:
+        for seed in seeds:
+            f = random_formula(depth, leaves, atoms, seed)
+            for mode in ("plain", "augmented"):
+                try:
+                    verdict = decide(f, mode)
+                except CapacityError:
+                    capacity_errors += 1
+                    continue
+                bound = verdict.guesses_tried * (2 * len(verdict.flattening.defs) + 1)
+                assert verdict.enumeration_calls <= max(1, bound), (depth, seed, mode)
+    assert capacity_errors == 10  # five XL inputs in each mode
 
 
 def test_decide_agrees_with_bounded_search_smoke():

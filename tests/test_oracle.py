@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from knowhow import oracle
-from knowhow.formula import atoms_of, kh_occurrences, modal_depth, parse
+from knowhow.formula import And, Exis, Not, atoms_of, kh_occurrences, modal_depth, parse
 from knowhow.oracle import (
     SearchBounds,
     _decode_model,
@@ -15,7 +17,7 @@ from knowhow.oracle import (
     random_formula,
     random_lts,
 )
-from knowhow.semantics import dump_model, eval_formula, has_witness_plan, make_lts
+from knowhow.semantics import dump_model, eval_core, eval_formula, has_witness_plan, make_lts
 
 
 def test_search_finds_model_for_simple_modality():
@@ -143,6 +145,81 @@ def test_exhaustive_tier_agrees_with_plain_enumeration():
             assert (found is not None) == brute, f"disagreement on {atoms} seed {seed}"
             if found is not None:
                 assert eval_formula(found, f) != 0
+
+
+def _full_sweep(core, atoms, bounds):
+    """Reference exhaustive tier: every valuation counter of every shape, in
+    counter order, with no skipping of permuted valuations."""
+    for n in range(1, min(3, bounds.max_states) + 1):
+        for k in range(0, min(2, bounds.max_actions) + 1):
+            combos = 1 << (k * n * n)
+            table = _witness_table(n, k)
+            rows = np.arange(combos)
+            all_mask = (1 << n) - 1
+
+            def kh(pre, post):
+                return np.where(table[rows, pre, post], all_mask, 0).astype(np.int16)
+
+            for val_counter in range(1 << (len(atoms) * n)):
+                val_masks = {
+                    atom: (val_counter >> (idx * n)) & all_mask
+                    for idx, atom in enumerate(atoms)
+                }
+                truth = eval_core(core, val_masks, all_mask, kh)
+                hits = np.nonzero(np.broadcast_to(truth, combos))[0]
+                if hits.size:
+                    return _decode_model(n, k, int(hits[0]), atoms, val_masks)
+    return None
+
+
+def test_least_valuations_are_the_least_of_their_permutation_classes():
+    for n, atom_count in itertools.product((1, 2, 3, 4), (0, 1, 2, 3)):
+        least = set()
+        for counter in range(1 << (atom_count * n)):
+            images = [
+                sum(
+                    (counter >> (idx * n + s) & 1) << (idx * n + perm[s])
+                    for idx in range(atom_count)
+                    for s in range(n)
+                )
+                for perm in itertools.permutations(range(n))
+            ]
+            least.add(min(images))
+        assert oracle._least_valuations(n, atom_count) == sorted(least), (n, atom_count)
+    assert [len(oracle._least_valuations(n, 2)) for n in (1, 2, 3)] == [4, 10, 20]
+
+
+def test_sweep_of_least_valuations_returns_the_full_sweeps_model_seeded():
+    # Every shape up to 3 states and 2 actions, hits and misses alike.
+    # Bare random formulas nearly all hit at one state; conjoining two
+    # existentials forces more states, and many misses.
+    formulas = [random_formula(2, 2, ("p", "q"), seed) for seed in range(30)]
+    formulas += [random_formula(2, 2, ("p",), seed) for seed in range(10)]
+    formulas += [
+        And(
+            random_formula(2, 2, ("p", "q"), seed),
+            And(
+                Exis(random_formula(1, 1, ("p", "q"), seed + 1000)),
+                Exis(Not(random_formula(1, 1, ("p", "q"), seed + 2000))),
+            ),
+        )
+        for seed in range(12)
+    ]
+    formulas += [parse("~Kh(p, p) | (q & ~q)"), parse("p & q & E (p & ~q) & E ~p")]
+    outcomes = set()
+    for f in formulas:
+        core = f.core
+        atoms = sorted(core.atoms)
+        for max_states, max_actions in itertools.product((1, 2, 3), (0, 1, 2)):
+            bounds = SearchBounds(max_states=max_states, max_actions=max_actions)
+            got = oracle._exhaustive_tier(core, atoms, bounds)
+            expected = _full_sweep(core, atoms, bounds)
+            assert (got is None) == (expected is None), (f, bounds)
+            if got is not None:
+                assert dump_model(got) == dump_model(expected), (f, bounds)
+            outcomes.add((got is None, len(got.states) if got else 0))
+    # Misses, and hits at every state count.
+    assert outcomes == {(True, 0), (False, 1), (False, 2), (False, 3)}
 
 
 def test_witness_table_matches_plan_search():

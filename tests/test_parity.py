@@ -41,7 +41,7 @@ SUITES = (
 )
 
 EXPECTED_OUTPUT_DIGEST = "7cf8826abb96bcf41642823ca7b50251c79333b41d9b4efb7cbdcd733cdcd1c5"
-EXPECTED_COUNTER_DIGEST = "2b0424227203298880312b04bd54ddae0ff4ec3c5a0c19f2df6ae8787705cc0a"
+EXPECTED_COUNTER_DIGEST = "3a68a266e0176f8fd9bf3976d7e750b6e6d8abc7e64153f6b57f8452d175c539"
 
 
 def _assignment(assignment: dict[str, bool]) -> str:

@@ -36,7 +36,6 @@ from knowhow.propsat import (
     Members,
     SatOracle,
     SolverError,
-    _cnf_enumerate_models,
     _cnf_is_sat,
     enumerate_models,
     export_dimacs,
@@ -90,20 +89,18 @@ def truth_table_projections(f, proj) -> set[tuple[bool, ...]]:
     return found
 
 
-def dpll_enumeration(f, proj) -> tuple[list[dict[str, bool]], int]:
-    """The DPLL path's projections of ``f``'s models onto ``proj``, and the
-    number of solves it actually ran: the reference for round counts."""
-    solves = []
-    solve = propsat._solve
-
-    def counting_solve(instance, solver_path):
-        solves.append(1)
-        return solve(instance, solver_path)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(propsat, "_solve", counting_solve)
-        models = _cnf_enumerate_models(f, sorted(set(proj)))
-    return models, len(solves)
+def projections_by_dpll(f, proj) -> tuple[list[dict[str, bool]], int]:
+    """Reference enumeration: every assignment of the ``proj`` symbols in the
+    order given, True first, kept when DPLL finds ``f`` satisfiable with
+    it; and the queries a depth-first descent over them asks, namely the
+    root and both branches of every non-empty node above the leaves."""
+    kept = [
+        values
+        for values in itertools.product([True, False], repeat=len(proj))
+        if _cnf_is_sat([f, *(Atom(a) if v else Not(Atom(a)) for a, v in zip(proj, values))])[0]
+    ]
+    prefixes = {values[:i] for values in kept for i in range(len(proj))}
+    return [dict(zip(proj, values)) for values in kept], 1 + 2 * len(prefixes)
 
 
 def random_prop_formula(rng: random.Random, atoms: list[str], depth: int):
@@ -214,14 +211,13 @@ def _constant_verdicts(solver_path=None):
         assert is_sat(fs, solver_path=solver_path) == (witness is not None, witness), fs
         assert _cnf_is_sat(fs, solver_path) == (witness is not None, witness), fs
     for f, models in [
-        (Top(), [{"p": False}, {"p": True}]),
+        (Top(), [{"p": True}, {"p": False}]),
         (Bottom(), []),
-        (Or(P, Top()), [{"p": False}, {"p": True}]),
+        (Or(P, Top()), [{"p": True}, {"p": False}]),
         (And(P, Bottom()), []),
         (Iff(P, Bottom()), [{"p": False}]),
     ]:
         assert enumerate_models(f, ["p"], solver_path=solver_path) == models, f
-        assert _cnf_enumerate_models(f, ["p"], solver_path) == models, f
 
 
 def test_constant_members_through_the_cnf_path():
@@ -253,9 +249,9 @@ def test_is_sat_agrees_with_truth_table_seeded():
 def test_enumerate_models_disjunction():
     models = enumerate_models(Or(P, Q), ["p", "q"])
     assert models == [
-        {"p": False, "q": True},
-        {"p": True, "q": False},
         {"p": True, "q": True},
+        {"p": True, "q": False},
+        {"p": False, "q": True},
     ]
 
 
@@ -270,7 +266,7 @@ def test_enumerate_models_single():
 def test_enumerate_models_projection_beyond_formula_atoms():
     # 'q' does not occur in the formula: it varies freely in the vocabulary.
     models = enumerate_models(P, ["p", "q"])
-    assert models == [{"p": True, "q": False}, {"p": True, "q": True}]
+    assert models == [{"p": True, "q": True}, {"p": True, "q": False}]
 
 
 def test_enumerate_models_empty_projection():
@@ -295,9 +291,8 @@ def test_enumerate_models_counts_match_truth_table_seeded():
 
 
 def test_table_path_matches_dpll_seeded():
-    # Verdicts, witnesses, enumeration order and round counts must equal
-    # the reference solver's, so no count or certificate depends on the path;
-    # the oracle's count is held to the solves DPLL actually runs.
+    # Verdicts, witnesses, enumeration order and query counts must equal the
+    # reference's, so no count or certificate depends on the path.
     rng = random.Random(5151)
     atoms = ["p", "q", "r", "s2", "t"]
     for _ in range(300):
@@ -306,39 +301,47 @@ def test_table_path_matches_dpll_seeded():
         f = random_prop_formula(rng, atoms, rng.randint(0, 4))
         proj = sorted(rng.sample(atoms + ["u"], rng.randint(0, 4)))
         got = enumerate_models(f, proj)
-        expected, solves = dpll_enumeration(f, proj)
+        expected, queries = projections_by_dpll(f, proj)
         assert got == expected, (f, proj)
         oracle = SatOracle()
-        assert oracle.enumerate_models(f, proj) == got
-        assert oracle.calls == solves, (f, proj)
+        assert list(oracle.enumerate_models(f, [Atom(a) for a in proj])) == got
+        assert oracle.calls == queries, (f, proj)
 
 
 def test_scoped_enumeration_reads_the_scope_table_seeded(monkeypatch):
-    # Inside a scope over a wider vocabulary, the same projections (in a
-    # possibly different order) with the same round count, and no new table;
-    # a projection symbol outside the scope falls back to its own table.
+    # Inside a scope over a wider vocabulary, the same projections in the
+    # order of the symbols given, with the same query count, and no new
+    # table; a projection symbol outside the scope falls back to per-query
+    # answers.
     rng = random.Random(6262)
     atoms = ["p", "q", "r", "s2", "t"]
     cases = []
     for _ in range(200):
         f = random_prop_formula(rng, atoms, rng.randint(0, 4))
         proj = rng.sample(atoms + ["u"], rng.randint(0, 4))
-        expected = enumerate_models(f, proj)
-        cases.append((f, proj, expected, dpll_enumeration(f, proj)[1]))
+        cases.append((f, proj, *projections_by_dpll(f, proj)))
     oracle = SatOracle()
     with oracle.scope(atoms + ["u", "v"]):
         monkeypatch.setattr(propsat, "truth_table", lambda symbols: pytest.fail("a second table"))
-        for f, proj, expected, rounds in cases:
+        for f, proj, expected, queries in cases:
             before = oracle.calls
-            got = oracle.enumerate_models(f, proj)
-            assert sorted(map(sorted, map(dict.items, got))) == sorted(
-                map(sorted, map(dict.items, expected))
-            ), (f, proj)
-            assert oracle.calls - before == rounds
+            assert list(oracle.enumerate_models(f, [Atom(a) for a in proj])) == expected, (f, proj)
+            assert oracle.calls - before == queries
     monkeypatch.undo()
     with oracle.scope(["p", "q"]):
-        outside = oracle.enumerate_models(Or(P, Q), ["p", "r"])
+        outside = list(oracle.enumerate_models(Or(P, Q), [P, R]))
     assert outside == enumerate_models(Or(P, Q), ["p", "r"])
+
+
+def test_enumeration_asks_nothing_beyond_the_projections_taken():
+    oracle = SatOracle()
+    with oracle.scope(["p", "q", "r"]):
+        models = oracle.enumerate_models(Or(P, Q), [P, Q, R])
+        assert oracle.calls == 0  # nothing is asked before the first one
+        assert next(models) == {"p": True, "q": True, "r": True}
+        assert oracle.calls == 4  # the root, then one True branch per symbol
+        assert next(models) == {"p": True, "q": True, "r": False}
+        assert oracle.calls == 5
 
 
 def test_queries_above_the_cutoff_take_the_cnf_path(monkeypatch):
@@ -353,7 +356,7 @@ def test_queries_above_the_cutoff_take_the_cnf_path(monkeypatch):
     limit = propsat._TABLE_MAX_SYMBOLS
     small = [Or(Atom(f"x{i}"), Atom(f"x{i + 1}")) for i in range(limit - 1)]
     large = small + [Not(Atom(f"x{limit}"))]
-    assert is_sat(small)[0] and enumerate_models(small[0], ["x0"]) == [{"x0": False}, {"x0": True}]
+    assert is_sat(small)[0] and enumerate_models(small[0], ["x0"]) == [{"x0": True}, {"x0": False}]
     assert encoded == []
     ok, witness = is_sat(large)
     assert ok and len(witness) == limit + 1 and all(eval_prop(f, witness) for f in large)
@@ -361,8 +364,8 @@ def test_queries_above_the_cutoff_take_the_cnf_path(monkeypatch):
     conjunction = large[0]
     for f in large[1:]:
         conjunction = And(conjunction, f)
-    assert enumerate_models(conjunction, ["x0"]) == [{"x0": False}, {"x0": True}]
-    assert len(encoded) == 2
+    assert enumerate_models(conjunction, ["x0"]) == [{"x0": True}, {"x0": False}]
+    assert len(encoded) == 1 + 3  # one CNF per query: the root and both branches
 
 
 def test_table_path_rejects_modal_operands():
@@ -533,8 +536,8 @@ def test_oracle_counts_calls():
     ask_conjunction(oracle, [P])
     ask_conjunction(oracle, [Not(P)])
     assert oracle.calls == 2
-    oracle.enumerate_models(Or(P, Q), ["p", "q"])
-    assert oracle.calls == 2 + 4  # three models plus the final UNSAT round
+    assert len(list(oracle.enumerate_models(Or(P, Q), [P, Q]))) == 3
+    assert oracle.calls == 2 + 7  # the root, then both branches below it and below p, ~p
 
 
 def test_scope_answers_from_cached_member_masks(monkeypatch):
