@@ -16,7 +16,7 @@ import time
 
 import click
 
-from .certificate import CapacityError, Certificate
+from .certificate import Certificate
 from .formula import Atom, Formula, Kh, ParseError, fold, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
@@ -348,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError as exc:  # evaluation recurses once per nesting level
         click.echo(f"error: formula nests too deeply ({exc})", err=True)
         return EXIT_ERROR
-    except (CapacityError, SolverError, ValueError, OSError) as exc:
+    except (SolverError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return code if isinstance(code, int) else 0

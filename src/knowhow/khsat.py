@@ -314,16 +314,16 @@ def _check_guess(
     """One guess through the mode's pair: the pair, whether it is compatible,
     and its certificate if that verifies against the original formula.
 
-    Without definitions the only guess is the empty assignment, and the
-    enumeration has already shown the skeleton satisfiable, so the
-    compatibility check is skipped.  Building and verifying the certificate
-    asks the oracle nothing.
+    The certificate's states are the witnesses of this check's satisfied
+    queries alone; building and verifying it asks the oracle nothing.
     """
     p, q, exis_pre = _build_pair(flattening, assignment, mode)
-    indices = global_indices(p, oracle)
-    if flattening.defs and not compatible(p, q, oracle, indices):
+    with oracle.witnesses() as rows:
+        indices = global_indices(p, oracle)
+        ok = compatible(p, q, oracle, indices)
+    if not ok:
         return p, q, False, None
-    candidate = certificate.build_model(p, q, indices, witness_pre=exis_pre, oracle=oracle)
+    candidate = certificate.build_model(p, q, indices, rows, witness_pre=exis_pre)
     return p, q, True, candidate if certificate.verify_certificate(candidate, original) else None
 
 

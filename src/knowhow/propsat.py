@@ -18,9 +18,10 @@ asks whether the result is empty; even its guesses come from such queries,
 a descent over the definition atoms (``SatOracle.enumerate_models``).
 ``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
 to the same cutoff, a truth set is then an int mask on one truth table per
-call, each distinct condition evaluated once, and certificates are read off
-the same table.  Otherwise a truth set is the list of its member formulas,
-each query to ``is_sat``.
+call, each distinct condition evaluated once.  Otherwise a truth set is the
+list of its member formulas, each query to ``is_sat``.  Either way a guess
+check can keep the witness of each query it satisfies
+(``SatOracle.witnesses``), and its certificate is built from those rows.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -322,11 +323,16 @@ class SatOracle:
     query is an AND of masks.  Otherwise, and for a batch with an atom
     outside the scope, a truth set is its ``Members`` and ``ask`` hands
     them to ``is_sat``, so DPLL or the external solver sees every query.
+    Inside ``witnesses()``, ``ask`` also keeps each satisfied query's
+    witness.
     """
 
     solver_path: str | None = None
     calls: int = 0
     _scope: tuple[Lts, dict[Formula, int | None]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _witnesses: list[frozenset[str] | int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -342,21 +348,37 @@ class SatOracle:
         return every, masks, [every ^ mask for mask in masks]
 
     def ask(self, term: TruthSet) -> bool:
-        """Whether a truth set is non-empty; one query."""
+        """Whether a truth set is non-empty; one query.  Inside ``witnesses``
+        a non-empty set's witness is kept."""
         self.calls += 1
         if isinstance(term, Members):
-            return is_sat(term, solver_path=self.solver_path)[0]
+            sat, witness = is_sat(term, solver_path=self.solver_path)
+            if sat and self._witnesses is not None:
+                self._witnesses.append(frozenset(a for a, value in witness.items() if value))
+            return sat
+        if term and self._witnesses is not None:
+            self._witnesses.append(term & -term)  # the lowest row, read on exit
         return term != 0
 
-    def table_truth_sets(
-        self, symbols: Sequence[str], fs: Sequence[Formula]
-    ) -> tuple[Lts, list[int]] | None:
-        """The scope's truth table and the masks of ``fs`` on it, when that
-        table is over exactly the sorted ``symbols``; None otherwise."""
-        if self._scope is None or self._scope[0].val.keys() != set(symbols):
-            return None
-        masks = self._masks(fs)
-        return None if masks is None else (self._scope[0], masks)
+    @contextmanager
+    def witnesses(self) -> Iterator[list[frozenset[str]]]:
+        """Collect the distinct witnesses of the queries satisfied until
+        exit, in the order first found, each as the set of atoms it makes
+        true: on the table the lowest row of the mask, per query
+        ``is_sat``'s witness with atoms outside the query false (the same
+        valuation, except from an external solver).  Nothing is asked; the
+        list is filled in on exit, and the previous collection restored."""
+        saved, self._witnesses = self._witnesses, []
+        rows: list[frozenset[str]] = []
+        try:
+            yield rows
+        finally:
+            found, self._witnesses = self._witnesses, saved
+            val = self._scope[0].val if self._scope is not None else {}
+            rows += (
+                row if isinstance(row, frozenset) else frozenset(a for a in val if val[a] & row)
+                for row in dict.fromkeys(found)
+            )
 
     def _masks(self, fs: Sequence[Formula]) -> list[int] | None:
         """Masks of ``fs`` on the scope's table, or None without a table

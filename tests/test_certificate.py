@@ -9,17 +9,25 @@ from functools import reduce
 import pytest
 
 from knowhow import certificate
-from knowhow.certificate import MAX_ATOMS, CapacityError, build_model, verify_certificate
-from knowhow.formula import And, Atom, Bottom, Not, Or, Top, atoms_of, parse
-from knowhow.khsat import NegativeSpec, PositiveSpec, Result, decide, global_indices
+from knowhow.certificate import build_model, verify_certificate
+from knowhow.formula import And, Atom, Bottom, Not, Or, Top, parse
+from knowhow.khsat import (
+    NegativeSpec,
+    PositiveSpec,
+    Result,
+    compatible,
+    decide,
+    global_indices,
+)
 from knowhow.oracle import random_formula
+from knowhow.propsat import SatOracle
 from knowhow.semantics import (
     eval_formula,
     load_model,
     plan_image,
     strongly_executable,
+    truth_table,
 )
-from tests.test_propsat import projections_by_dpll
 
 
 def pos(*pairs) -> PositiveSpec:
@@ -30,8 +38,26 @@ def neg(*pairs) -> NegativeSpec:
     return NegativeSpec(tuple((parse(a), parse(b)) for a, b in pairs))
 
 
+def check(p, q, oracle=None):
+    """The pair's guess check as ``decide`` runs it: its context indices and
+    the witnesses of the queries it satisfied."""
+    oracle = oracle or SatOracle()
+    with oracle.witnesses() as rows:
+        indices = global_indices(p, oracle)
+        compatible(p, q, oracle, indices)
+    return indices, rows
+
+
 def build(p, q, **kwargs):
-    return build_model(p, q, global_indices(p), **kwargs)
+    return build_model(p, q, *check(p, q), **kwargs)
+
+
+def row_valuations(c, atoms):
+    """Each state's valuation of ``atoms``, in state order."""
+    return [
+        {a: bool(c.model.val.get(a, 0) >> i & 1) for a in atoms}
+        for i in range(len(c.model.states))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +65,15 @@ def build(p, q, **kwargs):
 
 
 def test_two_action_product_model():
-    # Both positive conjuncts survive: the model spans every valuation of the
-    # six atoms and each conjunct gets one product-relation action.
+    # Both positive conjuncts survive: the model has one state per distinct
+    # witness row of the check (6 of the 64 valuations of the six atoms) and
+    # each conjunct gets one product-relation action.
     p = pos(("p & q", "r & t"), ("p", "r"))
     q = NegativeSpec(((Or(Atom("_k1"), Atom("_k2")), Bottom()),))
     c = build(p, q)
-    assert len(c.model.states) == 64
+    assert len(c.model.states) == 6
     assert c.active_actions == ("a1", "a2")
-    all_states = (1 << 64) - 1
+    all_states = (1 << 6) - 1
     assert eval_formula(c.model, parse("Kh(p & q, r & t)")) == all_states
     assert eval_formula(c.model, parse("Kh(p, r)")) == all_states
 
@@ -66,15 +93,16 @@ def test_forced_empty_postconditions_yield_single_inert_state():
 
 
 def test_empty_positive_side_builds_plain_valuation_grid():
-    # With nothing to realize, the model is every valuation over the negative
-    # side's atoms with no relations; the denial holds because the empty plan
-    # is the only executable one and p-states are not all q-states.
+    # With nothing to realize, the model is the check's two witness rows (the
+    # context's, all false, and the denial's escape p & ~q) with no
+    # relations; the denial holds because the empty plan is the only
+    # executable one and p-states are not all q-states.
     q = neg(("p", "q"))
     c = build(PositiveSpec(()), q)
-    assert len(c.model.states) == 4
+    assert row_valuations(c, "pq") == [{"p": False, "q": False}, {"p": True, "q": False}]
     assert c.model.rel == {}
     assert c.active_actions == ()
-    assert eval_formula(c.model, parse("~Kh(p, q)")) == 0b1111
+    assert eval_formula(c.model, parse("~Kh(p, q)")) == 0b11
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +125,21 @@ def test_verify_uses_exact_semantics():
 # Shape properties
 
 
-def test_capacity_cap_is_loud():
-    def chain(count):
-        return pos(*((f"x{i}", f"x{i}") for i in range(count)))
-
-    assert MAX_ATOMS == 12
-    with pytest.raises(CapacityError):
-        build(chain(13), NegativeSpec(()))
-    assert len(build(chain(4), NegativeSpec(())).model.states) == 16
+def test_wide_pairs_build_without_an_atom_cap():
+    # 40 atoms, far past any truth table: one state per distinct witness row.
+    p = pos(*((f"x{i:02}", f"x{i:02}") for i in range(40)))
+    c = build(p, NegativeSpec(()))
+    assert len(c.model.states) <= 2 + 2 * p.n + p.n**2
+    assert len(c.active_actions) == 40
+    assert verify_certificate(c, parse(" & ".join(f"Kh(x{i:02}, x{i:02})" for i in range(40))))
 
 
 def test_states_follow_the_oracle_enumeration_order():
-    # The truth-table grid must list the context's models in ascending row
-    # order (first sorted atom most significant, False first), the order
-    # DPLL with blocking clauses used to find them in, so state numbering
-    # (and every dumped certificate) stays the one the reference gives: the
-    # reverse of the True-first reference enumeration.
+    # States are the distinct witness rows of the check that lie in the
+    # context, in ascending truth-table order (first sorted atom most
+    # significant, False first): the order the oracle's lowest-row
+    # witnesses and DPLL's first models follow, so state numbering (and
+    # every dumped certificate) does not depend on the order of the queries.
     atoms = ("p", "q", "r", "s")
     constrained = 0
     for seed in range(60):
@@ -124,24 +151,29 @@ def test_states_follow_the_oracle_enumeration_order():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        indices = global_indices(p)
+        indices, rows = check(p, q)
         constrained += bool(indices)
-        ordered_atoms = sorted(
-            set().union(*(atoms_of(a) | atoms_of(b) for a, b in p.conjuncts + q.conjuncts))
-        )
-        context = reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top())
-        expected = projections_by_dpll(context, ordered_atoms)[0][::-1]
+        sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
+        ordered_atoms = sorted(set().union(*(side.atoms for side in sides)))
+        table = truth_table(ordered_atoms)
+        context = eval_formula(table, reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top()))
+        row_of = {
+            frozenset(a for a in ordered_atoms if table.val[a] >> r & 1): r
+            for r in range(len(table.states))
+        }
+        kept = sorted({row_of[row & set(ordered_atoms)] for row in rows} & set(_bits(context)))
+        expected = [{a: bool(table.val[a] >> r & 1) for a in ordered_atoms} for r in kept]
         if not expected:  # an unsatisfiable context leaves no state to build
             with pytest.raises(ValueError, match="admits no state"):
-                build_model(p, q, indices)
+                build_model(p, q, indices, rows)
             continue
-        c = build_model(p, q, indices)
-        got = [
-            {a: bool(c.model.val.get(a, 0) >> i & 1) for a in ordered_atoms}
-            for i in range(len(c.model.states))
-        ]
-        assert got == expected, seed
+        c = build_model(p, q, indices, rows)
+        assert row_valuations(c, ordered_atoms) == expected, seed
     assert constrained >= 20
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def product_masks(pre_mask: int, post_mask: int, size: int) -> tuple[int, ...]:
@@ -169,9 +201,9 @@ def test_action_masks_are_the_pre_post_product_seeded():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        indices = global_indices(p)
+        indices, rows = check(p, q)
         try:
-            c = build_model(p, q, indices)
+            c = build_model(p, q, indices, rows)
         except ValueError:  # the context admits no state
             continue
         checked += 1
@@ -189,13 +221,16 @@ def test_action_masks_are_the_pre_post_product_seeded():
 
 
 def test_large_certificate_is_built_and_verified_quickly():
-    # A 2048-state certificate; with pair-set relations this took about 19 s.
+    # Over its eleven atoms the full context grid had 2048 states, and its
+    # dump took about 27 s and 248 MB; the witness rows give 9 states.
     f = random_formula(4, 10, tuple("pqrstu"), 8)
     start = time.perf_counter()
     verdict = decide(f)
+    text = verdict.certificate.dump()
     elapsed = time.perf_counter() - start
     assert verdict.result is Result.SAT
-    assert len(verdict.certificate.model.states) == 2048
+    assert len(verdict.certificate.model.states) <= 16
+    assert len(text) < 4000
     assert verify_certificate(verdict.certificate, f)
     assert elapsed < 3.0
 
@@ -204,8 +239,8 @@ def test_context_indices_are_inert_in_the_model():
     # For every index forced into the context, the postcondition holds
     # nowhere and the negated precondition holds everywhere.
     p = pos(("p", "false"), ("q", "p"), ("r", "r"))
-    indices = global_indices(p)
-    c = build_model(p, NegativeSpec(()), indices)
+    indices, rows = check(p, NegativeSpec(()))
+    c = build_model(p, NegativeSpec(()), indices, rows)
     assert sorted(indices) == [1, 2]
     for i in sorted(indices):
         assert eval_formula(c.model, p.post(i)) == 0
@@ -248,42 +283,69 @@ def test_dump_round_trips_with_sidecar_fields():
     assert again.rel == c.model.rel
 
 
-@pytest.mark.parametrize(
-    "depth, leaves, atoms, seeds",
-    [(2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100))],
-)
-def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds, monkeypatch):
-    # Inside decide a certificate is read off the call's truth table; built
-    # on its own from the same pair it must dump byte for byte alike.
+_XL = (4, 10, ("p", "q", "r", "s", "t", "u"), range(60))
+
+
+def recording_builds(monkeypatch):
+    """Records (p, q, indices, rows, witness_pre, certificate) for every
+    certificate ``decide`` builds."""
     built = []
     original = certificate.build_model
 
-    def recording_build(p, q, indices, **kwargs):
-        c = original(p, q, indices, **kwargs)
-        built.append((p, q, indices, kwargs["witness_pre"], c))
+    def recording_build(p, q, indices, rows, **kwargs):
+        c = original(p, q, indices, rows, **kwargs)
+        built.append((p, q, indices, rows, kwargs["witness_pre"], c))
         return c
 
-    tables = []
-    original_table = certificate.truth_table
-
-    def counting_table(symbols):
-        tables.append(symbols)
-        return original_table(symbols)
-
     monkeypatch.setattr(certificate, "build_model", recording_build)
-    monkeypatch.setattr(certificate, "truth_table", counting_table)
+    return built
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [(2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100)), _XL],
+)
+def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds, monkeypatch):
+    # A guess checked inside decide (on its table scope when the vocabulary
+    # is small enough) and the same pair checked on a fresh oracle with no
+    # scope, which asks per query, collect the same witnesses and build
+    # byte-identical certificates.
+    built = recording_builds(monkeypatch)
     certified = 0
     for seed in seeds:
         f = random_formula(depth, leaves, atoms, seed)
         for mode in ("plain", "augmented"):
             built.clear()
             verdict = decide(f, mode)
-            assert not tables  # no second table: the call's own was reused
             if verdict.certificate is not None:
                 assert verdict.certificate is built[-1][-1]
-            for p, q, indices, witness_pre, c in built:
-                alone = original(p, q, indices, witness_pre=witness_pre)
+            for p, q, indices, rows, witness_pre, c in built:
+                alone_indices, alone_rows = check(p, q)
+                assert (alone_indices, alone_rows) == (indices, rows), (seed, mode)
+                alone = build_model(p, q, alone_indices, alone_rows, witness_pre=witness_pre)
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
-            tables.clear()
     assert certified >= len(seeds)
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [(2, 2, ("p", "q"), range(300)), (3, 3, ("p", "q", "r"), range(300)), _XL],
+)
+def test_certificates_are_polynomial_in_the_pair(depth, leaves, atoms, seeds, monkeypatch):
+    # At most one state per satisfied query of the check: the context, the
+    # existential denial, n postconditions in context, n realizable
+    # preconditions, n * n closure non-edges, m denials and 2 * m * n (2b)
+    # questions.  The full context grid exceeded this bound up to 8.7 times.
+    built = recording_builds(monkeypatch)
+    for seed in seeds:
+        f = random_formula(depth, leaves, atoms, seed)
+        for mode in ("plain", "augmented"):
+            built.clear()
+            verdict = decide(f, mode, trace=True)
+            for p, q, _, _, _, c in built:
+                n, m = p.n, q.m
+                assert len(c.model.states) <= 2 + 2 * n + n * n + m + 2 * m * n, (seed, mode)
+            if mode == "augmented":
+                for record in verdict.trace:
+                    assert record.certificate_verified is (True if record.compatible else None)

@@ -40,8 +40,8 @@ SUITES = (
     (3, 3, ("p", "q", "r"), range(100)),
 )
 
-EXPECTED_OUTPUT_DIGEST = "7cf8826abb96bcf41642823ca7b50251c79333b41d9b4efb7cbdcd733cdcd1c5"
-EXPECTED_COUNTER_DIGEST = "3a68a266e0176f8fd9bf3976d7e750b6e6d8abc7e64153f6b57f8452d175c539"
+EXPECTED_OUTPUT_DIGEST = "fdd2a9bc9988f3179e7a0ecd48ac5f7907a04344ba8f2f2db96465cc1de81369"
+EXPECTED_COUNTER_DIGEST = "e094ed5f4b33e016922954608350932ba92b80198143f6d9fd10691bcc8dfc8d"
 
 
 def _assignment(assignment: dict[str, bool]) -> str:

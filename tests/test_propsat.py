@@ -620,16 +620,24 @@ def test_truth_sets_are_members_outside_a_table_scope(fake_solver, tmp_path):
     assert len(runs) == 2  # the solver saw both of its questions
 
 
-def test_table_truth_sets_need_a_scope_over_exactly_the_symbols():
-    oracle = SatOracle()
-    psi = And(Not(P), Not(Q))
-    with oracle.scope(["p", "q"]):
-        table, masks = oracle.table_truth_sets(["p", "q"], [psi, Q])
-        assert masks == [0b0001, 0b1010] and table.all_states == 0b1111
-        assert oracle.table_truth_sets(["p"], [P]) is None  # another table
-        assert oracle.table_truth_sets(["p", "q"], [Atom("r")]) is None
-    assert oracle.table_truth_sets(["p", "q"], [P]) is None  # no scope
-    assert oracle.calls == 0
+def test_witnesses_are_the_lowest_row_on_both_paths():
+    # A witness is the set of atoms it makes true: on the table the lowest
+    # row of the mask; per query is_sat's witness, atoms outside the query
+    # false.  Satisfied queries inside witnesses() leave one, each distinct
+    # witness once; nothing else does.
+    found = []
+    for oracle, atoms in ((SatOracle(), ["p", "q", "r"]), (SatOracle(), None)):
+        with oracle.scope(atoms) if atoms else contextlib.nullcontext():
+            every, truth, falsity = oracle.truth_sets([P, Q, R])
+            assert oracle.ask(truth[2])  # not collected
+            with oracle.witnesses() as rows:
+                p_not_q, p_not_p = truth[0] & falsity[1], truth[0] & falsity[0]
+                terms = (every, p_not_q, p_not_p, truth[1] & falsity[0], every)
+                assert [oracle.ask(t) for t in terms] == [True, True, False, True, True]
+            assert oracle.ask(every)  # not collected either
+        assert oracle.calls == 7
+        found.append(rows)
+    assert found[0] == found[1] == [frozenset(), frozenset({"p"}), frozenset({"q"})]
 
 
 # ---------------------------------------------------------------------------
