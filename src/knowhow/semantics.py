@@ -23,7 +23,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar
+from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar, fold
 
 Plan = tuple[str, ...]
 StateSet = int
@@ -243,23 +243,46 @@ def eval_formula(m: Lts, f: Formula) -> StateSet:
 def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, T], T]) -> T:
     """Truth set of a core formula from its atoms' truth sets (bitmasks, or
     arrays of bitmasks for many models at once; absent atoms are false) and
-    the full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set."""
+    the full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set.
+
+    Nodes are matched by exact class, so a subclass of a core node class is
+    rejected like any other non-core node.  The walk recurses once per
+    nesting level; a formula nested past the recursion limit is evaluated
+    again by ``formula.fold``, in one frame whatever its depth."""
+    atom = val.get
 
     def walk(g: Formula) -> T:
-        if isinstance(g, Atom):
-            return val.get(g.name, 0)
-        if isinstance(g, Bottom):
-            return 0
-        if isinstance(g, Not):
+        cls = type(g)
+        if cls is Atom:
+            return atom(g.name, 0)
+        if cls is Not:
             return everything & ~walk(g.f)
-        if isinstance(g, Or):
+        if cls is Or:
             return walk(g.left) | walk(g.right)
-        if isinstance(g, Kh):
+        if cls is Kh:
             return kh(walk(g.pre), walk(g.post))
+        if cls is Bottom:
+            return 0
+        raise TypeError(f"not a core formula: {g!r}")
+
+    def combine(g: Formula, values: list[T]) -> T:
+        cls = type(g)
+        if cls is Atom:
+            return atom(g.name, 0)
+        if cls is Not:
+            return everything & ~values[0]
+        if cls is Or:
+            return values[0] | values[1]
+        if cls is Kh:
+            return kh(*values)
+        if cls is Bottom:
+            return 0
         raise TypeError(f"not a core formula: {g!r}")
 
     try:
         return walk(f)
+    except RecursionError:
+        return fold(f, combine)
     finally:
         del walk  # empties the closure's own cell: no cycle for the collector
 

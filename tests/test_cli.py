@@ -75,17 +75,15 @@ def test_check_parse_error_is_diagnosed(capsys):
     assert "line 1" in err
 
 
-def test_deep_disjunction_flattens_and_check_fails_cleanly(capsys):
-    # Parsing, flattening and printing take any depth; evaluation recurses
-    # once per level, and check reports that as one error line.
+def test_deep_disjunction_flattens_and_checks(capsys):
+    # Parsing, flattening, printing and evaluation all take any depth.
     text = " | ".join(["p"] * 3000)
     assert main(["flatten", text]) == 0
     assert capsys.readouterr().out == f"skeleton: {text}\n"
-    assert main(["check", text]) == EXIT_ERROR
+    assert main(["check", text]) == EXIT_SAT
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: formula nests too deeply")
-    assert captured.err.count("\n") == 1
+    assert captured.out.startswith("result: SAT\n")
+    assert captured.err == ""
 
 
 def test_flatten_names_a_deeply_negated_leaf(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowhow import formula
+from knowhow.certificate import verify_certificate
 from knowhow.formula import (
     And,
     Atom,
@@ -138,9 +139,20 @@ def test_deep_nesting_parses_and_round_trips(text, rendered):
 
 
 def test_deep_but_parseable_nesting_still_decides():
-    f = parse("~" * 900 + "p")
-    assert f.depth == 0
-    assert decide(f).result is Result.SAT
+    # Evaluation falls back to an iterative fold past the recursion limit,
+    # so deep input decides in both modes with a certificate that verifies.
+    for text, depth in [
+        ("~" * 900 + "p", 0),
+        ("~" * 2000 + "p", 0),
+        ("~" * 2000 + "Kh(p, q)", 1),
+        ("~" * 20_000 + "p", 0),
+    ]:
+        f = parse(text)
+        assert f.depth == depth
+        for mode in ("plain", "augmented"):
+            verdict = decide(f, mode)
+            assert verdict.result is Result.SAT, (len(text), mode)
+            assert verify_certificate(verdict.certificate, f), (len(text), mode)
 
 
 def test_reserved_prefix_rejected():

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
-from knowhow.formula import Atom, Kh, Not, Or, Univ, parse
-from knowhow.oracle import random_lts
+from knowhow import formula, semantics
+from knowhow.formula import And, Atom, Kh, Not, Or, Univ, parse
+from knowhow.oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
 from knowhow.semantics import (
     Lts,
     dump_model,
+    eval_core,
     eval_formula,
     has_witness_plan,
     load_model,
@@ -431,3 +434,50 @@ def test_eval_matches_prop_eval_on_single_state_models():
         m = make_lts(["s"], {"s": [a for a, v in assignment.items() if v]}, {})
         f = parse(rng.choice(["p & q", "p | ~q", "p -> q", "p <-> q", "~p"]))
         assert (eval_formula(m, f) == 1) == eval_prop(f, assignment)
+
+
+# ---------------------------------------------------------------------------
+# deep formulas: the recursive walk and the fold
+
+
+def deep(f):
+    """``f`` under an even chain of negations longer than the recursion
+    limit: the same truth set, but only the fold can evaluate it."""
+    for _ in range(sys.getrecursionlimit() // 2 * 2 + 2):
+        f = Not(f)
+    return f
+
+
+def test_fold_gives_the_walks_truth_sets_seeded(monkeypatch):
+    folds = []
+
+    def counted_fold(*args):
+        folds.append(args[0])
+        return formula.fold(*args)
+
+    monkeypatch.setattr(semantics, "fold", counted_fold)
+    for seed in range(60):
+        f = random_formula(2, 3, ("p", "q", "r"), seed)
+        deep_f = deep(f)
+        for k in range(3):
+            m = random_lts(1 + k, k, ("p", "q", "r"), 0.4, 100 * seed + k)
+            assert eval_formula(m, deep_f) == eval_formula(m, f)
+    assert len(folds) == 180  # each deep formula once per model, no bare one
+
+
+def test_falsifier_finds_the_same_model_through_the_fold_seeded():
+    # The exhaustive tier evaluates on arrays of bitmasks, one per model.
+    bounds = SearchBounds(max_states=2)
+    found = 0
+    for seed in range(30):
+        f = random_formula(2, 2, ("p", "q"), seed)
+        model = bounded_sat_search(f, bounds)
+        assert bounded_sat_search(deep(f), bounds) == model
+        found += model is not None
+    assert found >= 10
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, deep], ids=["walk", "fold"])
+def test_eval_core_rejects_a_non_core_node(wrap):
+    with pytest.raises(TypeError, match="not a core formula: And"):
+        eval_core(wrap(And(P, Q)), {"p": 1, "q": 1}, 1, lambda pre, post: 1)
