@@ -9,15 +9,15 @@ Pipeline (all satisfiability questions are propositional oracle calls):
    valuations ``phi0`` admits; each full one partitions the definitions into
    asserted (``P+``) and denied (``P-``) sets and yields a candidate pair
    (positive conjunction, negative conjunction).
-3. Check the pair for compatibility: a context fixpoint forces some asserted
-   postconditions to be globally false; a composition closure tracks which
-   witness plans chain; every denied conjunct must stay deniable against all
-   of that.  Each check is written once over truth sets that the oracle
-   supplies (``SatOracle.truth_sets``): it reads every side's truth set and
-   its complement once per call and asks each question as their
-   intersection (``SatOracle.ask``).  Inside ``decide``'s table scope those
-   are bitmasks; otherwise they are member formulas for ``is_sat``, in the
-   same order and with the same count.
+3. Check the pair for compatibility: a context fixpoint, swept until a sweep
+   forces nothing, forces some asserted postconditions to be globally false;
+   a composition closure over the conjuncts left live tracks which witness
+   plans chain; every denied conjunct must stay deniable against all of
+   that.  Each check reads every side's truth set and its complement once
+   (``SatOracle.truth_sets``) and asks each question it cannot already
+   answer once, as their intersection (``SatOracle.ask``): bitmasks inside
+   ``decide``'s table scope, otherwise member formulas for ``is_sat``, in
+   the same order and with the same count.
 4. The first compatible guess (descending lexicographic order, all-true
    first, ``_k1`` most significant) whose built certificate verifies against
    the original formula yields SAT, and the descent stops there; exhausting
@@ -139,7 +139,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Context fixpoint (sweep), positive and negative satisfiability
+# Context fixpoint, composition closure and compatibility
 
 
 def _sides(spec: PositiveSpec | NegativeSpec) -> list[Formula]:
@@ -159,62 +159,56 @@ def _context(every: TruthSet, not_pre: list[TruthSet], indices: frozenset[int]) 
 def global_indices(p: PositiveSpec, oracle: SatOracle | None = None) -> frozenset[int]:
     """Indices whose postconditions are unsatisfiable in context.
 
-    Runs n+1 sweeps; each sweep tests every remaining index against the
-    context assembled so far, then folds the newly forced ones in.  The
-    indices are the whole context: its truth set is ``_context`` of them.
+    Each sweep tests every remaining index against the context assembled so
+    far, then folds the newly forced ones in; the sweeps stop at one that
+    forces nothing, which asked ``context ∧ post_x`` for every unforced x.
+    The indices are the whole context: its truth set is ``_context`` of them.
     """
     oracle = oracle or SatOracle()
     every, truth, falsity = oracle.truth_sets(_sides(p))
     post, not_pre = truth[1::2], falsity[0::2]
     indices: set[int] = set()
     context = every
-    for _ in range(p.n + 1):
-        newly = [
-            k
-            for k in range(1, p.n + 1)
-            if k not in indices and not oracle.ask(context & post[k - 1])
-        ]
+    while newly := [
+        k for k in range(1, p.n + 1) if k not in indices and not oracle.ask(context & post[k - 1])
+    ]:
         for k in newly:
             indices.add(k)
             context &= not_pre[k - 1]
     return frozenset(indices)
 
 
-# ---------------------------------------------------------------------------
-# Composition closure
+def _reach(oracle: SatOracle, context: TruthSet, post: list, not_pre: list, live) -> list[int]:
+    """Closure rows over the 0-indexed conjuncts ``live``, each asked against
+    each, the diagonal too: bit y of row x says conjunct x + 1's plans chain
+    to conjunct y + 1's.  Rows outside ``live`` stay 0."""
+    reach = [0] * len(post)
+    for x in live:
+        reach[x] = 1 << x
+        for y in live:
+            if not oracle.ask(context & post[x] & not_pre[y]):
+                reach[x] |= 1 << y
+    for mid in live:
+        for x in live:
+            if reach[x] >> mid & 1:
+                reach[x] |= reach[mid]
+    return reach
 
 
 def composition_closure(
     p: PositiveSpec, indices: frozenset[int], oracle: SatOracle | None = None
 ) -> frozenset[tuple[int, int]]:
-    """Reflexive-transitive closure of the plan-chaining edge relation, as
-    1-indexed pairs (x, y).
+    """Reflexive-transitive closure of the plan-chaining edge relation over
+    all conjuncts, as 1-indexed pairs (x, y).
 
     There is an edge x → y when, under the context of ``indices``, every
     state reached by conjunct x's plans satisfies conjunct y's precondition
     — so y's plan can always run after x's."""
     oracle = oracle or SatOracle()
-    n = p.n
     every, truth, falsity = oracle.truth_sets(_sides(p))
     post, not_pre = truth[1::2], falsity[0::2]
-    context = _context(every, not_pre, indices)
-    # Bit y of reach[x]: conjunct x + 1's plans chain to conjunct y + 1's.
-    reach = []
-    for x in range(n):
-        row = 1 << x
-        for y in range(n):
-            if not oracle.ask(context & post[x] & not_pre[y]):
-                row |= 1 << y
-        reach.append(row)
-    for mid in range(n):
-        for x in range(n):
-            if reach[x] >> mid & 1:
-                reach[x] |= reach[mid]
-    return frozenset((x + 1, y + 1) for x in range(n) for y in range(n) if reach[x] >> y & 1)
-
-
-# ---------------------------------------------------------------------------
-# Compatibility
+    reach = _reach(oracle, _context(every, not_pre, indices), post, not_pre, range(p.n))
+    return frozenset((x + 1, y + 1) for x in range(p.n) for y in range(p.n) if reach[x] >> y & 1)
 
 
 def compatible(
@@ -230,10 +224,14 @@ def compatible(
     (2b) for every denied conjunct j and every closure pair (x, y) where x is
     realizable in context and j's precondition forces x's, some state
     reachable through y's postcondition must still escape j's — otherwise the
-    chained plan would witness the denied statement.
+    chained plan would witness the denied statement.  (2b) asks j's trigger
+    once per x and its obligation once per y.
 
     The context is that of ``indices`` (``global_indices`` when None): the
-    negated preconditions of those conjuncts, in index order.
+    negated preconditions of those conjuncts, in index order.  The closure
+    ranges over the live conjuncts, those outside ``indices``: a forced
+    conjunct is never realizable, and a live one never chains to it, since
+    that question is ``context ∧ post_x``, which the last sweep answered.
     """
     oracle = oracle or SatOracle()
     if indices is None:
@@ -248,24 +246,25 @@ def compatible(
     for j in range(q.m):
         if not oracle.ask(context & denied_pre[j] & denied_escape[j]):
             return False
-    pairs = sorted(composition_closure(p, indices, oracle))
-    realizable = [oracle.ask(context & pre[x]) for x in range(p.n)]
+    live = [x for x in range(p.n) if x + 1 not in indices]
+    reach = _reach(oracle, context, post, not_pre, live)
+    realizable = [x for x in live if oracle.ask(context & pre[x])]
     for j in range(q.m):
-        in_pre_j = context & denied_pre[j]
-        for x, y in pairs:
-            if not realizable[x - 1]:
-                continue
-            if oracle.ask(in_pre_j & not_pre[x - 1]):
+        in_pre_j, escaped = context & denied_pre[j], 0  # bit y: y's obligation asked
+        for x in realizable:
+            if oracle.ask(in_pre_j & not_pre[x]):
                 continue  # j's precondition does not force x's
-            if not oracle.ask(context & post[y - 1] & denied_escape[j]):
-                return False
+            todo, escaped = reach[x] & ~escaped, escaped | reach[x]
+            for y in live:
+                if todo >> y & 1 and not oracle.ask(context & post[y] & denied_escape[j]):
+                    return False
     return True
 
 
 def per_guess_call_bound(n: int, m: int) -> int:
-    """Documented closed-form ceiling on oracle calls per guess:
-    context sweeps + condition (1) + (2a) + realizability + closure edges
-    + (2b) triggers and obligations."""
+    """Documented closed-form ceiling on oracle calls per guess: context
+    sweeps + (1) + (2a) + realizability + closure edges + (2b) triggers and
+    obligations per closure pair (the check asks at most 2mn of those)."""
     return n * (n + 1) + 1 + m + n + n * n + 2 * m * n * n
 
 

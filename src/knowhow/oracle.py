@@ -56,20 +56,19 @@ class SearchBounds:
 
     The exhaustive tier runs over the fixed box intersected with these
     bounds; the random tier draws ``random_trials`` models within them.  The
-    trials run only for formulas over more than 2 atoms (or more than
-    ``atom_budget``) or for bounds beyond 3 states or 2 actions.
+    trials run only for formulas over more than 2 atoms or for bounds beyond
+    3 states or 2 actions.
     """
 
     max_states: int = 3
     max_actions: int = 2
-    atom_budget: int = 2
     random_trials: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
-        for name in ("max_actions", "atom_budget", "random_trials"):
+        for name in ("max_actions", "random_trials"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
 
@@ -209,7 +208,7 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
     """
     core = f.core
     atoms = sorted(core.atoms)
-    if len(atoms) <= min(_EXHAUSTIVE_MAX_ATOMS, bounds.atom_budget):
+    if len(atoms) <= _EXHAUSTIVE_MAX_ATOMS:
         model = _exhaustive_tier(core, atoms, bounds)
         if model is not None:
             return model

@@ -131,7 +131,7 @@ def test_check_json_report_fields(capsys):
     assert doc["guesses_tried"] == 1
     assert doc["partition"] == {"_k1": True}
     assert doc["certificate"]["witness_state"] == doc["witness_state"]
-    assert doc["oracle_calls"]["per_guess_max"] == 7
+    assert doc["oracle_calls"]["per_guess_max"] == 6
     assert doc["oracle_calls"]["total"] > 0
 
 
@@ -164,7 +164,7 @@ def test_check_rejects_negative_trials_in_every_mode(mode, capsys):
     assert "random_trials must not be negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["max_actions", "atom_budget", "random_trials"])
+@pytest.mark.parametrize("name", ["max_actions", "random_trials"])
 def test_search_bounds_reject_negative_values(name):
     with pytest.raises(ValueError, match=f"{name} must not be negative"):
         SearchBounds(**{name: -1})

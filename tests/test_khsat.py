@@ -11,7 +11,7 @@ from operator import and_
 
 import pytest
 
-from knowhow import certificate, formula, propsat, semantics
+from knowhow import certificate, formula, khsat, propsat, semantics
 from knowhow.certificate import verify_certificate
 from knowhow.formula import And, Atom, Bottom, Kh, Not, Or, Top, parse, render
 from knowhow.khsat import (
@@ -26,6 +26,7 @@ from knowhow.khsat import (
     oracle_call_count,
     per_guess_call_bound,
 )
+from knowhow.normalform import flatten
 from knowhow.oracle import random_formula
 from knowhow.propsat import Members, SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
@@ -243,6 +244,117 @@ def test_compatible_empty_positive_reduces_to_denial_checks():
     assert compatible(PositiveSpec(()), neg(("p", "p"))) is False
 
 
+def _reference_global_indices(p: PositiveSpec, oracle: SatOracle) -> frozenset[int]:
+    """Reference fixpoint: n + 1 sweeps, whatever they force."""
+    every, truth, falsity = oracle.truth_sets([side for c in p.conjuncts for side in c])
+    post, not_pre = truth[1::2], falsity[0::2]
+    indices: set[int] = set()
+    context = every
+    for _ in range(p.n + 1):
+        newly = [
+            k
+            for k in range(1, p.n + 1)
+            if k not in indices and not oracle.ask(context & post[k - 1])
+        ]
+        for k in newly:
+            indices.add(k)
+            context &= not_pre[k - 1]
+    return frozenset(indices)
+
+
+def _reference_closure(p: PositiveSpec, indices, oracle: SatOracle) -> list[tuple[int, int]]:
+    """Reference closure: every pair asked, forced conjuncts too."""
+    every, truth, falsity = oracle.truth_sets([side for c in p.conjuncts for side in c])
+    post, not_pre = truth[1::2], falsity[0::2]
+    context = reduce(and_, (not_pre[k - 1] for k in sorted(indices)), every)
+    n = p.n
+    reach = []
+    for x in range(n):
+        row = 1 << x
+        for y in range(n):
+            if not oracle.ask(context & post[x] & not_pre[y]):
+                row |= 1 << y
+        reach.append(row)
+    for mid in range(n):
+        for x in range(n):
+            if reach[x] >> mid & 1:
+                reach[x] |= reach[mid]
+    return sorted((x + 1, y + 1) for x in range(n) for y in range(n) if reach[x] >> y & 1)
+
+
+def _reference_compatible(p: PositiveSpec, q: NegativeSpec, indices, oracle: SatOracle) -> bool:
+    """Reference compatibility check: realizability asked for every
+    conjunct, and (2b)'s trigger and obligation for every closure pair."""
+    sides = [side for c in p.conjuncts + q.conjuncts for side in c]
+    every, truth, falsity = oracle.truth_sets(sides)
+    split = 2 * p.n
+    pre, post, not_pre = truth[0:split:2], truth[1:split:2], falsity[0:split:2]
+    denied_pre, denied_escape = truth[split::2], falsity[split + 1 :: 2]
+    context = reduce(and_, (not_pre[k - 1] for k in sorted(indices)), every)
+    if not oracle.ask(context):
+        return False
+    for j in range(q.m):
+        if not oracle.ask(context & denied_pre[j] & denied_escape[j]):
+            return False
+    pairs = _reference_closure(p, indices, oracle)
+    realizable = [oracle.ask(context & pre[x]) for x in range(p.n)]
+    for j in range(q.m):
+        in_pre_j = context & denied_pre[j]
+        for x, y in pairs:
+            if not realizable[x - 1] or oracle.ask(in_pre_j & not_pre[x - 1]):
+                continue
+            if not oracle.ask(context & post[y - 1] & denied_escape[j]):
+                return False
+    return True
+
+
+def _tight_bound(n: int, m: int) -> int:
+    """Calls one guess check may ask: sweeps + (1) + (2a) + realizability +
+    closure edges + (2b) triggers and obligations, once per conjunct."""
+    return n * (n + 1) + 1 + m + n + n * n + 2 * m * n
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [
+        (2, 2, ("p", "q"), range(100)),
+        (3, 3, ("p", "q", "r"), range(100)),
+        (3, 6, ("p", "q", "r", "s"), range(30)),
+        (4, 10, ("p", "q", "r", "s", "t", "u"), range(20)),
+    ],
+    ids=["S", "M", "L", "XL"],
+)
+def test_check_matches_reference_check_on_every_guess(depth, leaves, atoms, seeds):
+    """Every guess of the skeleton, in both modes and on the oracle path
+    ``decide`` takes: the same indices, the same answer and the same witness
+    rows (so the same certificate) as the check that asks every question,
+    from no more calls than it and within the tight bound."""
+    checked = fewer = 0
+    for seed in seeds:
+        flattening = flatten(random_formula(depth, leaves, atoms, seed))
+        vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
+        for mode in ("plain", "augmented"):
+            oracle, reference = SatOracle(), SatOracle()
+            with oracle.scope(vocabulary), reference.scope(vocabulary):
+                k_atoms = [k for k, _ in flattening.defs]
+                for assignment in list(oracle.enumerate_models(flattening.phi0, k_atoms)):
+                    p, q, _ = khsat._build_pair(flattening, assignment, mode)
+                    calls, expected_calls = oracle.calls, reference.calls
+                    with oracle.witnesses() as rows:
+                        indices = global_indices(p, oracle)
+                        ok = compatible(p, q, oracle, indices)
+                    with reference.witnesses() as expected_rows:
+                        expected_indices = _reference_global_indices(p, reference)
+                        expected = _reference_compatible(p, q, expected_indices, reference)
+                    calls, expected_calls = oracle.calls - calls, reference.calls - expected_calls
+                    assert (indices, ok) == (expected_indices, expected), (seed, mode, assignment)
+                    assert set(rows) == set(expected_rows), (seed, mode, assignment)
+                    assert calls <= min(expected_calls, _tight_bound(p.n, q.m))
+                    checked += 1
+                    fewer += calls < expected_calls
+    assert fewer > checked // 2  # most guesses ask strictly fewer
+
+
 def test_specs_reject_modal_operands():
     with pytest.raises(ValueError):
         PositiveSpec(((Kh(P, Q), Q),))
@@ -350,11 +462,23 @@ def test_oracle_call_count_requires_trace():
 
 def test_per_guess_calls_match_hand_count_for_single_leaf():
     # One positive leaf, one denial (the existential conjunct):
-    # 2 sweep calls, context check, one denial check, one realizability
-    # check, one closure edge, one fired-trigger probe = 7.
+    # 1 sweep call (it forces nothing), context check, one denial check,
+    # one closure edge (the diagonal), one realizability check, one trigger
+    # probe (the denial's precondition does not force p) = 6.
     v = decide(parse("Kh(p, q)"), trace=True)
     assert v.result is Result.SAT
-    assert oracle_call_count(v) == 7
+    assert oracle_call_count(v) == 6
+
+
+def test_per_guess_calls_match_hand_count_with_a_forced_conjunct():
+    # Augmented mode adds the pin Kh(~_k1, false), which the context forces:
+    # 2 calls in the first sweep (it forces the pin), 1 in the second (it
+    # forces nothing), context check, one denial check, one closure edge
+    # (1 -> 1: the pin is left out of the closure), one realizability check
+    # (none for the pin), one trigger probe = 8.
+    v = decide(parse("Kh(p, q)"), "augmented", trace=True)
+    assert v.result is Result.SAT
+    assert [(record.n, record.m, record.oracle_calls) for record in v.trace] == [(2, 1, 8)]
 
 
 def test_per_guess_calls_within_documented_bound():
@@ -368,6 +492,21 @@ def test_per_guess_calls_within_documented_bound():
             bound = per_guess_call_bound(record.n, record.m)
             assert record.oracle_calls <= bound
             assert bound <= 3 * (record.n + record.m + 1) * (record.n + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms, seeds",
+    [(3, 3, ("p", "q", "r"), range(150)), (4, 10, ("p", "q", "r", "s", "t", "u"), range(30))],
+    ids=["M", "XL"],
+)
+def test_per_guess_calls_within_tight_bound(depth, leaves, atoms, seeds):
+    """Each trigger and obligation is asked once per denial and conjunct, so
+    a guess check asks at most n(n+1) + 1 + m + n + n² + 2mn questions."""
+    for seed in seeds:
+        f = random_formula(depth, leaves, atoms, seed)
+        for mode in ("plain", "augmented"):
+            for record in decide(f, mode, trace=True).trace:
+                assert record.oracle_calls <= _tight_bound(record.n, record.m), (seed, mode)
 
 
 def test_decide_shares_oracle_and_counts_calls():

@@ -132,12 +132,7 @@ def test_exhaustive_tier_agrees_with_plain_enumeration():
     ]
     for atoms, max_states, max_actions, seeds in cases:
         box = list(_box_models(list(atoms), max_states, max_actions))
-        bounds = SearchBounds(
-            max_states=max_states,
-            max_actions=max_actions,
-            atom_budget=len(atoms),
-            random_trials=0,
-        )
+        bounds = SearchBounds(max_states=max_states, max_actions=max_actions, random_trials=0)
         for seed in seeds:
             f = random_formula(2, 2, atoms, seed)
             brute = any(eval_formula(m, f) != 0 for m in box)

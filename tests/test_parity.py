@@ -41,7 +41,7 @@ SUITES = (
 )
 
 EXPECTED_OUTPUT_DIGEST = "fdd2a9bc9988f3179e7a0ecd48ac5f7907a04344ba8f2f2db96465cc1de81369"
-EXPECTED_COUNTER_DIGEST = "e094ed5f4b33e016922954608350932ba92b80198143f6d9fd10691bcc8dfc8d"
+EXPECTED_COUNTER_DIGEST = "70d5653d598eb2a6ddde1e001e041563e938ac52e753d8ff24de1f38efdd414b"
 
 
 def _assignment(assignment: dict[str, bool]) -> str:
