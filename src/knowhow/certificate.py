@@ -8,6 +8,10 @@ contributes one action, the full product of its precondition states and its
 postcondition states, stored as the postcondition mask on every
 precondition state.  Conjuncts forced into the context, or whose
 precondition never holds, get no action: the empty plan witnesses them.
+The sides' truth sets on the states come from ``SatOracle.row_truth_sets``:
+inside ``decide`` they are read bit by bit off the masks its truth table
+already holds, and otherwise evaluated on the states with the model
+checker's evaluator, so nothing is evaluated twice on the table path.
 
 Why the witness rows suffice: each question of the check asks whether the
 context meets some intersection of sides and complements.  One answered yes
@@ -22,9 +26,10 @@ evaluated on the certificate model and must hold somewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .formula import Formula
+from .propsat import SatOracle
 from .semantics import Lts, dump_model, eval_formula
 
 
@@ -47,7 +52,8 @@ class Certificate:
 
 
 def build_model(
-    p, q, indices, rows: Iterable[frozenset[str]], *, witness_pre: Formula | None = None
+    p, q, indices, rows: Iterable[frozenset[str]], *,
+    witness_pre: Formula | None = None, oracle: SatOracle | None = None,
 ) -> Certificate:
     """The explicit model for a positive/negative pair, the context indices
     of ``p`` (``khsat.global_indices``) and the witness ``rows`` of the
@@ -56,41 +62,40 @@ def build_model(
     States are the distinct rows over the pair's atoms where no
     precondition of ``indices`` holds, in truth-table order (first sorted
     atom most significant, False first); none left raises ``ValueError``.
-    Conditions are evaluated on them with the model checker's evaluator.
-    The witness state is the lowest-numbered one where ``witness_pre`` holds.
+    The conditions' truth sets on them come from ``oracle.row_truth_sets``:
+    read off the scope's table inside ``decide``, otherwise evaluated on the
+    rows.  The witness state is the lowest-numbered one where
+    ``witness_pre`` holds.
     """
     atoms = set().union(*(pre.atoms | post.atoms for pre, post in p.conjuncts + q.conjuncts))
     if witness_pre is not None:
         atoms |= witness_pre.atoms
     ordered = sorted(atoms)
     valuations = sorted({row & atoms for row in rows}, key=lambda row: [a in row for a in ordered])
-    grid = _grid(valuations, ordered)
+    oracle = oracle or SatOracle()
     forced = 0
-    for k in indices:
-        forced |= eval_formula(grid, p.pre(k))
-    if forced:
-        grid = _grid([row for i, row in enumerate(valuations) if not forced >> i & 1], ordered)
-
-    succ: dict[str, tuple[int, ...]] = {}
-    states = range(len(grid.states))
-    for k in range(1, p.n + 1):
-        pre_mask = 0 if k in indices else eval_formula(grid, p.pre(k))
-        if pre_mask:
-            post_mask = eval_formula(grid, p.post(k))
-            succ[f"a{k}"] = tuple(post_mask if pre_mask >> i & 1 else 0 for i in states)
-
-    witnesses = eval_formula(grid, witness_pre) if witness_pre is not None else 0
-    witness_state = grid.states[(witnesses & -witnesses).bit_length() - 1] if witnesses else None
-    return Certificate(Lts(grid.states, tuple(succ), succ, grid.val), witness_state, tuple(succ))
-
-
-def _grid(valuations: Sequence[frozenset[str]], atoms: Sequence[str]) -> Lts:
-    """One state per valuation, in order, over ``atoms``; no actions."""
+    for mask in oracle.row_truth_sets([p.pre(k) for k in sorted(indices)], valuations):
+        forced |= mask
+    valuations = [row for i, row in enumerate(valuations) if not forced >> i & 1]
     if not valuations:
         raise ValueError("the context admits no state among the witness rows")
-    masks = {a: sum(1 << i for i, row in enumerate(valuations) if a in row) for a in atoms}
-    val = {a: mask for a, mask in masks.items() if mask}
-    return Lts(tuple(map("s{}".format, range(len(valuations)))), (), {}, val)
+
+    live = [k for k in range(1, p.n + 1) if k not in indices]
+    conditions = [side for k in live for side in (p.pre(k), p.post(k))]
+    if witness_pre is not None:
+        conditions.append(witness_pre)
+    masks = oracle.row_truth_sets(conditions, valuations)
+    states = tuple(map("s{}".format, range(len(valuations))))
+    succ: dict[str, tuple[int, ...]] = {}
+    for k, pre_mask, post_mask in zip(live, masks[0::2], masks[1::2]):
+        if pre_mask:
+            succ[f"a{k}"] = tuple(post_mask if pre_mask >> i & 1 else 0 for i in range(len(states)))
+
+    witnesses = masks[-1] if witness_pre is not None else 0
+    witness_state = states[(witnesses & -witnesses).bit_length() - 1] if witnesses else None
+    atom_masks = ((a, sum(1 << i for i, row in enumerate(valuations) if a in row)) for a in ordered)
+    val = {a: mask for a, mask in atom_masks if mask}
+    return Certificate(Lts(states, tuple(succ), succ, val), witness_state, tuple(succ))
 
 
 def verify_certificate(certificate: Certificate, original: Formula) -> bool:

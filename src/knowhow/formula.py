@@ -18,10 +18,12 @@ Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 ``_k`` are generated by the flattener and rejected in user input.
 
 Every node class derives from ``Formula``.  A node's hash, atoms and modal
-depth are filled together by one iterative pass on first read, its core form
-by another; nodes that ``core`` builds are marked core as they are built.
-``fold`` walks a formula bottom-up in one call frame whatever its nesting;
-parsing is iterative too, so neither is bounded by the recursion limit.
+depth are filled together by one post-order visit on first read, its core
+form by another; nodes that ``core`` builds are marked core as they are
+built.  The visits recurse, and an iterative loop finishes one that reaches
+the recursion limit.  ``fold`` walks a formula bottom-up in one call frame
+whatever its nesting; parsing is iterative too, so none of these is bounded
+by the recursion limit.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Formula:
 
     Nodes are immutable.  The first read of a node's hash, ``atoms`` or
     ``depth`` fills all three, on the node and on every node below it that
-    lacks them, in one iterative post-order pass; the first read of
+    lacks them, in one post-order visit (``_fill``); the first read of
     ``core`` fills the core forms the same way.  A node in the core
     fragment is its own ``core``: it keeps ``_core = None``, not a
     reference to itself, and the nodes ``core`` builds are marked so when
@@ -183,8 +185,30 @@ _MODAL = {Kh, Univ, Exis}
 
 def _fill(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
     """Call ``fill_one(node, children)`` once on ``root`` and on every node
-    below it that lacks the attribute ``name``, each after its children, in
-    one frame whatever the nesting."""
+    below it that lacks the attribute ``name``, each after its children.
+
+    The visit recurses once per nesting level; past the recursion limit
+    ``_fill_iteratively`` finishes the job in one frame.  A node left half
+    filled is filled again: ``fill_one`` keeps ``name`` last, and its values
+    do not depend on how often it runs."""
+
+    def visit(node: Formula) -> None:
+        children = node.children
+        for child in children:
+            if not hasattr(child, name):  # else a shared node, filled on an earlier visit
+                visit(child)
+        fill_one(node, children)
+
+    try:
+        visit(root)
+    except RecursionError:
+        _fill_iteratively(root, name, fill_one)
+    finally:
+        del visit  # empties the closure's own cell: no cycle for the collector
+
+
+def _fill_iteratively(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
+    """``_fill`` in one frame whatever the nesting, on an explicit stack."""
     stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(root, None)]
     while stack:
         node, children = stack.pop()

@@ -322,7 +322,7 @@ def _check_guess(
         ok = compatible(p, q, oracle, indices)
     if not ok:
         return p, q, False, None
-    candidate = certificate.build_model(p, q, indices, rows, witness_pre=exis_pre)
+    candidate = certificate.build_model(p, q, indices, rows, witness_pre=exis_pre, oracle=oracle)
     return p, q, True, candidate if certificate.verify_certificate(candidate, original) else None
 
 

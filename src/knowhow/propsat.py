@@ -3,8 +3,8 @@
 Every algorithm in the decision procedure bottoms out in satisfiability
 queries over sets of modal-depth-0 formulas.  A query over at most
 ``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
-member on the truth table of the sorted symbols (``semantics.truth_table``
-and ``eval_formula``, the model checker's evaluator); no CNF is built.
+member on the truth table of the sorted symbols (``semantics.truth_masks``
+and ``eval_core``, the model checker's evaluator); no CNF is built.
 Larger queries go to a deterministic DPLL over a structural (Tseitin) CNF
 encoding of the members' core forms (``Formula.core``): lowest-index
 variable first, False branch first, unit propagation, chronological
@@ -21,7 +21,9 @@ to the same cutoff, a truth set is then an int mask on one truth table per
 call, each distinct condition evaluated once.  Otherwise a truth set is the
 list of its member formulas, each query to ``is_sat``.  Either way a guess
 check can keep the witness of each query it satisfies
-(``SatOracle.witnesses``), and its certificate is built from those rows.
+(``SatOracle.witnesses``), and its certificate is built from those rows,
+its conditions' truth sets on them read off the table where there is one
+(``SatOracle.row_truth_sets``).
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -36,10 +38,10 @@ import subprocess
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formula import Atom, Formula, Not, Or, fold, render
-from .semantics import Lts, eval_formula, truth_table
+from .semantics import eval_core, truth_masks
 
 Assignment = dict[str, bool]
 
@@ -239,14 +241,14 @@ def is_sat(
     symbols = _symbols(fs)
     if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
         return _cnf_is_sat(fs, solver_path)
-    table = truth_table(symbols)
-    rows = table.all_states
+    val = truth_masks(symbols)
+    rows = every = (1 << (1 << len(symbols))) - 1
     for f in fs:
-        rows &= eval_formula(table, f)
+        rows &= _evaluate(f, val, every)
     if not rows:
         return False, None
     lowest = rows & -rows
-    return True, {name: bool(table.val[name] & lowest) for name in symbols}
+    return True, {name: bool(val[name] & lowest) for name in symbols}
 
 
 def _cnf_is_sat(
@@ -284,12 +286,37 @@ def export_dimacs(instance: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _member_mask(table: Lts, f: Formula) -> int | None:
+def _evaluate(f: Formula, val: dict[str, int], every: int) -> int:
+    """Truth set of a modality-free ``f`` from its atoms' truth sets."""
+    return eval_core(f.core, val, every, None)  # modality-free: no Kh node needs ``kh``
+
+
+class _Table(NamedTuple):
+    """A scope's truth table: each atom's mask, every row, and the masks of
+    the formulas evaluated on it so far (None: an atom outside the table)."""
+
+    val: dict[str, int]
+    every: int
+    cache: dict[Formula, int | None]
+
+
+def _member_mask(table: _Table, f: Formula) -> int | None:
     """Truth set of one query member on a scope's table; None when ``f``
     mentions an atom outside the table, and a modal ``f`` raises."""
-    if not set(_symbols([f])) <= table.val.keys():
+    if f.depth != 0:
+        raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
+    if not f.atoms <= table.val.keys():
         return None
-    return eval_formula(table, f)
+    return _evaluate(f, table.val, table.every)
+
+
+def _grid_truth_sets(fs: Sequence[Formula], rows: Sequence[frozenset[str]]) -> list[int]:
+    """Truth sets of modality-free ``fs`` on a grid of one row per valuation
+    in ``rows``, each the set of atoms it makes true."""
+    atoms = set().union(*(f.atoms for f in fs))
+    val = {a: sum(1 << i for i, row in enumerate(rows) if a in row) for a in atoms}
+    every = (1 << len(rows)) - 1
+    return [_evaluate(f, val, every) for f in fs]
 
 
 class Members(tuple):
@@ -329,9 +356,7 @@ class SatOracle:
 
     solver_path: str | None = None
     calls: int = 0
-    _scope: tuple[Lts, dict[Formula, int | None]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _scope: _Table | None = field(default=None, init=False, repr=False, compare=False)
     _witnesses: list[frozenset[str] | int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -344,7 +369,7 @@ class SatOracle:
         masks = self._masks(fs)
         if masks is None:
             return Members(), [Members((f,)) for f in fs], [Members((Not(f),)) for f in fs]
-        every = self._scope[0].all_states
+        every = self._scope.every
         return every, masks, [every ^ mask for mask in masks]
 
     def ask(self, term: TruthSet) -> bool:
@@ -374,7 +399,7 @@ class SatOracle:
             yield rows
         finally:
             found, self._witnesses = self._witnesses, saved
-            val = self._scope[0].val if self._scope is not None else {}
+            val = self._scope.val if self._scope is not None else {}
             rows += (
                 row if isinstance(row, frozenset) else frozenset(a for a in val if val[a] & row)
                 for row in dict.fromkeys(found)
@@ -383,18 +408,34 @@ class SatOracle:
     def _masks(self, fs: Sequence[Formula]) -> list[int] | None:
         """Masks of ``fs`` on the scope's table, or None without a table
         scope or when a member has an atom outside the table."""
-        if self._scope is None:
+        table = self._scope
+        if table is None:
             return None
-        table, cache = self._scope
         masks = []
         for f in fs:
-            mask = cache.get(f, -1)  # -1: not evaluated yet
+            mask = table.cache.get(f, -1)  # -1: not evaluated yet
             if mask == -1:
-                mask = cache[f] = _member_mask(table, f)
+                mask = table.cache[f] = _member_mask(table, f)
             if mask is None:
                 return None
             masks.append(mask)
         return masks
+
+    def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[frozenset[str]]) -> list[int]:
+        """The truth sets of modality-free ``fs`` on ``rows``, valuations
+        given as the sets of atoms they make true: bit i of a mask is
+        ``rows[i]``.  No query is counted.  Inside a table scope over every
+        atom of ``fs`` each bit is read off the formula's mask at the row's
+        place in the table; otherwise the formulas are evaluated on a grid
+        of the rows."""
+        masks = self._masks(fs)
+        if masks is None:
+            return _grid_truth_sets(fs, rows)
+        # Table row r makes an atom true iff r has the bit that is the
+        # atom's lowest true row, so a row's place sums its true atoms' bits.
+        place_of = {a: (mask & -mask).bit_length() - 1 for a, mask in self._scope.val.items()}
+        places = [sum(place_of.get(a, 0) for a in row) for row in rows]
+        return [sum(1 << i for i, place in enumerate(places) if mask >> place & 1) for mask in masks]
 
     @contextmanager
     def scope(self, atoms: Iterable[str]) -> Iterator[None]:
@@ -402,8 +443,10 @@ class SatOracle:
         previous scope is restored on exit, also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
-        use_table = self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS
-        self._scope = (truth_table(symbols), {}) if use_table else None
+        if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
+            self._scope = _Table(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
+        else:
+            self._scope = None
         try:
             yield
         finally:

@@ -141,19 +141,30 @@ def make_lts(
 
 
 def truth_table(atoms: Sequence[str]) -> Lts:
-    """One state per valuation of ``atoms``, and no actions.
+    """One state per valuation of ``atoms``, and no actions; its valuation
+    is ``truth_masks(atoms)``.  A formula's truth set on this model is its
+    set of satisfying valuations."""
+    return Lts(tuple(map(str, range(1 << len(atoms)))), (), {}, truth_masks(atoms))
+
+
+def truth_masks(atoms: Sequence[str]) -> dict[str, int]:
+    """Each atom's truth set on the rows of the truth table of ``atoms``.
 
     Row r makes ``atoms[j]`` true iff bit ``len(atoms) - 1 - j`` of r is set:
     the first atom is the most significant bit, so ascending rows list the
-    valuations False first.  A formula's truth set on this model is its set
-    of satisfying valuations.
+    valuations False first.  Each mask is one period, a false run then a true
+    run, doubled by shifts until it covers every row.
     """
     size = 1 << len(atoms)
     val: dict[str, int] = {}
     for j, atom in enumerate(atoms):
-        run = 1 << (len(atoms) - 1 - j)  # a false run then a true run, repeated
-        val[atom] = ((1 << size) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
-    return Lts(tuple(map(str, range(size))), (), {}, val)
+        run = 1 << (len(atoms) - 1 - j)
+        mask, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        val[atom] = mask
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from functools import reduce
 
 import pytest
 
-from knowhow import certificate
+from knowhow import certificate, propsat
 from knowhow.certificate import build_model, verify_certificate
 from knowhow.formula import And, Atom, Bottom, Not, Or, Top, parse
 from knowhow.khsat import (
@@ -326,6 +326,29 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
     assert certified >= len(seeds)
+
+
+def test_decide_certificates_read_the_scope_masks(monkeypatch):
+    # Inside decide every condition of a certificate is read off the scope's
+    # table at the witness rows' places, twice per build (the forced
+    # preconditions, then the rest); none is evaluated on a grid of the rows.
+    def on_a_grid(fs, rows):
+        pytest.fail(f"evaluated on a grid: {fs}")
+
+    monkeypatch.setattr(propsat, "_grid_truth_sets", on_a_grid)
+    reads = []
+    read = SatOracle.row_truth_sets
+
+    def counting_read(oracle, fs, rows):
+        reads.append(len(fs))
+        return read(oracle, fs, rows)
+
+    monkeypatch.setattr(SatOracle, "row_truth_sets", counting_read)
+    built = recording_builds(monkeypatch)
+    for seed in range(100):
+        decide(random_formula(3, 3, ("p", "q", "r"), seed))
+    assert len(built) >= 100 and len(reads) == 2 * len(built)
+    assert sum(reads) > 4 * len(built)
 
 
 @pytest.mark.parametrize(

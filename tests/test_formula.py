@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +401,98 @@ def test_reading_facts_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _recording_fallbacks(monkeypatch):
+    """The attribute names of the fills ``_fill`` hands to its iterative
+    fallback, which still runs."""
+    names, fallback = [], formula._fill_iteratively
+
+    def recording(root, name, fill_one):
+        names.append(name)
+        fallback(root, name, fill_one)
+
+    monkeypatch.setattr(formula, "_fill_iteratively", recording)
+    return names
+
+
+def _frames_to_the_limit():
+    """How many more calls the caller could nest before ``RecursionError``."""
+
+    def probe(n):
+        try:
+            return probe(n + 1)
+        except RecursionError:
+            return n
+
+    return probe(1)
+
+
+@pytest.mark.parametrize(
+    "depth, leaves, atoms",
+    [(2, 2, ("p", "q")), (3, 3, ("p", "q", "r")), (4, 10, ("p", "q", "r", "s", "t", "u"))],
+    ids=["S", "M", "XL"],
+)
+def test_recursive_fill_matches_the_iterative_fill_seeded(depth, leaves, atoms, monkeypatch):
+    fallback = formula._fill_iteratively
+    fallbacks = _recording_fallbacks(monkeypatch)
+    for seed in range(60):
+        f = random_formula(depth, leaves, atoms, seed)
+        recursive, iterative = _rebuild(f), _rebuild(f)
+        hash(recursive.core), hash(recursive)
+        fallback(iterative, "_hash", formula._fill_facts)
+        fallback(iterative, "_core", formula._fill_core)
+        fallback(iterative.core, "_hash", formula._fill_facts)
+        pairs = zip(_nodes(recursive) + _nodes(recursive.core), _nodes(iterative) + _nodes(iterative.core))
+        for g, h in pairs:
+            assert all(hasattr(g, name) and hasattr(h, name) for name in ("_hash", "_core"))
+            assert (g.atoms, g.depth, hash(g), type(g)) == (h.atoms, h.depth, hash(h), type(h))
+            assert g.core == h.core and (g.core is g) == (h.core is h)
+    assert fallbacks == []  # the recursion alone filled every S, M and XL input
+
+
+def _chain(length):
+    """A fresh formula nested ``length`` deep, every sugar but Iff on the way."""
+    wraps = (Not, Univ, lambda g: And(g, Q), lambda g: Implies(R, g), Exis, lambda g: Kh(g, P))
+    f = P
+    for i in range(length):
+        f = wraps[i % len(wraps)](f)
+    return f
+
+
+def _assert_reference_facts(f):
+    for g in _nodes(f):
+        assert g.atoms == _ref_atoms(g), g
+        assert g.depth == _ref_depth(g), g
+        assert g.core == _ref_core(g), g
+        assert g.core.core is g.core
+
+
+def test_a_formula_nested_past_the_recursion_limit_is_filled_by_the_fallback(monkeypatch):
+    fallbacks = _recording_fallbacks(monkeypatch)
+    f = _chain(240)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - _frames_to_the_limit() + 200)  # 200 frames left here
+    try:
+        f.core, hash(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert fallbacks == ["_core", "_hash"]
+    _assert_reference_facts(f)
+
+
+def test_a_small_formula_filled_near_the_recursion_limit_is_filled_by_the_fallback(monkeypatch):
+    fallbacks = _recording_fallbacks(monkeypatch)
+    f = _chain(40)
+
+    def fill_at(frames_left):
+        if frames_left > 20:
+            return fill_at(frames_left - 1)
+        return hash(f), f.core
+
+    fill_at(_frames_to_the_limit() - 2)
+    assert fallbacks == ["_hash", "_core"]
+    _assert_reference_facts(f)
 
 
 def test_pickles_carry_fields_not_cached_facts():

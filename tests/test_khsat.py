@@ -608,11 +608,11 @@ _SUITES_S_M = ((2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100
 def test_decide_builds_one_truth_table_per_call(monkeypatch):
     built = []
 
-    def counting_truth_table(atoms):
+    def counting_truth_masks(atoms):
         built.append(tuple(atoms))
-        return semantics.truth_table(atoms)
+        return semantics.truth_masks(atoms)
 
-    monkeypatch.setattr(propsat, "truth_table", counting_truth_table)
+    monkeypatch.setattr(propsat, "truth_masks", counting_truth_masks)
     calls = 0
     for depth, leaves, atoms, seeds in _SUITES_S_M:
         for seed in seeds:

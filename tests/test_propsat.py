@@ -322,7 +322,7 @@ def test_scoped_enumeration_reads_the_scope_table_seeded(monkeypatch):
         cases.append((f, proj, *projections_by_dpll(f, proj)))
     oracle = SatOracle()
     with oracle.scope(atoms + ["u", "v"]):
-        monkeypatch.setattr(propsat, "truth_table", lambda symbols: pytest.fail("a second table"))
+        monkeypatch.setattr(propsat, "truth_masks", lambda symbols: pytest.fail("a second table"))
         for f, proj, expected, queries in cases:
             before = oracle.calls
             assert list(oracle.enumerate_models(f, [Atom(a) for a in proj])) == expected, (f, proj)
@@ -542,13 +542,13 @@ def test_oracle_counts_calls():
 
 def test_scope_answers_from_cached_member_masks(monkeypatch):
     evaluated = []
-    original = propsat.eval_formula
+    original = propsat.eval_core
 
-    def counting_eval(table, f):
+    def counting_eval(f, *args):
         evaluated.append(f)
-        return original(table, f)
+        return original(f, *args)
 
-    monkeypatch.setattr(propsat, "eval_formula", counting_eval)
+    monkeypatch.setattr(propsat, "eval_core", counting_eval)
     oracle = SatOracle()
     with oracle.scope(["p", "q"]):
         assert ask_conjunction(oracle, [Or(P, Q), Not(P)]) is True
@@ -556,6 +556,34 @@ def test_scope_answers_from_cached_member_masks(monkeypatch):
         assert ask_conjunction(oracle, []) is True
     assert oracle.calls == 3
     assert evaluated == [Or(P, Q), Not(P), Not(Q)]  # each member once
+
+
+def test_row_truth_sets_read_the_table_or_evaluate_on_the_rows_seeded(monkeypatch):
+    # On the scope's table each bit is read at the row's place; without a
+    # table, or with an atom outside it, the formulas are evaluated on a
+    # grid of the rows.  Both give each formula's value on each row.
+    rng = random.Random(1919)
+    atoms = ["p", "q", "r", "s2"]
+    grid_calls = []
+    grid = propsat._grid_truth_sets
+    monkeypatch.setattr(
+        propsat, "_grid_truth_sets", lambda fs, rows: grid_calls.append(1) or grid(fs, rows)
+    )
+    for scope, on_grid in ((atoms + ["t"], False), (None, True), (["p", "q"], True)):
+        oracle = SatOracle()
+        with oracle.scope(scope) if scope else contextlib.nullcontext():
+            for _ in range(60):
+                fs = [random_prop_formula(rng, atoms, rng.randint(0, 4)) for _ in range(3)]
+                if scope == ["p", "q"]:
+                    fs.append(R)  # outside the table
+                rows = [frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(5)]
+                grid_calls.clear()
+                masks = oracle.row_truth_sets(fs, rows)
+                assert grid_calls == ([1] if on_grid else [])
+                for f, mask in zip(fs, masks):
+                    expected = [eval_prop(f, dict.fromkeys(row, True)) for row in rows]
+                    assert [bool(mask >> i & 1) for i in range(len(rows))] == expected, f
+        assert oracle.calls == 0
 
 
 def test_scope_rejects_modal_members():

@@ -27,6 +27,8 @@ from knowhow.semantics import (
     make_lts,
     plan_image,
     strongly_executable,
+    truth_masks,
+    truth_table,
 )
 
 from tests.test_propsat import eval_prop
@@ -481,3 +483,25 @@ def test_falsifier_finds_the_same_model_through_the_fold_seeded():
 def test_eval_core_rejects_a_non_core_node(wrap):
     with pytest.raises(TypeError, match="not a core formula: And"):
         eval_core(wrap(And(P, Q)), {"p": 1, "q": 1}, 1, lambda pre, post: 1)
+
+
+def test_truth_masks_equal_the_closed_form_table_seeded():
+    # The table's masks were built in closed form, all rows' ones divided by
+    # a period's ones times the period's true run; doubling one period by
+    # shifts gives the same masks, and row r still makes atom j true iff bit
+    # n - 1 - j of r is set.
+    for n in range(1, 13):
+        atoms = [f"x{j}" for j in range(n)]
+        size = 1 << n
+        closed = {}
+        for j, atom in enumerate(atoms):
+            run = 1 << (n - 1 - j)
+            closed[atom] = ((1 << size) - 1) // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+        assert truth_masks(atoms) == closed, n
+        table = truth_table(atoms)
+        assert table.val == closed and len(table.states) == size
+        if n <= 6:
+            for r in range(size):
+                for j, atom in enumerate(atoms):
+                    assert closed[atom] >> r & 1 == r >> (n - 1 - j) & 1
+    assert truth_masks([]) == {} and truth_table([]).states == ("0",)
