@@ -15,7 +15,10 @@ by relation combination, precondition mask, and postcondition mask — is
 computed once by a subset-reachability fixpoint and cached.  Evaluating a
 formula over all relation combinations of a shape then runs the model
 checker's own walker (``semantics.eval_core``) on integer arrays of truth
-masks, with ``Kh`` read from that table.  Of the valuations that are equal
+masks, with ``Kh`` read from that table.  Both tiers evaluate the formula
+as written, sugar included, and never build its core form; the walker's
+rules need each atom's masks to lie within the shape's full state mask,
+which the valuation counters' masks do.  Of the valuations that are equal
 up to a permutation of the states it visits only the least: they have
 isomorphic models, so the first model found is the same.
 """
@@ -168,7 +171,7 @@ def _least_valuations(n: int, atom_count: int) -> list[int]:
     return [c for c in counters if all(kind(c, s) >= kind(c, s + 1) for s in range(n - 1))]
 
 
-def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:
+def _exhaustive_tier(f: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:
     max_states = min(_EXHAUSTIVE_MAX_STATES, bounds.max_states)
     max_actions = min(_EXHAUSTIVE_MAX_ACTIONS, bounds.max_actions)
     for n in range(1, max_states + 1):
@@ -186,11 +189,11 @@ def _exhaustive_tier(core: Formula, atoms: list[str], bounds: SearchBounds) -> L
                     atom: (val_counter >> (idx * n)) & all_mask
                     for idx, atom in enumerate(atoms)
                 }
-                truth = eval_core(core, val_masks, all_mask, kh)
+                truth = eval_core(f, val_masks, all_mask, kh)
                 hits = np.nonzero(np.broadcast_to(truth, combos))[0]
                 if hits.size:
                     model = _decode_model(n, k, int(hits[0]), atoms, val_masks)
-                    if eval_formula(model, core) == 0:  # pragma: no cover
+                    if eval_formula(model, f) == 0:  # pragma: no cover
                         raise AssertionError("vectorized tier disagrees with exact evaluator")
                     return model
     return None
@@ -206,10 +209,9 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
     miss is returned without random trials, which could only redraw models
     it has already rejected.
     """
-    core = f.core
-    atoms = sorted(core.atoms)
+    atoms = sorted(f.atoms)
     if len(atoms) <= _EXHAUSTIVE_MAX_ATOMS:
-        model = _exhaustive_tier(core, atoms, bounds)
+        model = _exhaustive_tier(f, atoms, bounds)
         if model is not None:
             return model
         if (
@@ -223,7 +225,7 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
         k = rng.randint(0, bounds.max_actions)
         density = rng.choice([0.1, 0.2, 0.3, 0.5])
         model = random_lts(n, k, tuple(atoms), density, rng.getrandbits(32))
-        if eval_formula(model, core) != 0:
+        if eval_formula(model, f) != 0:
             return model
     return None
 

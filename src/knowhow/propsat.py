@@ -4,7 +4,8 @@ Every algorithm in the decision procedure bottoms out in satisfiability
 queries over sets of modal-depth-0 formulas.  A query over at most
 ``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
 member on the truth table of the sorted symbols (``semantics.truth_masks``
-and ``eval_core``, the model checker's evaluator); no CNF is built.
+and ``eval_core``, the model checker's evaluator, which reads each member
+as written); neither a CNF nor a core form is built.
 Larger queries go to a deterministic DPLL over a structural (Tseitin) CNF
 encoding of the members' core forms (``Formula.core``): lowest-index
 variable first, False branch first, unit propagation, chronological
@@ -61,10 +62,13 @@ class CnfInstance:
 
 
 # Queries over at most this many symbols are answered from a truth table when
-# no external solver is set.  On queries taken from decide runs, the table
-# costs 0.13 ms at 4 symbols against 0.29 ms for Tseitin CNF and DPLL, and
-# 0.59 against 0.83 ms at 10; at 11 the two tie, and the table doubles per
-# symbol while DPLL grows slowly.
+# no external solver is set.  On per-query calls recorded from plain decide
+# runs on random_formula(3, 8, p..w) inputs (each query's best of 5, averaged
+# over up to 200 queries per size; shared 2-CPU Linux machine, Python 3.11),
+# the table costs 0.017 ms at 8 symbols against 0.120 ms for Tseitin CNF and
+# DPLL, 0.028 against 0.174 ms at 10, 0.026 against 0.123 ms at 11 and 0.043
+# against 0.208 ms at 12.  The table doubles per symbol, so the two cross
+# further up; this cutoff is below that point, not at it.
 _TABLE_MAX_SYMBOLS = 10
 
 
@@ -288,7 +292,7 @@ def export_dimacs(instance: CnfInstance) -> str:
 
 def _evaluate(f: Formula, val: dict[str, int], every: int) -> int:
     """Truth set of a modality-free ``f`` from its atoms' truth sets."""
-    return eval_core(f.core, val, every, None)  # modality-free: no Kh node needs ``kh``
+    return eval_core(f, val, every, None)  # modality-free: no Kh, A or E node needs ``kh``
 
 
 class _Table(NamedTuple):

@@ -23,7 +23,22 @@ from collections.abc import Set
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .formula import Atom, Bottom, Formula, Kh, Not, Or, desugar, fold
+from .formula import (
+    And,
+    Atom,
+    Bottom,
+    Exis,
+    Formula,
+    Iff,
+    Implies,
+    Kh,
+    Not,
+    Or,
+    Top,
+    Univ,
+    desugar,  # noqa: F401  unused here; perfbench's tracer wraps ``semantics.desugar``
+    fold,
+)
 
 Plan = tuple[str, ...]
 StateSet = int
@@ -243,23 +258,35 @@ def has_witness_plan(m: Lts, pre: StateSet, post: StateSet) -> Plan | None:
 
 
 def eval_formula(m: Lts, f: Formula) -> StateSet:
-    """Truth set of a formula (desugared internally; sugar welcome)."""
+    """Truth set of a formula on a model, sugar included: every node class
+    is evaluated by its own definition, none through its core form."""
 
     def kh(pre: StateSet, post: StateSet) -> StateSet:
         return m.all_states if has_witness_plan(m, pre, post) is not None else 0
 
-    return eval_core(desugar(f), m.val, m.all_states, kh)
+    return eval_core(f, m.val, m.all_states, kh)
+
+
+_INNER = {Not, And, Or, Implies, Kh, Iff, Univ, Exis}  # the node classes with children
 
 
 def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, T], T]) -> T:
-    """Truth set of a core formula from its atoms' truth sets (bitmasks, or
+    """Truth set of a formula from its atoms' truth sets (bitmasks, or
     arrays of bitmasks for many models at once; absent atoms are false) and
     the full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set.
 
-    Nodes are matched by exact class, so a subclass of a core node class is
-    rejected like any other non-core node.  The walk recurses once per
-    nesting level; a formula nested past the recursion limit is evaluated
-    again by ``formula.fold``, in one frame whatever its depth."""
+    Each of the eleven node classes is evaluated by its definition over the
+    core fragment, so no core form is built: ``A g`` is ``Kh(~g, false)``
+    and ``E g`` is ``~Kh(g, false)``.  The rules for ``&`` and ``E`` skip
+    the complements within ``everything`` that the core form takes of
+    their operands, so they rely on every atom's truth set lying within
+    ``everything``; every value the evaluation makes then does too.
+
+    Nodes are matched by exact class, the most frequent first, so an
+    object of any other class, a subclass of a node class included, raises
+    ``TypeError``.  The walk recurses once per nesting level; a formula
+    nested past the recursion limit is evaluated again by ``formula.fold``,
+    in one frame whatever its depth."""
     atom = val.get
 
     def walk(g: Formula) -> T:
@@ -268,32 +295,60 @@ def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, 
             return atom(g.name, 0)
         if cls is Not:
             return everything & ~walk(g.f)
+        if cls is And:
+            return walk(g.left) & walk(g.right)
         if cls is Or:
             return walk(g.left) | walk(g.right)
+        if cls is Implies:
+            return (everything & ~walk(g.left)) | walk(g.right)
         if cls is Kh:
             return kh(walk(g.pre), walk(g.post))
+        if cls is Iff:
+            return everything & ~(walk(g.left) ^ walk(g.right))
+        if cls is Univ:
+            return kh(everything & ~walk(g.f), 0)
+        if cls is Exis:
+            return everything & ~kh(walk(g.f), 0)
+        if cls is Top:
+            return everything
         if cls is Bottom:
             return 0
-        raise TypeError(f"not a core formula: {g!r}")
+        raise TypeError(f"not a formula node: {g!r}")
 
-    def combine(g: Formula, values: list[T]) -> T:
+    def leaf(g: Formula) -> T | None:
         cls = type(g)
         if cls is Atom:
             return atom(g.name, 0)
-        if cls is Not:
-            return everything & ~values[0]
-        if cls is Or:
-            return values[0] | values[1]
-        if cls is Kh:
-            return kh(*values)
+        if cls is Top:
+            return everything
         if cls is Bottom:
             return 0
-        raise TypeError(f"not a core formula: {g!r}")
+        if cls not in _INNER:
+            raise TypeError(f"not a formula node: {g!r}")
+        return None
+
+    def combine(g: Formula, values: list[T]) -> T:
+        cls = type(g)
+        if cls is Not:
+            return everything & ~values[0]
+        if cls is And:
+            return values[0] & values[1]
+        if cls is Or:
+            return values[0] | values[1]
+        if cls is Implies:
+            return (everything & ~values[0]) | values[1]
+        if cls is Kh:
+            return kh(*values)
+        if cls is Iff:
+            return everything & ~(values[0] ^ values[1])
+        if cls is Univ:
+            return kh(everything & ~values[0], 0)
+        return everything & ~kh(values[0], 0)  # Exis: ``leaf`` lets no other class by
 
     try:
         return walk(f)
     except RecursionError:
-        return fold(f, combine)
+        return fold(f, combine, leaf)
     finally:
         del walk  # empties the closure's own cell: no cycle for the collector
 

@@ -371,9 +371,11 @@ def test_facts_of_a_20000_deep_chain_need_no_recursion():
 
 def test_shared_subformulas_are_filled_once(monkeypatch):
     # Each Iff's core form uses both sides twice, so filling a shared node
-    # on every visit would grow with the number of paths, not of nodes.
+    # on every visit would grow with the number of paths, not of nodes: 4^8
+    # through the core form here, which fails the count in about a second,
+    # where a chain of 12 still ran after 100 s.
     f = Atom("p")
-    for _ in range(30):
+    for _ in range(8):
         f = Iff(f, f)
     filled = []
     for name in ("_fill_facts", "_fill_core"):

@@ -53,6 +53,23 @@ def test_search_is_deterministic():
     assert dump_model(first) == dump_model(second)
 
 
+def test_search_finds_the_same_model_for_a_formula_and_its_core_seeded():
+    # Two atoms run the exhaustive tier, and at 4 states random trials after
+    # its miss; three atoms run the random tier alone.
+    found = 0
+    for seed in range(40):
+        for atoms, bounds in (
+            (("p", "q"), SearchBounds(max_states=2)),
+            (("p", "q"), SearchBounds(max_states=4, random_trials=20)),
+            (("p", "q", "r"), SearchBounds(random_trials=20)),
+        ):
+            f = random_formula(2, 2, atoms, seed)
+            model = bounded_sat_search(f, bounds)
+            assert bounded_sat_search(f.core, bounds) == model, (seed, atoms)
+            found += model is not None
+    assert found >= 100
+
+
 def test_search_random_tier_handles_wide_vocabulary():
     # Three atoms exceed the exhaustive box, so only random trials run.
     model = bounded_sat_search(parse("p & q & r"), SearchBounds(random_trials=50))

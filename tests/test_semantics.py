@@ -15,7 +15,22 @@ import sys
 import pytest
 
 from knowhow import formula, semantics
-from knowhow.formula import And, Atom, Kh, Not, Or, Univ, parse
+from knowhow.certificate import Certificate, verify_certificate
+from knowhow.formula import (
+    And,
+    Atom,
+    Bottom,
+    Exis,
+    Iff,
+    Implies,
+    Kh,
+    Not,
+    Or,
+    Top,
+    Univ,
+    parse,
+    subformulas,
+)
 from knowhow.oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
 from knowhow.semantics import (
     Lts,
@@ -479,10 +494,80 @@ def test_falsifier_finds_the_same_model_through_the_fold_seeded():
     assert found >= 10
 
 
+class _SubAnd(And):
+    """A subclass of a node class, which is no node class itself."""
+
+
 @pytest.mark.parametrize("wrap", [lambda f: f, deep], ids=["walk", "fold"])
-def test_eval_core_rejects_a_non_core_node(wrap):
-    with pytest.raises(TypeError, match="not a core formula: And"):
-        eval_core(wrap(And(P, Q)), {"p": 1, "q": 1}, 1, lambda pre, post: 1)
+def test_eval_core_rejects_an_object_of_no_node_class(wrap):
+    for node in (_SubAnd(P, Q), object()):
+        with pytest.raises(TypeError, match="not a formula node"):
+            eval_core(wrap(node), {"p": 1, "q": 1}, 1, lambda pre, post: 1)
+
+
+def _sugared_formulas():
+    """Seeded formulas that between them hold every node class."""
+    fs = [random_formula(2, 3, ("p", "q", "r"), seed) for seed in range(120)]
+    seen = {type(g) for f in fs for g in subformulas(f)}
+    assert seen == {Atom, Bottom, Top, Not, Or, And, Implies, Iff, Kh, Univ, Exis}
+    return fs
+
+
+def test_sugar_evaluates_as_its_core_form_seeded(monkeypatch):
+    # On the models' int masks, on truth-table masks (a model with no
+    # actions: only the empty plan, so Kh holds iff pre lies within post),
+    # and under a negation chain past the recursion limit, whose fold takes
+    # every node class by its definition too.
+    folds = []
+
+    def counted_fold(*args):
+        folds.append(args[0])
+        return formula.fold(*args)
+
+    monkeypatch.setattr(semantics, "fold", counted_fold)
+    atoms = ("p", "q", "r")
+    every = (1 << 8) - 1
+
+    def empty_plan(pre, post):
+        return every if pre & ~post == 0 else 0
+
+    for seed, f in enumerate(_sugared_formulas()):
+        core, deep_f = f.core, deep(f)
+        for k in range(3):
+            m = random_lts(1 + 2 * k, k, atoms, 0.4, 100 * seed + k)
+
+            def kh(pre, post):
+                return m.all_states if has_witness_plan(m, pre, post) is not None else 0
+
+            expected = eval_core(core, m.val, m.all_states, kh)
+            assert eval_core(f, m.val, m.all_states, kh) == expected
+            assert eval_core(deep_f, m.val, m.all_states, kh) == expected
+        val = truth_masks(atoms)
+        expected = eval_core(core, val, every, empty_plan)
+        assert eval_core(f, val, every, empty_plan) == expected
+        assert eval_core(deep_f, val, every, empty_plan) == expected
+    assert len(folds) == 120 * 4  # each deep formula once per mask kind, no bare one
+
+
+def test_evaluation_fills_no_core_form(monkeypatch):
+    # The model checker, the certificate check and the falsifier's two
+    # tiers walk a formula as written: none of them reads its core form.
+    filled = []
+    original = formula._fill_core
+
+    def recording_fill(node, children):
+        filled.append(node)
+        return original(node, children)
+
+    monkeypatch.setattr(formula, "_fill_core", recording_fill)
+    text = "E (p & q) & A (p -> Kh(q <-> true, r)) & ~(p <-> E q)"
+    m = random_lts(3, 2, ("p", "q", "r"), 0.5, 7)
+    eval_formula(m, parse(text))
+    certificate = Certificate(m, None, m.actions)
+    verify_certificate(certificate, parse(text))
+    bounded_sat_search(parse("E (p & q) & A (p -> Kh(q <-> true, p))"))
+    bounded_sat_search(parse("E (p & q & r) & A (p -> Kh(q <-> true, r))"))
+    assert filled == []
 
 
 def test_truth_masks_equal_the_closed_form_table_seeded():
