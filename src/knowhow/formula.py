@@ -517,15 +517,6 @@ def subformulas(f: Formula) -> set[Formula]:
     return set(_walk(f))
 
 
-def leaves(f: Formula) -> set[Formula]:
-    """The Kh subformulas with propositional arguments (modal depth 1).
-
-    Expects a desugared formula; on the core fragment every modality is a
-    plain ``Kh`` node.
-    """
-    return {g for g in _walk(f) if isinstance(g, Kh) and g.depth == 1}
-
-
 def atoms_of(f: Formula) -> frozenset[str]:
     return f.atoms
 

@@ -2,17 +2,20 @@
 
 ``flatten`` rewrites a formula into a modality-free skeleton ``phi0`` plus an
 ordered list of definitions ``_ki := Kh(pre, post)`` whose sides are
-modality-free.  Each pass collects the current innermost modalities
-(modal depth exactly 1) left to right, replaces every occurrence of each with
-a fresh ``_ki`` atom, and repeats until no modality remains.  The conjunction
-of ``phi0`` with the definition biconditionals ``A _ki <-> Kh(pre, post)`` is
-satisfiable exactly when the input is.
+modality-free.  Every distinct modality gets one fresh ``_ki`` atom: those of
+modal depth 1 first, then those of depth 2, and so on, each depth in
+left-to-right order of first occurrence.  A definition's sides are the
+modality's own sides with every modality inside replaced by its name, so
+they mention only earlier names.  The conjunction of ``phi0`` with the
+definition biconditionals ``A _ki <-> Kh(pre, post)`` is satisfiable exactly
+when the input is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 
 from .formula import (
     And,
@@ -41,42 +44,46 @@ class FlattenResult:
         return reduce(And, parts) if parts else Top()
 
 
-def _name_leaves(f: Formula, names: dict[Kh, Atom], first: int) -> Formula:
-    """Replace every depth-1 modality of the core formula ``f`` by its name,
-    assigning fresh names ``_k{first}``, ``_k{first+1}``, ... in
-    left-to-right first-occurrence order.  The nodes it rebuilds are core
-    nodes, and are marked so."""
-
-    def leaf(g: Formula) -> Formula | None:
-        if g.depth == 0:
-            return g
-        if isinstance(g, Kh) and g.depth == 1:
-            if g not in names:
-                names[g] = _core_node(Atom, f"{RESERVED_PREFIX}{first + len(names)}")
-            return names[g]
-        return None
-
-    return fold(f, lambda g, children: _core_node(type(g), *children), leaf)
-
-
 def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
-    """Flatten to leaf normal form.
+    """Flatten to leaf normal form in two passes over the core form, each
+    visiting a shared node once: a walk collects the distinct modalities,
+    and one fold replaces each by its name.  Renaming is injective, so two
+    modalities share a name exactly when they are equal.
 
     Inputs containing reserved ``_k…`` atoms are rejected unless
     ``allow_reserved`` is set (useful for re-flattening an already flattened
     skeleton, which introduces no fresh atoms and hence cannot collide).
     """
-    phi0 = f.core  # the same atoms as ``f``, and the tree every later layer reads
+    core = f.core  # the same atoms as ``f``, and the tree every later layer reads
     if not allow_reserved:
-        reserved = sorted(a for a in phi0.atoms if a.startswith(RESERVED_PREFIX))
+        reserved = sorted(a for a in core.atoms if a.startswith(RESERVED_PREFIX))
         if reserved:
             raise ValueError(
                 f"input uses reserved atom(s) {', '.join(reserved)}; "
                 f"the {RESERVED_PREFIX!r} prefix is for generated definitions"
             )
-    defs: list[tuple[Atom, Kh]] = []
-    while phi0.depth != 0:
-        names: dict[Kh, Atom] = {}
-        phi0 = _name_leaves(phi0, names, len(defs) + 1)
-        defs.extend((atom, leaf) for leaf, atom in names.items())
-    return FlattenResult(phi0, tuple(defs))
+    found: dict[Formula, None] = {}  # the distinct modalities, by first occurrence
+    seen, stack = set(), [core]  # ``seen``: ids of the visited nodes
+    while stack:  # pre-order, left to right, below depth-0 nodes no further
+        node = stack.pop()
+        if node.depth and id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is Kh:
+                found.setdefault(node)
+            stack += reversed(node.children)
+    ordered = sorted(found, key=attrgetter("depth"))  # stable: depth 1 first, then 2, ...
+    names = {kh: _core_node(Atom, f"{RESERVED_PREFIX}{i}") for i, kh in enumerate(ordered, 1)}
+
+    renamed: dict[int, Formula] = {}  # id of a node folded -> its value
+    definitions: dict[Atom, Kh] = {}
+
+    def combine(node: Formula, children: list[Formula]) -> Formula:
+        value = _core_node(type(node), *children)
+        if type(node) is Kh:
+            definitions.setdefault(names[node], value)
+            value = names[node]
+        renamed[id(node)] = value
+        return value
+
+    phi0 = fold(core, combine, lambda node: node if node.depth == 0 else renamed.get(id(node)))
+    return FlattenResult(phi0, tuple((k, definitions[k]) for k in names.values()))

@@ -29,7 +29,6 @@ from knowhow.formula import (
     atoms_of,
     desugar,
     kh_occurrences,
-    leaves,
     modal_depth,
     parse,
     render,
@@ -207,13 +206,6 @@ def test_modal_depth_goldens():
     assert modal_depth(parse("Kh(p, Kh(~q, p -> q)) | Kh(r, t)")) == 2
     assert modal_depth(P) == 0
     assert modal_depth(Univ(Univ(P))) == 2
-
-
-def test_leaves_goldens():
-    f = desugar(parse("Kh(p, Kh(~q, p -> q)) | Kh(r, t)"))
-    assert leaves(f) == {Kh(Not(Q), Or(Not(P), Q)), Kh(R, T)}
-    assert leaves(desugar(parse("p | ~q"))) == set()
-    assert leaves(Kh(P, Q)) == {Kh(P, Q)}
 
 
 def test_subformulas_goldens():
@@ -548,13 +540,3 @@ def test_desugar_preserves_modal_depth(f):
 def test_desugar_idempotent(f):
     once = desugar(f)
     assert desugar(once) == once
-
-
-@settings(max_examples=200, deadline=None)
-@given(_formulas())
-def test_leaves_are_depth_one_subformulas(f):
-    g = desugar(f)
-    subs = subformulas(g)
-    for leaf in leaves(g):
-        assert leaf in subs
-        assert modal_depth(leaf) == 1

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from knowhow import normalform
 from knowhow.formula import (
     And,
     Atom,
@@ -19,13 +21,17 @@ from knowhow.formula import (
     Or,
     Top,
     Univ,
+    _core_node,
     atoms_of,
     desugar,
+    fold,
     kh_occurrences,
     modal_depth,
     parse,
+    render,
 )
 from knowhow.normalform import FlattenResult, flatten
+from knowhow.oracle import random_formula
 from knowhow.semantics import eval_formula
 from tests.test_semantics import random_model
 
@@ -169,3 +175,107 @@ def test_equisat_constructive_direction_seeded():
         final = replace(m, val=val)
         assert eval_formula(final, conjoined(result)) != 0
     assert checked >= 20
+
+
+def _flatten_by_rounds(f: Formula) -> FlattenResult:
+    """Reference: the round-by-round flattening.  Each round names the
+    innermost modalities (modal depth exactly 1) of the skeleton so far, in
+    left-to-right order of first occurrence, refolds the whole skeleton, and
+    repeats until no modality remains."""
+    phi0, defs = f.core, []
+    while phi0.depth != 0:
+        names: dict[Kh, Atom] = {}
+
+        def leaf(g: Formula, names=names, first=len(defs) + 1) -> Formula | None:
+            if g.depth == 0:
+                return g
+            if isinstance(g, Kh) and g.depth == 1:
+                if g not in names:
+                    names[g] = _core_node(Atom, f"_k{first + len(names)}")
+                return names[g]
+            return None
+
+        phi0 = fold(phi0, lambda g, children: _core_node(type(g), *children), leaf)
+        defs.extend((atom, kh) for kh, atom in names.items())
+    return FlattenResult(phi0, tuple(defs))
+
+
+def _e_chain(n: int) -> Formula:
+    """``E ~ E ~ … p``: modal depth n."""
+    return parse("E ~ " * n + "p")
+
+
+def _iff_chain(n: int) -> Formula:
+    """``Kh(p, q) <-> (Kh(p, q) <-> … p)``: n levels of ``<->``, whose core form
+    uses each side twice, so it has 2^n paths through shared nodes."""
+    return parse("Kh(p, q) <-> " * n + "p")
+
+
+# The seeded suites of the roadmap's measurements: (depth, leaves, atoms, count).
+_SUITES = {
+    "S": (2, 2, ("p", "q"), 300),
+    "M": (3, 3, ("p", "q", "r"), 300),
+    "L": (3, 6, ("p", "q", "r", "s"), 60),
+    "XL": (4, 10, ("p", "q", "r", "s", "t", "u"), 60),
+    "XXL": (5, 14, ("p", "q", "r", "s", "t", "u", "v", "w"), 60),
+}
+
+
+@pytest.mark.parametrize("suite", [*_SUITES, "M&M&M"])
+def test_flatten_equals_the_round_by_round_flattening_seeded(suite):
+    if suite == "M&M&M":  # three M inputs conjoined: the guess-heavy suite
+        m = partial(random_formula, 3, 3, ("p", "q", "r"))
+        inputs = [And(And(m(s), m(s + 5000)), m(s + 9000)) for s in range(300)]
+    else:
+        depth, leaves, atoms, count = _SUITES[suite]
+        inputs = [random_formula(depth, leaves, atoms, seed) for seed in range(count)]
+    for f in inputs:
+        assert flatten(f) == _flatten_by_rounds(f), render(f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_e_chain(n) for n in (1, 2, 3, 10, 100, 400)] + [_iff_chain(n) for n in (1, 2, 5, 12)],
+    ids=[f"e-chain-{n}" for n in (1, 2, 3, 10, 100, 400)] + [f"iff-chain-{n}" for n in (1, 2, 5, 12)],
+)
+def test_flatten_equals_the_round_by_round_flattening_on_chains(f):
+    assert flatten(f) == _flatten_by_rounds(f)
+
+
+@pytest.mark.parametrize("n", [1, 10, 400])
+def test_flatten_folds_once_whatever_the_depth(monkeypatch, n):
+    folds = []
+
+    def counting_fold(*args):
+        folds.append(args[0])
+        return fold(*args)
+
+    monkeypatch.setattr(normalform, "fold", counting_fold)
+    result = flatten(_e_chain(n))
+    assert len(folds) == 1
+    assert len(result.defs) == n and result.phi0 == Not(Atom(f"_k{n}"))
+
+
+def test_flatten_builds_once_per_distinct_modal_node(monkeypatch):
+    # 18 levels of <-> have 2^18 paths through the core form's shared nodes,
+    # but at most 9 distinct nodes each (the Kh and the eight of its Iff's
+    # core form); each node with a modality is rebuilt once, and the one
+    # name is made once.
+    f = _iff_chain(18)
+    distinct, stack = {}, [f.core]
+    while stack:
+        node = stack.pop()
+        if node.depth and id(node) not in distinct:
+            distinct[id(node)] = node
+            stack += node.children
+    built = []
+
+    def counting_core_node(cls, *fields):
+        built.append(cls)
+        return _core_node(cls, *fields)
+
+    monkeypatch.setattr(normalform, "_core_node", counting_core_node)
+    result = flatten(f)
+    assert result.defs == ((K1, Kh(P, Q)),)
+    assert built.count(Atom) == 1
+    assert len(built) - 1 == len(distinct) <= 9 * 18
