@@ -20,10 +20,10 @@ Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 Every node class derives from ``Formula``.  A node's hash, atoms and modal
 depth are filled together by one post-order visit on first read, its core
 form by another; nodes that ``core`` builds are marked core as they are
-built.  The visits recurse, and an iterative loop finishes one that reaches
-the recursion limit.  ``fold`` walks a formula bottom-up in one call frame
-whatever its nesting; parsing is iterative too, so none of these is bounded
-by the recursion limit.
+built.  The visits recurse, and ``fold`` finishes one past the recursion
+limit.  ``fold`` walks a formula bottom-up in one call frame, combining a
+node shared by reference once; parsing is iterative too, so none of these
+is bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, is_
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 RESERVED_PREFIX = "_k"
 T = TypeVar("T")
@@ -61,8 +61,8 @@ class Formula:
     ``core`` fills the core forms the same way.  A node in the core
     fragment is its own ``core``: it keeps ``_core = None``, not a
     reference to itself, and the nodes ``core`` builds are marked so when
-    they are built.  Equality is structural, also compared in one frame;
-    equal nodes are not shared or interned.
+    they are built.  Equality is structural, compared in one frame, each
+    pair of nodes once; equal nodes are not shared or interned.
     """
 
     __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
@@ -81,14 +81,16 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        pairs = [(self, other)]
+        pairs, compared = [(self, other)], set()  # ``compared``: id pairs whose children are queued
         while pairs:
             a, b = pairs.pop()
             if a is b:
                 continue
             if type(a) is not type(b) or type(a) is Atom and a.name != b.name:
                 return False
-            pairs += zip(a.children, b.children)
+            if (key := (id(a), id(b))) not in compared:  # else shared nodes, compared already
+                compared.add(key)
+                pairs += zip(a.children, b.children)
         return True
 
     @property
@@ -188,9 +190,9 @@ def _fill(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
     below it that lacks the attribute ``name``, each after its children.
 
     The visit recurses once per nesting level; past the recursion limit
-    ``_fill_iteratively`` finishes the job in one frame.  A node left half
-    filled is filled again: ``fill_one`` keeps ``name`` last, and its values
-    do not depend on how often it runs."""
+    ``fold`` finishes the job in one frame, taking a node that has ``name``
+    as done.  A node left half filled is filled again: ``fill_one`` keeps
+    ``name`` last, and its values do not depend on how often it runs."""
 
     def visit(node: Formula) -> None:
         children = node.children
@@ -202,22 +204,9 @@ def _fill(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
     try:
         visit(root)
     except RecursionError:
-        _fill_iteratively(root, name, fill_one)
+        fold(root, lambda node, _: fill_one(node, node.children), lambda node: hasattr(node, name) or None)
     finally:
         del visit  # empties the closure's own cell: no cycle for the collector
-
-
-def _fill_iteratively(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
-    """``_fill`` in one frame whatever the nesting, on an explicit stack."""
-    stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(root, None)]
-    while stack:
-        node, children = stack.pop()
-        if children is not None:
-            fill_one(node, children)
-        elif not hasattr(node, name):  # else a shared node, filled on an earlier visit
-            children = node.children
-            stack.append((node, children))
-            stack += [(child, None) for child in children if not hasattr(child, name)]
 
 
 def _fill_facts(node: Formula, children: tuple[Formula, ...]) -> None:
@@ -266,6 +255,8 @@ def _fill_core(node: Formula, children: tuple[Formula, ...]) -> None:
 # ---------------------------------------------------------------------------
 # Folding
 
+_UNSEEN = object()  # ``fold``'s mark of a node not combined yet: a value may be None
+
 
 def fold(
     f: Formula,
@@ -277,23 +268,26 @@ def fold(
     Each node is first offered to ``leaf``, in left-to-right pre-order: a
     value other than None is the node's value, and its children are not
     visited.  Otherwise the node's value is ``combine(node, values)``, where
-    ``values`` are its children's values, left to right.  A subformula that
-    occurs twice is folded twice.
+    ``values`` are its children's values, left to right.  A node shared by
+    reference is combined once: its later occurrences take that value.
     """
     values: list[T] = []
+    combined: dict[int, T] = {}  # id of a combined node -> its value
     stack: list[tuple[Formula, tuple[Formula, ...] | None]] = [(f, None)]
     while stack:
         node, children = stack.pop()
         if children is None:
             value = leaf(node)
             if value is None:
-                children = node.children
-                stack.append((node, children))
-                stack += [(child, None) for child in reversed(children)]
-                continue
+                value = combined.get(id(node), _UNSEEN)
+                if value is _UNSEEN:
+                    children = node.children
+                    stack.append((node, children))
+                    stack += [(child, None) for child in reversed(children)]
+                    continue
         else:
             first = len(values) - len(children)
-            value = combine(node, values[first:])
+            value = combined[id(node)] = combine(node, values[first:])
             del values[first:]
         values.append(value)
     return values[0]
@@ -503,18 +497,11 @@ def modal_depth(f: Formula) -> int:
     return f.depth
 
 
-def _walk(f: Formula) -> Iterator[Formula]:
-    """Depth-first, left-to-right, node before its children."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
 def subformulas(f: Formula) -> set[Formula]:
     """Reflexive-transitive subterm closure under structural equality."""
-    return set(_walk(f))
+    found: set[Formula] = set()
+    fold(f, lambda node, _: found.add(node))
+    return found
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -523,4 +510,4 @@ def atoms_of(f: Formula) -> frozenset[str]:
 
 def kh_occurrences(f: Formula) -> int:
     """Number of modality occurrences after desugaring (A/E each count one)."""
-    return sum(1 for g in _walk(desugar(f)) if isinstance(g, Kh))
+    return fold(desugar(f), lambda node, counts: sum(counts) + isinstance(node, Kh))

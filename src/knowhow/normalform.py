@@ -74,7 +74,6 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
     ordered = sorted(found, key=attrgetter("depth"))  # stable: depth 1 first, then 2, ...
     names = {kh: _core_node(Atom, f"{RESERVED_PREFIX}{i}") for i, kh in enumerate(ordered, 1)}
 
-    renamed: dict[int, Formula] = {}  # id of a node folded -> its value
     definitions: dict[Atom, Kh] = {}
 
     def combine(node: Formula, children: list[Formula]) -> Formula:
@@ -82,8 +81,7 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
         if type(node) is Kh:
             definitions.setdefault(names[node], value)
             value = names[node]
-        renamed[id(node)] = value
         return value
 
-    phi0 = fold(core, combine, lambda node: node if node.depth == 0 else renamed.get(id(node)))
+    phi0 = fold(core, combine, lambda node: node if node.depth == 0 else None)
     return FlattenResult(phi0, tuple((k, definitions[k]) for k in names.values()))

@@ -21,7 +21,7 @@ import json
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .formula import (
     And,
@@ -155,13 +155,6 @@ def make_lts(
     return Lts(state_tuple, tuple(rel.keys()), succ, val)
 
 
-def truth_table(atoms: Sequence[str]) -> Lts:
-    """One state per valuation of ``atoms``, and no actions; its valuation
-    is ``truth_masks(atoms)``.  A formula's truth set on this model is its
-    set of satisfying valuations."""
-    return Lts(tuple(map(str, range(1 << len(atoms)))), (), {}, truth_masks(atoms))
-
-
 def truth_masks(atoms: Sequence[str]) -> dict[str, int]:
     """Each atom's truth set on the rows of the truth table of ``atoms``.
 
@@ -267,7 +260,8 @@ def eval_formula(m: Lts, f: Formula) -> StateSet:
     return eval_core(f, m.val, m.all_states, kh)
 
 
-_INNER = {Not, And, Or, Implies, Kh, Iff, Univ, Exis}  # the node classes with children
+class _Known(NamedTuple):  # a child whose value is known, in the shells of ``eval_core``'s fold
+    value: object
 
 
 def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, T], T]) -> T:
@@ -284,9 +278,9 @@ def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, 
 
     Nodes are matched by exact class, the most frequent first, so an
     object of any other class, a subclass of a node class included, raises
-    ``TypeError``.  The walk recurses once per nesting level; a formula
-    nested past the recursion limit is evaluated again by ``formula.fold``,
-    in one frame whatever its depth."""
+    ``TypeError``.  The walk recurses once per nesting level; past the
+    recursion limit ``formula.fold`` evaluates the formula again in one
+    frame, handing the walk each node as a shell over ``_Known`` children."""
     atom = val.get
 
     def walk(g: Formula) -> T:
@@ -313,42 +307,18 @@ def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, 
             return everything
         if cls is Bottom:
             return 0
+        if cls is _Known:
+            return g.value
         raise TypeError(f"not a formula node: {g!r}")
-
-    def leaf(g: Formula) -> T | None:
-        cls = type(g)
-        if cls is Atom:
-            return atom(g.name, 0)
-        if cls is Top:
-            return everything
-        if cls is Bottom:
-            return 0
-        if cls not in _INNER:
-            raise TypeError(f"not a formula node: {g!r}")
-        return None
-
-    def combine(g: Formula, values: list[T]) -> T:
-        cls = type(g)
-        if cls is Not:
-            return everything & ~values[0]
-        if cls is And:
-            return values[0] & values[1]
-        if cls is Or:
-            return values[0] | values[1]
-        if cls is Implies:
-            return (everything & ~values[0]) | values[1]
-        if cls is Kh:
-            return kh(*values)
-        if cls is Iff:
-            return everything & ~(values[0] ^ values[1])
-        if cls is Univ:
-            return kh(everything & ~values[0], 0)
-        return everything & ~kh(values[0], 0)  # Exis: ``leaf`` lets no other class by
 
     try:
         return walk(f)
-    except RecursionError:
-        return fold(f, combine, leaf)
+    except RecursionError:  # an object of no Formula class goes to the walk for its TypeError
+        return fold(
+            f,
+            lambda g, values: walk(type(g)(*map(_Known, values)) if values else g),
+            lambda g: None if isinstance(g, Formula) else walk(g),
+        )
     finally:
         del walk  # empties the closure's own cell: no cycle for the collector
 

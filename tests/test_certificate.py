@@ -26,8 +26,9 @@ from knowhow.semantics import (
     load_model,
     plan_image,
     strongly_executable,
-    truth_table,
 )
+
+from tests.test_semantics import truth_table
 
 
 def pos(*pairs) -> PositiveSpec:

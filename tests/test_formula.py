@@ -28,6 +28,7 @@ from knowhow.formula import (
     Univ,
     atoms_of,
     desugar,
+    fold,
     kh_occurrences,
     modal_depth,
     parse,
@@ -35,8 +36,10 @@ from knowhow.formula import (
     subformulas,
 )
 from knowhow.khsat import Result, decide
+from knowhow.normalform import flatten
 from knowhow.oracle import random_formula
 
+from tests.test_normalform import _iff_chain
 from tests.test_propsat import random_prop_formula
 
 P, Q, R, T = Atom("p"), Atom("q"), Atom("r"), Atom("t")
@@ -381,6 +384,62 @@ def test_shared_subformulas_are_filled_once(monkeypatch):
     assert len(filled) == len({(fill_one, id(node)) for fill_one, node in filled})
 
 
+def _distinct(f):
+    """The ids of ``f``'s nodes, a node shared by reference once."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += node.children
+    return seen
+
+
+@pytest.mark.parametrize("value", [0, None], ids=["value", "None"])
+def test_fold_combines_each_shared_node_once(value):
+    # 18 levels of <-> have 2^18 paths through the core form's shared nodes;
+    # a None from combine is a value too, kept like any other.
+    core = _iff_chain(18).core
+    combined = []
+    assert fold(core, lambda node, _: (combined.append(node), value)[1]) is value
+    assert len(combined) == len({id(g) for g in combined}) == len(_distinct(core))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_subformulas_and_kh_occurrences_equal_a_tree_walk_on_iff_chains(n):
+    f = _iff_chain(n)
+    assert subformulas(f) == set(_nodes(f))
+    assert subformulas(f.core) == set(_nodes(f.core))
+    tree_count = sum(isinstance(g, Kh) for g in _nodes(_ref_core(f)))
+    assert kh_occurrences(f) == tree_count == 2 ** (n + 1) - 2
+
+
+def test_subformulas_and_kh_occurrences_finish_on_a_24_level_iff_chain():
+    # 2^24 paths, but each level adds seven distinct nodes to the four of
+    # Kh(p, q), its negation, p and q.
+    f = _iff_chain(24)
+    assert len(subformulas(f.core)) == 7 * 24 + 4
+    assert kh_occurrences(f) == 2**25 - 2
+
+
+def test_equality_compares_each_pair_of_shared_nodes_once(monkeypatch):
+    # Two copies of a 16-level <-> chain, parsed apart: their core forms use
+    # both sides of every <-> twice, so comparing path by path would read
+    # children on each of 2^16 paths.
+    chain = "p <-> " * 16 + "q"
+    f = parse(f"Kh(p, {chain}) | Kh(p, {chain})")
+    left, right = f.core.children
+    assert left is not right
+    reads = []
+    for cls in (Not, Or, Kh):
+        get = cls.children.fget
+        monkeypatch.setattr(cls, "children", property(lambda g, get=get: (reads.append(g), get(g))[1]))
+    assert left == right
+    assert 0 < len(reads) <= 2 * len(_distinct(left))
+    monkeypatch.undo()
+    assert [k for k, _ in flatten(f).defs] == [Atom("_k1")]
+
+
 def test_reading_facts_leaves_no_reference_cycles():
     # A core node keeps no reference to itself, so dropping formulas whose
     # facts were all read leaves nothing for the cycle collector.
@@ -398,16 +457,32 @@ def test_reading_facts_leaves_no_reference_cycles():
 
 
 def _recording_fallbacks(monkeypatch):
-    """The attribute names of the fills ``_fill`` hands to its iterative
-    fallback, which still runs."""
-    names, fallback = [], formula._fill_iteratively
+    """The facts that ``_fill``'s fold fallback filled on its root, one per
+    fold, in order; the fold still runs."""
+    names, fold = [], formula.fold
 
-    def recording(root, name, fill_one):
-        names.append(name)
-        fallback(root, name, fill_one)
+    def recording(root, *rest):
+        lacking = [name for name in ("_hash", "_core") if not hasattr(root, name)]
+        value = fold(root, *rest)
+        names.extend(name for name in lacking if hasattr(root, name))
+        return value
 
-    monkeypatch.setattr(formula, "_fill_iteratively", recording)
+    monkeypatch.setattr(formula, "fold", recording)
     return names
+
+
+def _failing_recursion(monkeypatch):
+    """Make every fill that ``_fill``'s recursive visit asks for raise
+    ``RecursionError``, so that its fold fallback fills every node."""
+    for name in ("_fill_facts", "_fill_core"):
+        fill_one = getattr(formula, name)
+
+        def guarded(node, children, fill_one=fill_one):
+            if sys._getframe(1).f_code.co_name == "visit":
+                raise RecursionError
+            fill_one(node, children)
+
+        monkeypatch.setattr(formula, name, guarded)
 
 
 def _frames_to_the_limit():
@@ -428,21 +503,26 @@ def _frames_to_the_limit():
     ids=["S", "M", "XL"],
 )
 def test_recursive_fill_matches_the_iterative_fill_seeded(depth, leaves, atoms, monkeypatch):
-    fallback = formula._fill_iteratively
     fallbacks = _recording_fallbacks(monkeypatch)
-    for seed in range(60):
-        f = random_formula(depth, leaves, atoms, seed)
-        recursive, iterative = _rebuild(f), _rebuild(f)
-        hash(recursive.core), hash(recursive)
-        fallback(iterative, "_hash", formula._fill_facts)
-        fallback(iterative, "_core", formula._fill_core)
-        fallback(iterative.core, "_hash", formula._fill_facts)
-        pairs = zip(_nodes(recursive) + _nodes(recursive.core), _nodes(iterative) + _nodes(iterative.core))
-        for g, h in pairs:
-            assert all(hasattr(g, name) and hasattr(h, name) for name in ("_hash", "_core"))
-            assert (g.atoms, g.depth, hash(g), type(g)) == (h.atoms, h.depth, hash(h), type(h))
-            assert g.core == h.core and (g.core is g) == (h.core is h)
+    inputs = [random_formula(depth, leaves, atoms, seed) for seed in range(60)]
+    recursive, folded = [_rebuild(f) for f in inputs], [_rebuild(f) for f in inputs]
+    for f in recursive:
+        hash(f.core), hash(f)
     assert fallbacks == []  # the recursion alone filled every S, M and XL input
+    _failing_recursion(monkeypatch)
+    expected = []
+    for f in folded:
+        hash(f.core), hash(f)
+        # One fold per fill: the input's core, that core's hash, and the
+        # input's hash unless the input is its own core.
+        expected += ["_core", "_hash"] + ["_hash"] * (f.core is not f)
+    assert fallbacks == expected
+    for f, g in zip(recursive, folded):
+        pairs = zip(_nodes(f) + _nodes(f.core), _nodes(g) + _nodes(g.core))
+        for a, b in pairs:
+            assert all(hasattr(a, name) and hasattr(b, name) for name in ("_hash", "_core"))
+            assert (a.atoms, a.depth, hash(a), type(a)) == (b.atoms, b.depth, hash(b), type(b))
+            assert a.core == b.core and (a.core is a) == (b.core is b)
 
 
 def _chain(length):

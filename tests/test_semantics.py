@@ -43,7 +43,6 @@ from knowhow.semantics import (
     plan_image,
     strongly_executable,
     truth_masks,
-    truth_table,
 )
 
 from tests.test_propsat import eval_prop
@@ -62,6 +61,13 @@ def four_state() -> Lts:
 
 def mask(m: Lts, *ids: str) -> int:
     return m.state_mask(ids)
+
+
+def truth_table(atoms) -> Lts:
+    """One state per valuation of ``atoms``, and no actions; its valuation
+    is ``truth_masks(atoms)``.  A formula's truth set on this model is its
+    set of satisfying valuations."""
+    return Lts(tuple(map(str, range(1 << len(atoms)))), (), {}, truth_masks(atoms))
 
 
 # ---------------------------------------------------------------------------
