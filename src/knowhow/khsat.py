@@ -25,9 +25,11 @@ Pipeline (all satisfiability questions are propositional oracle calls):
 
 ``plain`` mode builds the pair exactly as stated above.  ``augmented`` mode
 additionally pins every definition atom's value globally (asserted atoms true
-everywhere, denied atoms false everywhere) and conjoins the guessed literals
-into the existential conjunct — closing a soundness gap that ``plain`` mode
-instead handles by certificate gating (see ``decide``).
+everywhere, denied atoms false everywhere) — closing a soundness gap that
+``plain`` mode instead handles by certificate gating (see ``decide``).  A pin's
+postcondition is false, so the first context sweep forces every pin and the
+context lies inside the guess; nothing is conjoined to the existential
+conjunct (phi0, false).  ``decide`` builds every condition once per call.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import certificate
-from .formula import (
-    And,
-    Atom,
-    Bottom,
-    Formula,
-    Not,
-    render,
-)
+from .formula import Bottom, Formula, Not, render
 from .normalform import FlattenResult, flatten
 from .propsat import SatOracle, TruthSet
 
@@ -282,48 +277,43 @@ def _partition(result: FlattenResult, assignment: dict[str, bool]) -> GuessParti
 
 
 def _build_pair(
-    result: FlattenResult, assignment: dict[str, bool], mode: str
-) -> tuple[PositiveSpec, NegativeSpec, Formula]:
-    """The candidate pair for one guess, plus the existential precondition."""
-    partition = _partition(result, assignment)
-    p_plus, p_minus = partition.p_plus, partition.p_minus
-    sides = [(leaf.pre, leaf.post) for _, leaf in result.defs]
-    positives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_plus]
-    negatives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_minus]
-    exis_pre: Formula = result.phi0
+    sides: list[tuple[Formula, Formula]],
+    pins: list[tuple[tuple[Formula, Formula], tuple[Formula, Formula]]],
+    exis: tuple[Formula, Formula],
+    values: list[bool],
+    mode: str,
+) -> tuple[PositiveSpec, NegativeSpec]:
+    """The candidate pair for the guess giving the definitions ``values``,
+    picked from ``decide``'s conditions: each definition's (pre, post) in
+    ``sides``, its pins ((~_ki, false), (_ki, false)) in ``pins``, and the
+    existential conjunct (phi0, false)."""
+    asserted = [i for i, value in enumerate(values) if value]
+    denied = [i for i, value in enumerate(values) if not value]
+    positives = [sides[i] for i in asserted]
     if mode == "augmented":
-        for i in p_plus:
-            positives.append((Not(Atom(result.defs[i - 1][0].name)), Bottom()))
-        for i in p_minus:
-            positives.append((Atom(result.defs[i - 1][0].name), Bottom()))
-        for k, _ in result.defs:
-            literal: Formula = Atom(k.name) if assignment[k.name] else Not(Atom(k.name))
-            exis_pre = And(exis_pre, literal)
-    negatives.append((exis_pre, Bottom()))
-    return PositiveSpec(tuple(positives)), NegativeSpec(tuple(negatives)), exis_pre
+        positives += [pins[i][0] for i in asserted] + [pins[i][1] for i in denied]
+    return PositiveSpec(tuple(positives)), NegativeSpec(tuple([sides[i] for i in denied] + [exis]))
 
 
 def _check_guess(
-    flattening: FlattenResult,
-    assignment: dict[str, bool],
-    mode: str,
-    original: Formula,
-    oracle: SatOracle,
-) -> tuple[PositiveSpec, NegativeSpec, bool, certificate.Certificate | None]:
-    """One guess through the mode's pair: the pair, whether it is compatible,
-    and its certificate if that verifies against the original formula.
+    p: PositiveSpec, q: NegativeSpec, original: Formula, oracle: SatOracle
+) -> tuple[bool, certificate.Certificate | None]:
+    """One guess's pair through the check: whether it is compatible, and its
+    certificate if that verifies against the original formula.
 
     The certificate's states are the witnesses of this check's satisfied
-    queries alone; building and verifying it asks the oracle nothing.
+    queries alone, and its witness state is one where the existential
+    conjunct's precondition holds; building and verifying it asks the
+    oracle nothing.
     """
-    p, q, exis_pre = _build_pair(flattening, assignment, mode)
     with oracle.witnesses() as rows:
         indices = global_indices(p, oracle)
         ok = compatible(p, q, oracle, indices)
     if not ok:
-        return p, q, False, None
+        return False, None
+    exis_pre = q.conjuncts[-1][0]
     candidate = certificate.build_model(p, q, indices, rows, witness_pre=exis_pre, oracle=oracle)
-    return p, q, True, candidate if certificate.verify_certificate(candidate, original) else None
+    return True, candidate if certificate.verify_certificate(candidate, original) else None
 
 
 def decide(
@@ -346,6 +336,11 @@ def decide(
         raise ValueError(f"unknown mode {mode!r}")
     oracle = oracle or SatOracle()
     flattening = flatten(f)
+    # Every condition a pair picks, built once per call.
+    false = Bottom()
+    sides = [(leaf.pre, leaf.post) for _, leaf in flattening.defs]
+    pins = [((Not(k), false), (k, false)) for k, _ in flattening.defs]
+    exis = (flattening.phi0, false)
     records: list[GuessRecord] = []
     certificate_calls = 0
     cert = None
@@ -357,8 +352,10 @@ def decide(
         # Definition order, True first: all-true first, _k1 most significant.
         guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
         for assignment in guesses:
+            values = [assignment[k.name] for k, _ in flattening.defs]
+            p, q = _build_pair(sides, pins, exis, values, mode)
             before = oracle.calls
-            p, q, ok, cert = _check_guess(flattening, assignment, mode, f, oracle)
+            ok, cert = _check_guess(p, q, f, oracle)
             guess_calls = oracle.calls - before
             # With every definition atom forced to its guessed value globally,
             # each definition's literal reading coincides with its expansion,
@@ -367,7 +364,8 @@ def decide(
             retry = ok and cert is None and mode == "plain"
             if retry:
                 before = oracle.calls
-                cert = _check_guess(flattening, assignment, "augmented", f, oracle)[3]
+                pair = _build_pair(sides, pins, exis, values, "augmented")
+                cert = _check_guess(*pair, f, oracle)[1]
                 certificate_calls += oracle.calls - before
             records.append(
                 GuessRecord(

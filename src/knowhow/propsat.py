@@ -24,7 +24,9 @@ list of its member formulas, each query to ``is_sat``.  Either way a guess
 check can keep the witness of each query it satisfies
 (``SatOracle.witnesses``), and its certificate is built from those rows,
 its conditions' truth sets on them read off the table where there is one
-(``SatOracle.row_truth_sets``).
+(``SatOracle.row_truth_sets``) and otherwise evaluated on a grid of the rows.
+The per-query table, the scope's table and that grid are one type,
+``_Table``, whose ``masks`` evaluates each distinct member once.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -245,14 +247,14 @@ def is_sat(
     symbols = _symbols(fs)
     if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
         return _cnf_is_sat(fs, solver_path)
-    val = truth_masks(symbols)
-    rows = every = (1 << (1 << len(symbols))) - 1
-    for f in fs:
-        rows &= _evaluate(f, val, every)
+    table = _Table.truth_table(symbols)
+    rows = table.every
+    for mask in table.masks(fs):
+        rows &= mask
     if not rows:
         return False, None
     lowest = rows & -rows
-    return True, {name: bool(val[name] & lowest) for name in symbols}
+    return True, {name: bool(table.val[name] & lowest) for name in symbols}
 
 
 def _cnf_is_sat(
@@ -290,37 +292,43 @@ def export_dimacs(instance: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _evaluate(f: Formula, val: dict[str, int], every: int) -> int:
-    """Truth set of a modality-free ``f`` from its atoms' truth sets."""
-    return eval_core(f, val, every, None)  # modality-free: no Kh, A or E node needs ``kh``
-
-
 class _Table(NamedTuple):
-    """A scope's truth table: each atom's mask, every row, and the masks of
-    the formulas evaluated on it so far (None: an atom outside the table)."""
+    """Truth sets on a grid of valuations, one bit per row: each atom's
+    mask, every row, and the masks of the formulas evaluated on it so far
+    (None: an atom outside the table)."""
 
     val: dict[str, int]
     every: int
     cache: dict[Formula, int | None]
 
+    @classmethod
+    def truth_table(cls, symbols: Sequence[str]) -> _Table:
+        """The truth table of the sorted ``symbols``, first most significant."""
+        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
 
-def _member_mask(table: _Table, f: Formula) -> int | None:
-    """Truth set of one query member on a scope's table; None when ``f``
-    mentions an atom outside the table, and a modal ``f`` raises."""
-    if f.depth != 0:
-        raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
-    if not f.atoms <= table.val.keys():
-        return None
-    return _evaluate(f, table.val, table.every)
+    @classmethod
+    def grid(cls, atoms: Iterable[str], rows: Sequence[frozenset[str]]) -> _Table:
+        """One row per valuation in ``rows``, each the set of atoms it makes
+        true; the table covers ``atoms``."""
+        val = {a: sum(1 << i for i, row in enumerate(rows) if a in row) for a in atoms}
+        return cls(val, (1 << len(rows)) - 1, {})
 
-
-def _grid_truth_sets(fs: Sequence[Formula], rows: Sequence[frozenset[str]]) -> list[int]:
-    """Truth sets of modality-free ``fs`` on a grid of one row per valuation
-    in ``rows``, each the set of atoms it makes true."""
-    atoms = set().union(*(f.atoms for f in fs))
-    val = {a: sum(1 << i for i, row in enumerate(rows) if a in row) for a in atoms}
-    every = (1 << len(rows)) - 1
-    return [_evaluate(f, val, every) for f in fs]
+    def masks(self, fs: Sequence[Formula]) -> list[int] | None:
+        """The masks of ``fs``, each evaluated once (``eval_core``), or None
+        when a member has an atom outside the table; a modal member raises."""
+        masks = []
+        for f in fs:
+            mask = self.cache.get(f, -1)  # -1: not evaluated yet
+            if mask == -1:
+                if f.depth != 0:
+                    raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
+                inside = f.atoms <= self.val.keys()
+                # Modality-free: no Kh, A or E node needs ``kh``.
+                mask = self.cache[f] = eval_core(f, self.val, self.every, None) if inside else None
+            if mask is None:
+                return None
+            masks.append(mask)
+        return masks
 
 
 class Members(tuple):
@@ -370,7 +378,7 @@ class SatOracle:
     ) -> tuple[TruthSet, list[TruthSet], list[TruthSet]]:
         """The set of all valuations, the truth sets of ``fs`` and those of
         their negations; no query is counted."""
-        masks = self._masks(fs)
+        masks = None if self._scope is None else self._scope.masks(fs)
         if masks is None:
             return Members(), [Members((f,)) for f in fs], [Members((Not(f),)) for f in fs]
         every = self._scope.every
@@ -409,22 +417,6 @@ class SatOracle:
                 for row in dict.fromkeys(found)
             )
 
-    def _masks(self, fs: Sequence[Formula]) -> list[int] | None:
-        """Masks of ``fs`` on the scope's table, or None without a table
-        scope or when a member has an atom outside the table."""
-        table = self._scope
-        if table is None:
-            return None
-        masks = []
-        for f in fs:
-            mask = table.cache.get(f, -1)  # -1: not evaluated yet
-            if mask == -1:
-                mask = table.cache[f] = _member_mask(table, f)
-            if mask is None:
-                return None
-            masks.append(mask)
-        return masks
-
     def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[frozenset[str]]) -> list[int]:
         """The truth sets of modality-free ``fs`` on ``rows``, valuations
         given as the sets of atoms they make true: bit i of a mask is
@@ -432,9 +424,9 @@ class SatOracle:
         atom of ``fs`` each bit is read off the formula's mask at the row's
         place in the table; otherwise the formulas are evaluated on a grid
         of the rows."""
-        masks = self._masks(fs)
+        masks = None if self._scope is None else self._scope.masks(fs)
         if masks is None:
-            return _grid_truth_sets(fs, rows)
+            return _Table.grid(set().union(*(f.atoms for f in fs)), rows).masks(fs)
         # Table row r makes an atom true iff r has the bit that is the
         # atom's lowest true row, so a row's place sums its true atoms' bits.
         place_of = {a: (mask & -mask).bit_length() - 1 for a, mask in self._scope.val.items()}
@@ -448,7 +440,7 @@ class SatOracle:
         saved = self._scope
         symbols = sorted(set(atoms))
         if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
-            self._scope = _Table(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
+            self._scope = _Table.truth_table(symbols)
         else:
             self._scope = None
         try:

@@ -11,17 +11,17 @@ state subsets, which terminates because the frontier ranges over at most
 State sets are bitmasks over state indices (bit i = ``states[i]``).  Each
 action's relation is stored as one successor bitmask per state, so reading
 it, checking it and taking an image cost O(|S|) integer operations per
-action.  Index pairs exist only as a derived view (``Lts.rel``), which the
-JSON model format reads.
+action.  ``Lts.rel`` reads them off as sets of index pairs for the JSON
+model format; a certificate has at most one state per satisfied query of its
+guess check, so those sets stay small.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from collections.abc import Set
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .formula import (
     And,
@@ -79,9 +79,16 @@ class Lts:
         return (1 << len(self.states)) - 1
 
     @property
-    def rel(self) -> dict[str, Pairs]:
-        """Each action's relation as a set of index pairs, read off ``succ``."""
-        return {action: Pairs(masks) for action, masks in self.succ.items()}
+    def rel(self) -> dict[str, frozenset[tuple[int, int]]]:
+        """Each action's relation as a set of (src, dst) index pairs, read
+        off ``succ``."""
+        return {
+            action: frozenset(
+                (src, dst) for src, mask in enumerate(masks)
+                for dst in range(mask.bit_length()) if mask >> dst & 1
+            )
+            for action, masks in self.succ.items()
+        }
 
     def successor_masks(self, action: str) -> tuple[StateSet, ...]:
         """Per-state successor bitmasks for one action."""
@@ -101,30 +108,6 @@ class Lts:
 
     def state_ids(self, mask: StateSet) -> list[str]:
         return [name for i, name in enumerate(self.states) if mask >> i & 1]
-
-
-class Pairs(Set[tuple[int, int]]):
-    """Read-only set view of one action's relation as (src, dst) index
-    pairs.  Its size is a popcount over the masks; only iterating it visits
-    every pair."""
-
-    def __init__(self, masks: tuple[StateSet, ...]) -> None:
-        self._masks = masks
-
-    def __len__(self) -> int:
-        return sum(mask.bit_count() for mask in self._masks)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for src, mask in enumerate(self._masks):
-            for dst in range(mask.bit_length()):
-                if mask >> dst & 1:
-                    yield src, dst
-
-    def __contains__(self, pair: object) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(i, int) for i in pair)):
-            return False
-        src, dst = pair
-        return 0 <= src < len(self._masks) and dst >= 0 and self._masks[src] >> dst & 1 == 1
 
 
 def make_lts(

@@ -333,10 +333,10 @@ def test_decide_certificates_read_the_scope_masks(monkeypatch):
     # Inside decide every condition of a certificate is read off the scope's
     # table at the witness rows' places, twice per build (the forced
     # preconditions, then the rest); none is evaluated on a grid of the rows.
-    def on_a_grid(fs, rows):
-        pytest.fail(f"evaluated on a grid: {fs}")
+    def on_a_grid(atoms, rows):
+        pytest.fail(f"evaluated on a grid over {sorted(atoms)}")
 
-    monkeypatch.setattr(propsat, "_grid_truth_sets", on_a_grid)
+    monkeypatch.setattr(propsat._Table, "grid", on_a_grid)
     reads = []
     read = SatOracle.row_truth_sets
 

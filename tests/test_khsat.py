@@ -6,14 +6,14 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from operator import and_
 
 import pytest
 
 from knowhow import certificate, formula, khsat, propsat, semantics
 from knowhow.certificate import verify_certificate
-from knowhow.formula import And, Atom, Bottom, Kh, Not, Or, Top, parse, render
+from knowhow.formula import And, Atom, Bottom, Formula, Kh, Not, Or, Top, parse, render
 from knowhow.khsat import (
     GuessPartition,
     NegativeSpec,
@@ -314,6 +314,47 @@ def _tight_bound(n: int, m: int) -> int:
     return n * (n + 1) + 1 + m + n + n * n + 2 * m * n
 
 
+def _reference_build_pair(
+    result, assignment: dict[str, bool], mode: str
+) -> tuple[PositiveSpec, NegativeSpec, Formula]:
+    """The pair builder that made each guess's conditions anew: fresh pins
+    and, in augmented mode, the chain phi0 ∧ literals as the existential
+    precondition, which it also returns."""
+    partition = khsat._partition(result, assignment)
+    p_plus, p_minus = partition.p_plus, partition.p_minus
+    sides = [(leaf.pre, leaf.post) for _, leaf in result.defs]
+    positives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_plus]
+    negatives: list[tuple[Formula, Formula]] = [sides[i - 1] for i in p_minus]
+    exis_pre: Formula = result.phi0
+    if mode == "augmented":
+        for i in p_plus:
+            positives.append((Not(Atom(result.defs[i - 1][0].name)), Bottom()))
+        for i in p_minus:
+            positives.append((Atom(result.defs[i - 1][0].name), Bottom()))
+        for k, _ in result.defs:
+            literal: Formula = Atom(k.name) if assignment[k.name] else Not(Atom(k.name))
+            exis_pre = And(exis_pre, literal)
+    negatives.append((exis_pre, Bottom()))
+    return PositiveSpec(tuple(positives)), NegativeSpec(tuple(negatives)), exis_pre
+
+
+def _conditions(flattening):
+    """The conditions ``decide`` builds once per call for ``_build_pair``."""
+    false = Bottom()
+    sides = [(leaf.pre, leaf.post) for _, leaf in flattening.defs]
+    pins = [((Not(k), false), (k, false)) for k, _ in flattening.defs]
+    return sides, pins, (flattening.phi0, false)
+
+
+def _checked(p: PositiveSpec, q: NegativeSpec, oracle: SatOracle):
+    """The indices, answer, witness rows and call count of one guess check."""
+    calls = oracle.calls
+    with oracle.witnesses() as rows:
+        indices = global_indices(p, oracle)
+        ok = compatible(p, q, oracle, indices)
+    return indices, ok, rows, oracle.calls - calls
+
+
 @pytest.mark.parametrize(
     "depth, leaves, atoms, seeds",
     [
@@ -328,31 +369,120 @@ def test_check_matches_reference_check_on_every_guess(depth, leaves, atoms, seed
     """Every guess of the skeleton, in both modes and on the oracle path
     ``decide`` takes: the same indices, the same answer and the same witness
     rows (so the same certificate) as the check that asks every question,
-    from no more calls than it and within the tight bound."""
+    from no more calls than it and within the tight bound.  The pair picked
+    from prebuilt conditions also gives the same indices, answer, witness
+    rows and call count as the pair built anew with the phi0 ∧ literals
+    chain."""
     checked = fewer = 0
     for seed in seeds:
         flattening = flatten(random_formula(depth, leaves, atoms, seed))
         vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
+        sides, pins, exis = _conditions(flattening)
         for mode in ("plain", "augmented"):
-            oracle, reference = SatOracle(), SatOracle()
-            with oracle.scope(vocabulary), reference.scope(vocabulary):
+            oracle, reference, chained = SatOracle(), SatOracle(), SatOracle()
+            with oracle.scope(vocabulary), reference.scope(vocabulary), chained.scope(vocabulary):
                 k_atoms = [k for k, _ in flattening.defs]
                 for assignment in list(oracle.enumerate_models(flattening.phi0, k_atoms)):
-                    p, q, _ = khsat._build_pair(flattening, assignment, mode)
-                    calls, expected_calls = oracle.calls, reference.calls
-                    with oracle.witnesses() as rows:
-                        indices = global_indices(p, oracle)
-                        ok = compatible(p, q, oracle, indices)
+                    values = [assignment[k.name] for k in k_atoms]
+                    p, q = khsat._build_pair(sides, pins, exis, values, mode)
+                    indices, ok, rows, calls = _checked(p, q, oracle)
+                    expected_calls = reference.calls
                     with reference.witnesses() as expected_rows:
                         expected_indices = _reference_global_indices(p, reference)
                         expected = _reference_compatible(p, q, expected_indices, reference)
-                    calls, expected_calls = oracle.calls - calls, reference.calls - expected_calls
+                    expected_calls = reference.calls - expected_calls
                     assert (indices, ok) == (expected_indices, expected), (seed, mode, assignment)
                     assert set(rows) == set(expected_rows), (seed, mode, assignment)
                     assert calls <= min(expected_calls, _tight_bound(p.n, q.m))
+                    old_p, old_q, _ = _reference_build_pair(flattening, assignment, mode)
+                    assert (p.n, q.m) == (old_p.n, old_q.m)
+                    assert (indices, ok, rows, calls) == _checked(old_p, old_q, chained), (
+                        seed, mode, assignment,
+                    )
                     checked += 1
                     fewer += calls < expected_calls
     assert fewer > checked // 2  # most guesses ask strictly fewer
+
+
+def _m_m_m(seed: int) -> Formula:
+    """The guess-heavy suite's input: three M inputs conjoined."""
+    m = partial(random_formula, 3, 3, ("p", "q", "r"))
+    return And(And(m(seed), m(seed + 5000)), m(seed + 9000))
+
+
+def _suite(name: str) -> list[Formula]:
+    if name == "M&M&M":
+        return [_m_m_m(seed) for seed in range(40)]
+    depth, leaves, atoms, count = {
+        "S": (2, 2, ("p", "q"), 300),
+        "M": (3, 3, ("p", "q", "r"), 300),
+        "XL": (4, 10, ("p", "q", "r", "s", "t", "u"), 60),
+        "XXL": (5, 14, ("p", "q", "r", "s", "t", "u", "v", "w"), 30),
+    }[name]
+    return [random_formula(depth, leaves, atoms, seed) for seed in range(count)]
+
+
+@pytest.mark.parametrize("suite", ["S", "M", "XL", "XXL", "M&M&M"])
+def test_decide_equals_decide_on_the_reference_pairs(suite, monkeypatch):
+    """``decide`` on pairs picked from conditions built once per call gives
+    the same trace, counts and certificate as on pairs built anew per guess
+    with the phi0 ∧ literals chain, in both modes and on both oracle paths."""
+    runs = {}
+    for f in _suite(suite):
+        for mode in ("plain", "augmented"):
+            runs[render(f), mode] = decide(f, mode, trace=True)
+    flattened = []
+    monkeypatch.setattr(khsat, "flatten", lambda f: flattened.append(flatten(f)) or flattened[-1])
+    monkeypatch.setattr(
+        khsat,
+        "_build_pair",
+        lambda sides, pins, exis, values, mode: _reference_build_pair(
+            flattened[-1], {k.name: v for (k, _), v in zip(flattened[-1].defs, values)}, mode
+        )[:2],
+    )
+    for (text, mode), verdict in runs.items():
+        expected = decide(parse(text), mode, trace=True)
+        assert verdict.result is expected.result, (text, mode)
+        assert verdict.trace == expected.trace, (text, mode)
+        assert verdict.partition == expected.partition, (text, mode)
+        assert (verdict.enumeration_calls, verdict.certificate_calls) == (
+            expected.enumeration_calls, expected.certificate_calls,
+        ), (text, mode)
+        dumps = [v.certificate.dump() if v.certificate else None for v in (verdict, expected)]
+        assert dumps[0] == dumps[1], (text, mode)
+
+
+@pytest.mark.parametrize("suite", ["M", "M&M&M"])
+def test_guess_checks_after_the_first_fill_no_node(suite, monkeypatch):
+    """On the table path each condition a pair picks is built, and its node
+    facts filled, once per ``decide`` call: no guess check after the first
+    fills a node."""
+    fills = []
+    fill = formula._fill
+    monkeypatch.setattr(formula, "_fill", lambda *args: fills.append(1) or fill(*args))
+    check = khsat._check_guess
+    checks = []
+
+    def counting_check(*args):
+        before = len(fills)
+        result = check(*args)
+        checks.append(len(fills) - before)
+        return result
+
+    monkeypatch.setattr(khsat, "_check_guess", counting_check)
+    later = tried = 0
+    for f in _suite(suite) if suite == "M" else [_m_m_m(seed) for seed in range(120)]:
+        flattening = flatten(f)
+        vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
+        if len(vocabulary) > propsat._TABLE_MAX_SYMBOLS:
+            continue  # the per-query path builds each query's negations anew
+        for mode in ("plain", "augmented"):
+            checks.clear()
+            decide(f, mode)
+            later += sum(checks[1:])
+            tried += len(checks) - 1
+    assert tried > 100
+    assert later == 0
 
 
 def test_specs_reject_modal_operands():

@@ -565,9 +565,9 @@ def test_row_truth_sets_read_the_table_or_evaluate_on_the_rows_seeded(monkeypatc
     rng = random.Random(1919)
     atoms = ["p", "q", "r", "s2"]
     grid_calls = []
-    grid = propsat._grid_truth_sets
+    grid = propsat._Table.grid
     monkeypatch.setattr(
-        propsat, "_grid_truth_sets", lambda fs, rows: grid_calls.append(1) or grid(fs, rows)
+        propsat._Table, "grid", lambda atoms, rows: grid_calls.append(1) or grid(atoms, rows)
     )
     for scope, on_grid in ((atoms + ["t"], False), (None, True), (["p", "q"], True)):
         oracle = SatOracle()

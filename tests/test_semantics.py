@@ -403,13 +403,6 @@ def test_lts_validates_valuation_masks(states, mask):
         Lts(states, (), {}, {"q": 1, "p": mask})
 
 
-def test_pairs_membership_is_false_for_non_int_pairs():
-    m = make_lts(["s0", "s1"], {}, {"a": [("s0", "s1")]})
-    assert (0, 1) in m.rel["a"]
-    for pair in [("s0", "s1"), (0, "1"), (None, 1), (0, 1, 2), [0, 1], "ab"]:
-        assert pair not in m.rel["a"]
-
-
 def test_successor_masks_are_the_stored_tuple():
     m = Lts(("s", "t"), ("a", "b"), {"a": (0b10, 0b11)}, {})
     assert m.successor_masks("a") is m.succ["a"]
