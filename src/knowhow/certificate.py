@@ -2,16 +2,19 @@
 
 A certificate is a concrete labelled transition system built from a
 compatible guess and the witnesses of the queries its check satisfied
-(``SatOracle.witnesses``).  Its states are the distinct witness valuations
-where no forced precondition holds.  Each surviving positive conjunct
-contributes one action, the full product of its precondition states and its
-postcondition states, stored as the postcondition mask on every
-precondition state.  Conjuncts forced into the context, or whose
-precondition never holds, get no action: the empty plan witnesses them.
-The sides' truth sets on the states come from ``SatOracle.row_truth_sets``:
-inside ``decide`` they are read bit by bit off the masks its truth table
-already holds, and otherwise evaluated on the states with the model
-checker's evaluator, so nothing is evaluated twice on the table path.
+(``SatOracle.witnesses``), each a place over the atoms of the oracle's
+scope.  Its states are the distinct witness places, projected onto the
+pair's atoms with one AND each, where no forced precondition holds.  Each
+surviving positive conjunct contributes one action, the full product of
+its precondition states and its postcondition states, stored as the
+postcondition mask on every precondition state.  Conjuncts forced into
+the context, or whose precondition never holds, get no action: the empty
+plan witnesses them.
+The sides' and the atoms' truth sets on the states are read at the places
+(``SatOracle.row_truth_sets``, ``SatOracle.atoms``): inside ``decide`` bit
+by bit off the masks its truth table already holds, and otherwise
+evaluated on the states with the model checker's evaluator, so nothing is
+evaluated twice on the table path and no atom set is built.
 
 Why the witness rows suffice: each question of the check asks whether the
 context meets some intersection of sides and complements.  One answered yes
@@ -52,27 +55,26 @@ class Certificate:
 
 
 def build_model(
-    p, q, indices, rows: Iterable[frozenset[str]], *,
-    witness_pre: Formula | None = None, oracle: SatOracle | None = None,
+    p, q, indices, rows: Iterable[int], *, witness_pre: Formula | None = None, oracle: SatOracle,
 ) -> Certificate:
     """The explicit model for a positive/negative pair, the context indices
     of ``p`` (``khsat.global_indices``) and the witness ``rows`` of the
-    pair's check, each the set of atoms it makes true.
+    pair's check, places over the atoms of ``oracle``'s scope
+    (``SatOracle.witnesses``), which must still be open.
 
-    States are the distinct rows over the pair's atoms where no
+    States are the distinct rows projected onto the pair's atoms where no
     precondition of ``indices`` holds, in truth-table order (first sorted
-    atom most significant, False first); none left raises ``ValueError``.
-    The conditions' truth sets on them come from ``oracle.row_truth_sets``:
-    read off the scope's table inside ``decide``, otherwise evaluated on the
-    rows.  The witness state is the lowest-numbered one where
-    ``witness_pre`` holds.
+    atom most significant, False first): ascending places.  None left
+    raises ``ValueError``.  The conditions' and the atoms' truth sets on
+    them are read at those places (``oracle.row_truth_sets``).  The witness
+    state is the lowest-numbered one where ``witness_pre`` holds.
     """
-    atoms = set().union(*(pre.atoms | post.atoms for pre, post in p.conjuncts + q.conjuncts))
+    sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
     if witness_pre is not None:
-        atoms |= witness_pre.atoms
-    ordered = sorted(atoms)
-    valuations = sorted({row & atoms for row in rows}, key=lambda row: [a in row for a in ordered])
-    oracle = oracle or SatOracle()
+        sides.append(witness_pre)
+    atoms = oracle.atoms(sides)
+    pair = sum(atoms.values())
+    valuations = sorted({row & pair for row in rows})
     forced = 0
     for mask in oracle.row_truth_sets([p.pre(k) for k in sorted(indices)], valuations):
         forced |= mask
@@ -93,7 +95,9 @@ def build_model(
 
     witnesses = masks[-1] if witness_pre is not None else 0
     witness_state = states[(witnesses & -witnesses).bit_length() - 1] if witnesses else None
-    atom_masks = ((a, sum(1 << i for i, row in enumerate(valuations) if a in row)) for a in ordered)
+    atom_masks = (
+        (a, sum(1 << i for i, row in enumerate(valuations) if row & bit)) for a, bit in atoms.items()
+    )
     val = {a: mask for a, mask in atom_masks if mask}
     return Certificate(Lts(states, tuple(succ), succ, val), witness_state, tuple(succ))
 

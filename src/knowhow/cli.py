@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         return EXIT_ERROR
-    except RecursionError as exc:  # a node's repr and pickling still recurse per level
+    except RecursionError as exc:  # pickling still recurses per level
         click.echo(f"error: formula nests too deeply ({exc})", err=True)
         return EXIT_ERROR
     except (SolverError, ValueError, OSError) as exc:

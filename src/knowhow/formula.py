@@ -61,8 +61,11 @@ class Formula:
     ``core`` fills the core forms the same way.  A node in the core
     fragment is its own ``core``: it keeps ``_core = None``, not a
     reference to itself, and the nodes ``core`` builds are marked so when
-    they are built.  Equality is structural, compared in one frame, each
-    pair of nodes once; equal nodes are not shared or interned.
+    they are built.  ``normalform.flatten`` keeps ``depth`` alone on the
+    nodes it reuses and builds; a later fill computes the same value again.
+    Equality is structural, compared in one frame, each pair of nodes once;
+    equal nodes are not shared or interned.  The ``repr`` spells each node
+    shared by reference once.
     """
 
     __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
@@ -104,11 +107,41 @@ class Formula:
         # Pickle the fields only: a string's hash differs between processes.
         return {name: getattr(self, name) for name in self.__match_args__}
 
+    def __repr__(self) -> str:
+        """The dataclass form, ``Cls(field=value, ...)``, in one frame and
+        linear in the number of distinct nodes: a node with children that is
+        shared by reference reads ``#i`` wherever it occurs, and each ``#i``
+        is spelled out once after the formula, inner ones first.  A field
+        that is no node reads as its own ``repr``."""
+        references: dict[int, int] = {}  # id of a node -> its occurrences as a child
+
+        def count(node: Formula, _: list[None]) -> None:
+            for child in node.children:
+                references[id(child)] = references.get(id(child), 0) + 1
+
+        def other(node: object) -> str | None:
+            return None if isinstance(node, Formula) else repr(node)
+
+        fold(self, count, other)
+        shared: list[str] = []
+
+        def spell(node: Formula, parts: list[str]) -> str:
+            names = node.__match_args__
+            values = parts or [repr(getattr(node, name)) for name in names]
+            text = f"{type(node).__name__}({', '.join(map('{}={}'.format, names, values))})"
+            if parts and references.get(id(node), 0) > 1:
+                shared.append(f"#{len(shared) + 1}={text}")
+                return f"#{len(shared)}"
+            return text
+
+        text = fold(self, spell, other)
+        return f"{text} with {', '.join(shared)}" if shared else text
+
 
 def _node(cls: type) -> type:
-    """A frozen dataclass node with the base's equality and kept hash, and
-    ``children`` read straight off its fields."""
-    cls = dataclass(frozen=True, eq=False)(cls)
+    """A frozen dataclass node with the base's equality, kept hash and
+    ``repr``, and ``children`` read straight off its fields."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     names = cls.__match_args__
     if names and "children" not in vars(cls):
         get = attrgetter(*names)

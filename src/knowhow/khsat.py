@@ -346,9 +346,11 @@ def decide(
     cert = None
     start = oracle.calls
     # Every query of the call, the guess enumeration's too, draws its atoms
-    # from this vocabulary; each definition atom stands in phi0 or in a side.
-    vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
-    with oracle.scope(vocabulary):
+    # from the flattening's vocabulary.
+    with oracle.scope(flattening.vocabulary):
+        # Per query, every condition's negation is built before the first guess.
+        conditions = [*sides, *(pin for two in pins for pin in two), exis]
+        oracle.prepare([side for condition in conditions for side in condition])
         # Definition order, True first: all-true first, _k1 most significant.
         guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
         for assignment in guesses:

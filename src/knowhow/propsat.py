@@ -19,14 +19,18 @@ asks whether the result is empty; even its guesses come from such queries,
 a descent over the definition atoms (``SatOracle.enumerate_models``).
 ``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
 to the same cutoff, a truth set is then an int mask on one truth table per
-call, each distinct condition evaluated once.  Otherwise a truth set is the
-list of its member formulas, each query to ``is_sat``.  Either way a guess
-check can keep the witness of each query it satisfies
-(``SatOracle.witnesses``), and its certificate is built from those rows,
-its conditions' truth sets on them read off the table where there is one
-(``SatOracle.row_truth_sets``) and otherwise evaluated on a grid of the rows.
-The per-query table, the scope's table and that grid are one type,
-``_Table``, whose ``masks`` evaluates each distinct member once.
+call, each formula evaluated once and cached by identity, with no node
+fact (hash, atoms, depth) read.  Otherwise a truth set is the list of its
+member formulas, each query to ``is_sat``, and each formula's negation is
+built once per scope.  Either way a guess check can keep the witness of
+each query it satisfies (``SatOracle.witnesses``) as a place: the number of
+its row in the truth table of the scope's sorted atoms, first atom most
+significant.  Its certificate is built from those places, reading its
+conditions' and atoms' bits at them (``SatOracle.row_truth_sets``,
+``SatOracle.atoms``): off the table where there is one, otherwise
+evaluated on a grid of the places.  The per-query table, the scope's table
+and that grid are one type, ``_Table``, whose ``entry`` evaluates each
+formula once.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -43,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .formula import Atom, Formula, Not, Or, fold, render
+from .formula import Atom, Formula, Not, Or, _core_node, fold, render
 from .semantics import eval_core, truth_masks
 
 Assignment = dict[str, bool]
@@ -292,39 +296,83 @@ def export_dimacs(instance: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bits(symbols: Sequence[str]) -> dict[str, int]:
+    """Each of the sorted ``symbols`` with its bit in a place, the number of
+    a truth-table row: the first symbol is the most significant bit."""
+    return {a: 1 << (len(symbols) - 1 - j) for j, a in enumerate(symbols)}
+
+
+class _ModalOperand(Exception):
+    """A modality met while evaluating a member for the oracle."""
+
+
+def _no_modality(pre: int, post: int) -> int:
+    raise _ModalOperand
+
+
+class _Reader:
+    """A table's atom masks as ``eval_core`` reads them, through ``get``:
+    it notes in ``read`` the bits of the atoms read, and in ``outside``
+    whether one lies outside the table (read as false)."""
+
+    __slots__ = ("val", "bits", "read", "outside")
+
+    def __init__(self, val: dict[str, int], bits: dict[str, int]):
+        self.val, self.bits, self.read, self.outside = val, bits, 0, False
+
+    def get(self, name: str, default: int) -> int:
+        bit = self.bits.get(name)
+        if bit is None:
+            self.outside = True
+            return default
+        self.read |= bit
+        return self.val[name]
+
+
 class _Table(NamedTuple):
     """Truth sets on a grid of valuations, one bit per row: each atom's
-    mask, every row, and the masks of the formulas evaluated on it so far
-    (None: an atom outside the table)."""
+    mask, every row, each atom's bit in a place, and per formula evaluated
+    so far, by id: the formula (kept alive, so its id is not reused), its
+    mask (None: it reads an atom outside the table) and the bits of the
+    atoms it reads."""
 
     val: dict[str, int]
     every: int
-    cache: dict[Formula, int | None]
+    bits: dict[str, int]
+    cache: dict[int, tuple[Formula, int | None, int]]
 
     @classmethod
     def truth_table(cls, symbols: Sequence[str]) -> _Table:
-        """The truth table of the sorted ``symbols``, first most significant."""
-        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
+        """The truth table of the sorted ``symbols``: row r is place r."""
+        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, _bits(symbols), {})
 
     @classmethod
-    def grid(cls, atoms: Iterable[str], rows: Sequence[frozenset[str]]) -> _Table:
-        """One row per valuation in ``rows``, each the set of atoms it makes
-        true; the table covers ``atoms``."""
-        val = {a: sum(1 << i for i, row in enumerate(rows) if a in row) for a in atoms}
-        return cls(val, (1 << len(rows)) - 1, {})
+    def grid(cls, bits: dict[str, int], rows: Sequence[int]) -> _Table:
+        """One row per place in ``rows``, over the atoms of ``bits``."""
+        val = {a: sum(1 << i for i, row in enumerate(rows) if row & bit) for a, bit in bits.items()}
+        return cls(val, (1 << len(rows)) - 1, bits, {})
+
+    def entry(self, f: Formula) -> tuple[Formula, int | None, int]:
+        """``f``'s cache entry, evaluated on first use (``eval_core``; no
+        node fact is read); a modal ``f`` raises ``ValueError`` and is not
+        cached."""
+        entry = self.cache.get(id(f))
+        if entry is None:
+            reader = _Reader(self.val, self.bits)
+            try:
+                mask = eval_core(f, reader, self.every, _no_modality)
+            except _ModalOperand:
+                message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
+                raise ValueError(message) from None
+            entry = self.cache[id(f)] = (f, None if reader.outside else mask, reader.read)
+        return entry
 
     def masks(self, fs: Sequence[Formula]) -> list[int] | None:
-        """The masks of ``fs``, each evaluated once (``eval_core``), or None
-        when a member has an atom outside the table; a modal member raises."""
+        """The masks of ``fs``, or None when a member reads an atom outside
+        the table."""
         masks = []
-        for f in fs:
-            mask = self.cache.get(f, -1)  # -1: not evaluated yet
-            if mask == -1:
-                if f.depth != 0:
-                    raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
-                inside = f.atoms <= self.val.keys()
-                # Modality-free: no Kh, A or E node needs ``kh``.
-                mask = self.cache[f] = eval_core(f, self.val, self.every, None) if inside else None
+        for f in fs:  # a loop, not a comprehension: this runs on every question batch
+            mask = self.entry(f)[1]
             if mask is None:
                 return None
             masks.append(mask)
@@ -345,6 +393,17 @@ class Members(tuple):
 TruthSet = int | Members
 
 
+class _Scope(NamedTuple):
+    """An oracle's state inside ``scope``: a table over the scope's sorted
+    atoms, the truth table when it ``answers`` queries and otherwise a grid
+    of no rows, which only reads which atoms a formula mentions; and per
+    query, each formula's truth set and its negation's, by id."""
+
+    table: _Table
+    answers: bool
+    members: dict[int, tuple[Members, Members]]
+
+
 @dataclass
 class SatOracle:
     """Counting facade over the oracle; one count per query.
@@ -357,32 +416,59 @@ class SatOracle:
 
     Inside ``scope(atoms)``, with no external solver and at most
     ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
-    table over those atoms: each distinct formula's mask is evaluated once,
-    cached by formula, a negation is the complement ``every ^ mask`` and a
-    query is an AND of masks.  Otherwise, and for a batch with an atom
-    outside the scope, a truth set is its ``Members`` and ``ask`` hands
-    them to ``is_sat``, so DPLL or the external solver sees every query.
-    Inside ``witnesses()``, ``ask`` also keeps each satisfied query's
-    witness.
+    table over those atoms: each formula's mask is evaluated once, cached
+    by identity, a negation is the complement ``every ^ mask`` and a query
+    is an AND of masks.  Otherwise, and for a batch with an atom outside
+    the scope, a truth set is its ``Members`` and ``ask`` hands them to
+    ``is_sat``, so DPLL or the external solver sees every query; inside a
+    scope each formula's negation is built once.  Inside ``witnesses()``,
+    ``ask`` also keeps each satisfied query's witness as a place over the
+    scope's atoms.
     """
 
     solver_path: str | None = None
     calls: int = 0
-    _scope: _Table | None = field(default=None, init=False, repr=False, compare=False)
-    _witnesses: list[frozenset[str] | int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _scope: _Scope | None = field(default=None, init=False, repr=False, compare=False)
+    _witnesses: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def truth_sets(
         self, fs: Sequence[Formula]
     ) -> tuple[TruthSet, list[TruthSet], list[TruthSet]]:
         """The set of all valuations, the truth sets of ``fs`` and those of
         their negations; no query is counted."""
-        masks = None if self._scope is None else self._scope.masks(fs)
-        if masks is None:
-            return Members(), [Members((f,)) for f in fs], [Members((Not(f),)) for f in fs]
-        every = self._scope.every
-        return every, masks, [every ^ mask for mask in masks]
+        scope = self._scope
+        masks = scope.table.masks(fs) if scope is not None and scope.answers else None
+        if masks is not None:
+            every = scope.table.every
+            return every, masks, [every ^ mask for mask in masks]
+        members = {} if scope is None else scope.members
+        sets = [self._members(f, members) for f in fs]
+        return Members(), [truth for truth, _ in sets], [falsity for _, falsity in sets]
+
+    def prepare(self, fs: Sequence[Formula]) -> None:
+        """Per query, build each formula's negation now, once per scope and
+        with the node facts ``is_sat`` reads, so no later question about
+        ``fs`` builds or fills a node.  The table path needs nothing: a
+        mask is evaluated on first use."""
+        scope = self._scope
+        if scope is not None and not scope.answers:
+            for f in fs:
+                self._members(f, scope.members)
+
+    @staticmethod
+    def _members(
+        f: Formula, members: dict[int, tuple[Members, Members]]
+    ) -> tuple[Members, Members]:
+        """``f``'s truth set and its negation's per query, built once into
+        ``members``: the negation in core form, both checked modality-free
+        (``_symbols``), which fills the node facts ``is_sat`` and ``to_cnf``
+        read."""
+        entry = members.get(id(f))
+        if entry is None:
+            negation = _core_node(Not, f.core)
+            _symbols([f, negation])
+            entry = members[id(f)] = Members((f,)), Members((negation,))
+        return entry
 
     def ask(self, term: TruthSet) -> bool:
         """Whether a truth set is non-empty; one query.  Inside ``witnesses``
@@ -391,58 +477,70 @@ class SatOracle:
         if isinstance(term, Members):
             sat, witness = is_sat(term, solver_path=self.solver_path)
             if sat and self._witnesses is not None:
-                self._witnesses.append(frozenset(a for a, value in witness.items() if value))
+                bits = self._scope.table.bits
+                if not witness.keys() <= bits.keys():
+                    raise ValueError("a witness has atoms outside the scope")
+                self._witnesses.append(sum(bits[a] for a, value in witness.items() if value))
             return sat
         if term and self._witnesses is not None:
-            self._witnesses.append(term & -term)  # the lowest row, read on exit
+            self._witnesses.append((term & -term).bit_length() - 1)  # the lowest row's place
         return term != 0
 
     @contextmanager
-    def witnesses(self) -> Iterator[list[frozenset[str]]]:
+    def witnesses(self) -> Iterator[list[int]]:
         """Collect the distinct witnesses of the queries satisfied until
-        exit, in the order first found, each as the set of atoms it makes
-        true: on the table the lowest row of the mask, per query
+        exit, in the order first found, each as its place over the scope's
+        atoms: on the table the lowest row of the mask, per query
         ``is_sat``'s witness with atoms outside the query false (the same
         valuation, except from an external solver).  Nothing is asked; the
-        list is filled in on exit, and the previous collection restored."""
+        list is filled in on exit, and the previous collection restored.
+        Places need a scope: outside one this raises ``ValueError``."""
+        if self._scope is None:
+            raise ValueError("witnesses are places over a scope's atoms; open a scope first")
         saved, self._witnesses = self._witnesses, []
-        rows: list[frozenset[str]] = []
+        rows: list[int] = []
         try:
             yield rows
         finally:
             found, self._witnesses = self._witnesses, saved
-            val = self._scope.val if self._scope is not None else {}
-            rows += (
-                row if isinstance(row, frozenset) else frozenset(a for a in val if val[a] & row)
-                for row in dict.fromkeys(found)
-            )
+            rows += dict.fromkeys(found)
 
-    def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[frozenset[str]]) -> list[int]:
-        """The truth sets of modality-free ``fs`` on ``rows``, valuations
-        given as the sets of atoms they make true: bit i of a mask is
-        ``rows[i]``.  No query is counted.  Inside a table scope over every
-        atom of ``fs`` each bit is read off the formula's mask at the row's
-        place in the table; otherwise the formulas are evaluated on a grid
-        of the rows."""
-        masks = None if self._scope is None else self._scope.masks(fs)
+    def atoms(self, fs: Sequence[Formula]) -> dict[str, int]:
+        """The scope's atoms that modality-free ``fs`` mention, sorted, each
+        with its bit in a place; read off the scope's table, which evaluates
+        each formula once.  No query is counted."""
+        table, read = self._scope.table, 0
+        for f in fs:
+            read |= table.entry(f)[2]
+        return {a: bit for a, bit in table.bits.items() if bit & read}
+
+    def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[int]) -> list[int]:
+        """The truth sets of modality-free ``fs`` on ``rows``, places over
+        the scope's atoms: bit i of a mask is ``rows[i]``.  No query is
+        counted.  On the scope's truth table each bit is read off the
+        formula's mask at the place; otherwise the formulas are evaluated on
+        a grid of the rows.  A formula with an atom outside the scope raises
+        ``ValueError``."""
+        scope = self._scope
+        masks = scope.table.masks(fs) if scope.answers else None
         if masks is None:
-            return _Table.grid(set().union(*(f.atoms for f in fs)), rows).masks(fs)
-        # Table row r makes an atom true iff r has the bit that is the
-        # atom's lowest true row, so a row's place sums its true atoms' bits.
-        place_of = {a: (mask & -mask).bit_length() - 1 for a, mask in self._scope.val.items()}
-        places = [sum(place_of.get(a, 0) for a in row) for row in rows]
-        return [sum(1 << i for i, place in enumerate(places) if mask >> place & 1) for mask in masks]
+            masks = _Table.grid(scope.table.bits, rows).masks(fs)
+            if masks is None:
+                raise ValueError("a formula has atoms outside the scope of its rows")
+            return masks
+        return [sum(1 << i for i, place in enumerate(rows) if mask >> place & 1) for mask in masks]
 
     @contextmanager
     def scope(self, atoms: Iterable[str]) -> Iterator[None]:
-        """Answer from one truth table over ``atoms`` until exit; the
-        previous scope is restored on exit, also on an exception."""
+        """Answer from one truth table over ``atoms`` until exit, or per
+        query when they are too many or a solver is set; the previous scope
+        is restored on exit, also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
         if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
-            self._scope = _Table.truth_table(symbols)
+            self._scope = _Scope(_Table.truth_table(symbols), True, {})
         else:
-            self._scope = None
+            self._scope = _Scope(_Table.grid(_bits(symbols), ()), False, {})
         try:
             yield
         finally:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from functools import reduce
 
 import pytest
@@ -39,10 +40,25 @@ def neg(*pairs) -> NegativeSpec:
     return NegativeSpec(tuple((parse(a), parse(b)) for a, b in pairs))
 
 
-def check(p, q, oracle=None):
-    """The pair's guess check as ``decide`` runs it: its context indices and
-    the witnesses of the queries it satisfied."""
-    oracle = oracle or SatOracle()
+def pair_atoms(p, q, *more):
+    """The sorted atoms of the pair's sides and of the formulas ``more``:
+    the scope a check of the pair outside ``decide`` opens."""
+    sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
+    return sorted(set().union(*(f.atoms for f in sides + [f for f in more if f is not None])))
+
+
+@contextmanager
+def scoped(p, q, *more):
+    """A fresh oracle inside a scope over the pair's atoms."""
+    oracle = SatOracle()
+    with oracle.scope(pair_atoms(p, q, *more)):
+        yield oracle
+
+
+def check(p, q, oracle):
+    """The pair's guess check as ``decide`` runs it, inside ``oracle``'s
+    scope: its context indices and the witness places of the queries it
+    satisfied."""
     with oracle.witnesses() as rows:
         indices = global_indices(p, oracle)
         compatible(p, q, oracle, indices)
@@ -50,7 +66,8 @@ def check(p, q, oracle=None):
 
 
 def build(p, q, **kwargs):
-    return build_model(p, q, *check(p, q), **kwargs)
+    with scoped(p, q, kwargs.get("witness_pre")) as oracle:
+        return build_model(p, q, *check(p, q, oracle), oracle=oracle, **kwargs)
 
 
 def row_valuations(c, atoms):
@@ -152,23 +169,30 @@ def test_states_follow_the_oracle_enumeration_order():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        indices, rows = check(p, q)
-        constrained += bool(indices)
-        sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
-        ordered_atoms = sorted(set().union(*(side.atoms for side in sides)))
+        ordered_atoms = pair_atoms(p, q)
         table = truth_table(ordered_atoms)
-        context = eval_formula(table, reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top()))
         row_of = {
             frozenset(a for a in ordered_atoms if table.val[a] >> r & 1): r
             for r in range(len(table.states))
         }
-        kept = sorted({row_of[row & set(ordered_atoms)] for row in rows} & set(_bits(context)))
-        expected = [{a: bool(table.val[a] >> r & 1) for a in ordered_atoms} for r in kept]
-        if not expected:  # an unsatisfiable context leaves no state to build
-            with pytest.raises(ValueError, match="admits no state"):
-                build_model(p, q, indices, rows)
-            continue
-        c = build_model(p, q, indices, rows)
+        width = len(ordered_atoms)
+        with scoped(p, q) as oracle:
+            indices, rows = check(p, q, oracle)
+            constrained += bool(indices)
+            context = reduce(And, [Not(p.pre(k)) for k in sorted(indices)], Top())
+            context = eval_formula(table, context)
+            # A place's first atom is its most significant bit.
+            valuations = [
+                frozenset(a for j, a in enumerate(ordered_atoms) if row >> (width - 1 - j) & 1)
+                for row in rows
+            ]
+            kept = sorted({row_of[valuation] for valuation in valuations} & set(_bits(context)))
+            expected = [{a: bool(table.val[a] >> r & 1) for a in ordered_atoms} for r in kept]
+            if not expected:  # an unsatisfiable context leaves no state to build
+                with pytest.raises(ValueError, match="admits no state"):
+                    build_model(p, q, indices, rows, oracle=oracle)
+                continue
+            c = build_model(p, q, indices, rows, oracle=oracle)
         assert row_valuations(c, ordered_atoms) == expected, seed
     assert constrained >= 20
 
@@ -202,11 +226,12 @@ def test_action_masks_are_the_pre_post_product_seeded():
             for i in range(1 + seed % 3)
         ))
         q = NegativeSpec(((prop(10), prop(11)),))
-        indices, rows = check(p, q)
-        try:
-            c = build_model(p, q, indices, rows)
-        except ValueError:  # the context admits no state
-            continue
+        with scoped(p, q) as oracle:
+            indices, rows = check(p, q, oracle)
+            try:
+                c = build_model(p, q, indices, rows, oracle=oracle)
+            except ValueError:  # the context admits no state
+                continue
         checked += 1
         size = len(c.model.states)
         expected = {}
@@ -236,12 +261,27 @@ def test_large_certificate_is_built_and_verified_quickly():
     assert elapsed < 3.0
 
 
+def test_rows_are_projected_onto_the_pair_atoms():
+    # Rows are places over the scope's atoms, here p, q and r (the lowest
+    # bit); rows that differ only in r, which the pair never mentions, give
+    # one state, and r is no part of the model's valuation.
+    p, q = pos(("p", "q")), neg(("q", "false"))
+    oracle = SatOracle()
+    with oracle.scope(["p", "q", "r"]):
+        indices, rows = check(p, q, oracle)
+        c = build_model(p, q, indices, rows, oracle=oracle)
+        widened = build_model(p, q, indices, rows + [row | 0b001 for row in rows], oracle=oracle)
+    assert len(c.model.states) > 1 and widened.dump() == c.dump()
+    assert "r" not in widened.model.val
+
+
 def test_context_indices_are_inert_in_the_model():
     # For every index forced into the context, the postcondition holds
     # nowhere and the negated precondition holds everywhere.
-    p = pos(("p", "false"), ("q", "p"), ("r", "r"))
-    indices, rows = check(p, NegativeSpec(()))
-    c = build_model(p, NegativeSpec(()), indices, rows)
+    p, q = pos(("p", "false"), ("q", "p"), ("r", "r")), NegativeSpec(())
+    with scoped(p, q) as oracle:
+        indices, rows = check(p, q, oracle)
+        c = build_model(p, q, indices, rows, oracle=oracle)
     assert sorted(indices) == [1, 2]
     for i in sorted(indices):
         assert eval_formula(c.model, p.post(i)) == 0
@@ -287,15 +327,20 @@ def test_dump_round_trips_with_sidecar_fields():
 _XL = (4, 10, ("p", "q", "r", "s", "t", "u"), range(60))
 
 
-def recording_builds(monkeypatch):
+def recording_builds(monkeypatch, *, truth=False):
     """Records (p, q, indices, rows, witness_pre, certificate) for every
-    certificate ``decide`` builds."""
+    certificate ``decide`` builds; with ``truth``, also the truth sets of
+    the pair's sides on the rows, before the certificate."""
     built = []
     original = certificate.build_model
 
     def recording_build(p, q, indices, rows, **kwargs):
         c = original(p, q, indices, rows, **kwargs)
-        built.append((p, q, indices, rows, kwargs["witness_pre"], c))
+        record = (p, q, indices, rows, kwargs["witness_pre"], c)
+        if truth:
+            sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
+            record = (*record[:-1], kwargs["oracle"].row_truth_sets(sides, rows), c)
+        built.append(record)
         return c
 
     monkeypatch.setattr(certificate, "build_model", recording_build)
@@ -307,23 +352,34 @@ def recording_builds(monkeypatch):
     [(2, 2, ("p", "q"), range(150)), (3, 3, ("p", "q", "r"), range(100)), _XL],
 )
 def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds, monkeypatch):
-    # A guess checked inside decide (on its table scope when the vocabulary
-    # is small enough) and the same pair checked on a fresh oracle with no
-    # scope, which asks per query, collect the same witnesses and build
-    # byte-identical certificates.
-    built = recording_builds(monkeypatch)
+    # Each guess checked inside decide on its table scope (the cutoff is
+    # raised to 14 so that every XL vocabulary gets a table), and the same
+    # pair checked on a fresh oracle whose scope over the same atoms asks
+    # per query (DPLL), collect the same witness places, read the same truth
+    # sets of the sides at them and build byte-identical certificates.
+    built = recording_builds(monkeypatch, truth=True)
     certified = 0
     for seed in seeds:
         f = random_formula(depth, leaves, atoms, seed)
         for mode in ("plain", "augmented"):
             built.clear()
-            verdict = decide(f, mode)
+            with monkeypatch.context() as table_path:
+                table_path.setattr(propsat, "_TABLE_MAX_SYMBOLS", 14)
+                verdict = decide(f, mode)
             if verdict.certificate is not None:
                 assert verdict.certificate is built[-1][-1]
-            for p, q, indices, rows, witness_pre, c in built:
-                alone_indices, alone_rows = check(p, q)
-                assert (alone_indices, alone_rows) == (indices, rows), (seed, mode)
-                alone = build_model(p, q, alone_indices, alone_rows, witness_pre=witness_pre)
+            for p, q, indices, rows, witness_pre, truth, c in built:
+                oracle = SatOracle()
+                with monkeypatch.context() as per_query:
+                    per_query.setattr(propsat, "_TABLE_MAX_SYMBOLS", -1)
+                    with oracle.scope(verdict.flattening.vocabulary):
+                        assert not oracle._scope.answers
+                        assert check(p, q, oracle) == (indices, rows), (seed, mode)
+                        sides = [side for pair in p.conjuncts + q.conjuncts for side in pair]
+                        assert oracle.row_truth_sets(sides, rows) == truth, (seed, mode)
+                        alone = build_model(
+                            p, q, indices, rows, witness_pre=witness_pre, oracle=oracle
+                        )
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
     assert certified >= len(seeds)

@@ -577,6 +577,25 @@ def test_pickles_carry_fields_not_cached_facts():
     assert copy == f and (copy.atoms, copy.depth, copy.core, hash(copy)) == facts
 
 
+def test_repr_spells_each_shared_node_once():
+    # A tree reads as its dataclass form.  The core form of n levels of <->
+    # uses both sides of each level twice, so it has 2^n paths through
+    # shared nodes; its repr names each shared node once, so it grows
+    # linearly with n (the dataclass repr of 24 levels ran for minutes).
+    assert repr(parse("p | ~Kh(q, false)")) == (
+        "Or(left=Atom(name='p'), right=Not(f=Kh(pre=Atom(name='q'), post=Bottom())))"
+    )
+    p = Atom("p")
+    assert repr(Or(Not(p), Not(p))) == "Or(left=Not(f=Atom(name='p')), right=Not(f=Atom(name='p')))"
+    shared = Not(p)
+    assert repr(Or(shared, And(shared, p))) == (
+        "Or(left=#1, right=And(left=#1, right=Atom(name='p'))) with #1=Not(f=Atom(name='p'))"
+    )
+    twelve, twenty_four = (repr(parse("Kh(p, q) <-> " * n + "p").core) for n in (12, 24))
+    assert len(twenty_four) < 2.1 * len(twelve)
+    assert twenty_four.count("=Kh(pre=Atom(name='p'), post=Atom(name='q'))") == 24
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 

@@ -102,7 +102,7 @@ def test_context_checks_fill_no_core_form(monkeypatch):
             assert indices == frozenset({1, 2})
             assert compatible(p, q, oracle, indices) is False
         assert composition_closure(p, indices, oracle) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert len(certificate.build_model(p, q, indices, rows).model.states) == 1
+        assert len(certificate.build_model(p, q, indices, rows, oracle=oracle).model.states) == 1
     assert filled == []
 
 
@@ -452,11 +452,12 @@ def test_decide_equals_decide_on_the_reference_pairs(suite, monkeypatch):
         assert dumps[0] == dumps[1], (text, mode)
 
 
-@pytest.mark.parametrize("suite", ["M", "M&M&M"])
+@pytest.mark.parametrize("suite", ["M", "M&M&M", "XL"])
 def test_guess_checks_after_the_first_fill_no_node(suite, monkeypatch):
-    """On the table path each condition a pair picks is built, and its node
-    facts filled, once per ``decide`` call: no guess check after the first
-    fills a node."""
+    """Each condition a pair picks is built once per ``decide`` call, and
+    so is, per query, each condition's negation: no guess check after the
+    first fills a node, on the table path or per query (XL and M&M&M
+    vocabularies of more than ``_TABLE_MAX_SYMBOLS`` atoms)."""
     fills = []
     fill = formula._fill
     monkeypatch.setattr(formula, "_fill", lambda *args: fills.append(1) or fill(*args))
@@ -470,19 +471,41 @@ def test_guess_checks_after_the_first_fill_no_node(suite, monkeypatch):
         return result
 
     monkeypatch.setattr(khsat, "_check_guess", counting_check)
-    later = tried = 0
-    for f in _suite(suite) if suite == "M" else [_m_m_m(seed) for seed in range(120)]:
-        flattening = flatten(f)
-        vocabulary = flattening.phi0.atoms.union(*(leaf.atoms for _, leaf in flattening.defs))
-        if len(vocabulary) > propsat._TABLE_MAX_SYMBOLS:
-            continue  # the per-query path builds each query's negations anew
+    later = tried = per_query = 0
+    for f in [_m_m_m(seed) for seed in range(120)] if suite == "M&M&M" else _suite(suite):
         for mode in ("plain", "augmented"):
             checks.clear()
-            decide(f, mode)
+            verdict = decide(f, mode)
             later += sum(checks[1:])
             tried += len(checks) - 1
-    assert tried > 100
+            per_query += len(verdict.flattening.vocabulary) > propsat._TABLE_MAX_SYMBOLS
+    assert tried > 100 and (per_query > 10 or suite == "M")
     assert later == 0
+
+
+def test_decide_fills_no_node_facts_on_the_input_core(monkeypatch):
+    """``decide``'s table path runs on identities: flattening, the oracle's
+    truth sets, the pair checks and the certificates read no hash and no
+    ``atoms`` of the input's core form, so no fact of its nodes is filled."""
+    filled = []
+    fill = formula._fill_facts
+
+    def recording_fill(node, children):
+        filled.append(id(node))
+        return fill(node, children)
+
+    monkeypatch.setattr(formula, "_fill_facts", recording_fill)
+    decided = 0
+    for f in _suite("M"):
+        core_nodes = set()
+        formula.fold(f.core, lambda node, _: core_nodes.add(id(node)))
+        for mode in ("plain", "augmented"):
+            filled.clear()
+            verdict = decide(f, mode)
+            assert len(verdict.flattening.vocabulary) <= propsat._TABLE_MAX_SYMBOLS
+            assert core_nodes.isdisjoint(filled), (render(f), mode)
+            decided += 1
+    assert decided == 600
 
 
 def test_specs_reject_modal_operands():
@@ -648,7 +671,7 @@ def test_decide_shares_oracle_and_counts_calls():
 @dataclass
 class _RecordingOracle(SatOracle):
     """Records each question (``ask``), its answer and whether it was a
-    mask on a table; with ``scoped`` off, ``scope`` builds no table."""
+    mask on a table; with ``scoped`` off, ``scope`` asks per query."""
 
     scoped: bool = True
     queries: list = field(default_factory=list)
@@ -660,10 +683,9 @@ class _RecordingOracle(SatOracle):
 
     @contextmanager
     def scope(self, atoms):
-        if self.scoped:
-            with super().scope(atoms):
-                yield
-        else:
+        with super().scope(atoms):
+            if not self.scoped:  # the same scope's places, each question per query
+                self._scope = self._scope._replace(answers=False)
             yield
 
 

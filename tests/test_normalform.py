@@ -197,7 +197,8 @@ def _flatten_by_rounds(f: Formula) -> FlattenResult:
 
         phi0 = fold(phi0, lambda g, children: _core_node(type(g), *children), leaf)
         defs.extend((atom, kh) for kh, atom in names.items())
-    return FlattenResult(phi0, tuple(defs))
+    vocabulary = tuple(sorted(f.core.atoms.union(k.name for k, _ in defs)))
+    return FlattenResult(phi0, tuple(defs), vocabulary)
 
 
 def _e_chain(n: int) -> Formula:
@@ -230,7 +231,9 @@ def test_flatten_equals_the_round_by_round_flattening_seeded(suite):
         depth, leaves, atoms, count = _SUITES[suite]
         inputs = [random_formula(depth, leaves, atoms, seed) for seed in range(count)]
     for f in inputs:
-        assert flatten(f) == _flatten_by_rounds(f), render(f)
+        result, expected = flatten(f), _flatten_by_rounds(f)
+        assert result == expected, render(f)
+        assert result.vocabulary == expected.vocabulary, render(f)
 
 
 @pytest.mark.parametrize(

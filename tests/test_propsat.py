@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knowhow import propsat
+from knowhow import formula, propsat
 from knowhow.cli import EXIT_ERROR, main
 from knowhow.formula import (
     And,
@@ -541,6 +541,8 @@ def test_oracle_counts_calls():
 
 
 def test_scope_answers_from_cached_member_masks(monkeypatch):
+    # The cache is keyed by identity: each formula object is evaluated once,
+    # and an equal formula built anew is evaluated again.
     evaluated = []
     original = propsat.eval_core
 
@@ -549,40 +551,69 @@ def test_scope_answers_from_cached_member_masks(monkeypatch):
         return original(f, *args)
 
     monkeypatch.setattr(propsat, "eval_core", counting_eval)
+    either, not_p, not_q = Or(P, Q), Not(P), Not(Q)
     oracle = SatOracle()
     with oracle.scope(["p", "q"]):
-        assert ask_conjunction(oracle, [Or(P, Q), Not(P)]) is True
-        assert ask_conjunction(oracle, [Or(P, Q), Not(P), Not(Q)]) is False
+        assert ask_conjunction(oracle, [either, not_p]) is True
+        assert ask_conjunction(oracle, [either, not_p, not_q]) is False
         assert ask_conjunction(oracle, []) is True
-    assert oracle.calls == 3
-    assert evaluated == [Or(P, Q), Not(P), Not(Q)]  # each member once
+        assert ask_conjunction(oracle, [Or(P, Q), not_q]) is True
+    assert oracle.calls == 4
+    assert [id(f) for f in evaluated[:3]] == [id(either), id(not_p), id(not_q)]
+    assert evaluated[3] == either and evaluated[3] is not either and len(evaluated) == 4
+
+
+def test_scope_tables_read_no_node_facts(monkeypatch):
+    # Evaluating a member fills neither its hash nor its atoms: a modal
+    # member is rejected when the evaluation meets the modality, and an atom
+    # outside the table when the evaluation reads it.
+    fills = []
+    fill = formula._fill
+    monkeypatch.setattr(formula, "_fill", lambda *args: fills.append(args[0]) or fill(*args))
+    oracle = SatOracle()
+    with oracle.scope(["p", "q"]):
+        members = [Or(P, Not(Q)), Iff(P, Top()), Implies(Q, Bottom())]
+        every, truth, falsity = oracle.truth_sets(members)
+        assert truth == [0b1101, 0b1100, 0b0101] and every == 0b1111
+        assert oracle.atoms(members) == {"p": 0b10, "q": 0b01}
+        assert fills == []
+        assert oracle.truth_sets([Or(P, R)])[1] == [Members((Or(P, R),))]  # r: per query
+        fills.clear()  # the per-query member and its negation, checked modality-free
+        with pytest.raises(ValueError, match="modal depth 1 operand"):
+            oracle.truth_sets([Or(P, Kh(P, Q))])
+    assert [type(node) for node in fills] == [Or]  # the message's depth, after the evaluation
 
 
 def test_row_truth_sets_read_the_table_or_evaluate_on_the_rows_seeded(monkeypatch):
-    # On the scope's table each bit is read at the row's place; without a
-    # table, or with an atom outside it, the formulas are evaluated on a
-    # grid of the rows.  Both give each formula's value on each row.
+    # Rows are places over the scope's atoms.  On the scope's truth table
+    # each bit is read at the row's place; on a scope that asks per query
+    # the formulas are evaluated on a grid of the rows.  Both give each
+    # formula's value on each row.  An atom outside the scope has no value
+    # on the rows.
     rng = random.Random(1919)
-    atoms = ["p", "q", "r", "s2"]
+    atoms, scope = ["p", "q", "r", "s2"], ["p", "q", "r", "s2", "t"]
+    bits = {a: 1 << (len(scope) - 1 - j) for j, a in enumerate(scope)}
     grid_calls = []
     grid = propsat._Table.grid
     monkeypatch.setattr(
-        propsat._Table, "grid", lambda atoms, rows: grid_calls.append(1) or grid(atoms, rows)
+        propsat._Table, "grid", lambda bits, rows: grid_calls.append(1) or grid(bits, rows)
     )
-    for scope, on_grid in ((atoms + ["t"], False), (None, True), (["p", "q"], True)):
+    for cutoff, on_grid in ((len(scope), False), (len(scope) - 1, True)):
+        monkeypatch.setattr(propsat, "_TABLE_MAX_SYMBOLS", cutoff)
         oracle = SatOracle()
-        with oracle.scope(scope) if scope else contextlib.nullcontext():
+        with oracle.scope(scope):
             for _ in range(60):
                 fs = [random_prop_formula(rng, atoms, rng.randint(0, 4)) for _ in range(3)]
-                if scope == ["p", "q"]:
-                    fs.append(R)  # outside the table
-                rows = [frozenset(a for a in atoms if rng.random() < 0.5) for _ in range(5)]
+                rows = [rng.randrange(1 << len(scope)) for _ in range(5)]
                 grid_calls.clear()
                 masks = oracle.row_truth_sets(fs, rows)
                 assert grid_calls == ([1] if on_grid else [])
                 for f, mask in zip(fs, masks):
-                    expected = [eval_prop(f, dict.fromkeys(row, True)) for row in rows]
+                    valuations = [{a: bool(row & bit) for a, bit in bits.items()} for row in rows]
+                    expected = [eval_prop(f, valuation) for valuation in valuations]
                     assert [bool(mask >> i & 1) for i in range(len(rows))] == expected, f
+            with pytest.raises(ValueError, match="outside the scope"):
+                oracle.row_truth_sets([Or(P, Atom("u"))], rows)
         assert oracle.calls == 0
 
 
@@ -648,14 +679,16 @@ def test_truth_sets_are_members_outside_a_table_scope(fake_solver, tmp_path):
     assert len(runs) == 2  # the solver saw both of its questions
 
 
-def test_witnesses_are_the_lowest_row_on_both_paths():
-    # A witness is the set of atoms it makes true: on the table the lowest
-    # row of the mask; per query is_sat's witness, atoms outside the query
-    # false.  Satisfied queries inside witnesses() leave one, each distinct
-    # witness once; nothing else does.
+def test_witnesses_are_the_lowest_row_on_both_paths(monkeypatch):
+    # A witness is a place over the scope's atoms (p the most significant
+    # bit): on the table the lowest row of the mask; per query is_sat's
+    # witness, atoms outside the query false.  Satisfied queries inside
+    # witnesses() leave one, each distinct witness once; nothing else does.
     found = []
-    for oracle, atoms in ((SatOracle(), ["p", "q", "r"]), (SatOracle(), None)):
-        with oracle.scope(atoms) if atoms else contextlib.nullcontext():
+    for cutoff in (3, 2):  # the scope's table, then a scope that asks per query
+        monkeypatch.setattr(propsat, "_TABLE_MAX_SYMBOLS", cutoff)
+        oracle = SatOracle()
+        with oracle.scope(["p", "q", "r"]):
             every, truth, falsity = oracle.truth_sets([P, Q, R])
             assert oracle.ask(truth[2])  # not collected
             with oracle.witnesses() as rows:
@@ -665,7 +698,10 @@ def test_witnesses_are_the_lowest_row_on_both_paths():
             assert oracle.ask(every)  # not collected either
         assert oracle.calls == 7
         found.append(rows)
-    assert found[0] == found[1] == [frozenset(), frozenset({"p"}), frozenset({"q"})]
+    assert found[0] == found[1] == [0b000, 0b100, 0b010]
+    with pytest.raises(ValueError, match="open a scope"):
+        with SatOracle().witnesses():
+            pass
 
 
 # ---------------------------------------------------------------------------
