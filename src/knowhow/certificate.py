@@ -3,18 +3,20 @@
 A certificate is a concrete labelled transition system built from a
 compatible guess and the witnesses of the queries its check satisfied
 (``SatOracle.witnesses``), each a place over the atoms of the oracle's
-scope.  Its states are the distinct witness places, projected onto the
-pair's atoms with one AND each, where no forced precondition holds.  Each
-surviving positive conjunct contributes one action, the full product of
-its precondition states and its postcondition states, stored as the
-postcondition mask on every precondition state.  Conjuncts forced into
-the context, or whose precondition never holds, get no action: the empty
-plan witnesses them.
-The sides' and the atoms' truth sets on the states are read at the places
-(``SatOracle.row_truth_sets``, ``SatOracle.atoms``): inside ``decide`` bit
-by bit off the masks its truth table already holds, and otherwise
-evaluated on the states with the model checker's evaluator, so nothing is
-evaluated twice on the table path and no atom set is built.
+scope.  Its states are the distinct witness places where no forced
+precondition holds, and its valuation is the scope's atoms on them.
+Inside ``decide`` the scope is the flattening's vocabulary, the atoms of
+``phi0`` and of the definitions' sides, and every pair mentions them all
+(``phi0`` in the existential conjunct).  Each surviving positive conjunct
+contributes one action, the full product of its precondition states and
+its postcondition states, stored as the postcondition mask on every
+precondition state.  Conjuncts forced into the context, or whose
+precondition never holds, get no action: the empty plan witnesses them.
+The oracle reads the sides' truth sets on the states
+(``SatOracle.row_truth_sets``; inside ``decide`` bit by bit off the masks
+its truth table already holds, otherwise evaluated on the states with the
+model checker's evaluator) and the atoms' (``SatOracle.row_valuation``):
+nothing is evaluated twice on the table path and no atom set is built.
 
 Why the witness rows suffice: each question of the check asks whether the
 context meets some intersection of sides and complements.  One answered yes
@@ -62,19 +64,15 @@ def build_model(
     pair's check, places over the atoms of ``oracle``'s scope
     (``SatOracle.witnesses``), which must still be open.
 
-    States are the distinct rows projected onto the pair's atoms where no
-    precondition of ``indices`` holds, in truth-table order (first sorted
-    atom most significant, False first): ascending places.  None left
-    raises ``ValueError``.  The conditions' and the atoms' truth sets on
-    them are read at those places (``oracle.row_truth_sets``).  The witness
-    state is the lowest-numbered one where ``witness_pre`` holds.
+    States are the distinct rows where no precondition of ``indices``
+    holds, in truth-table order (first sorted atom most significant, False
+    first): ascending places.  None left raises ``ValueError``.  The
+    conditions' and the atoms' truth sets on them are read at those places
+    (``oracle.row_truth_sets``, ``oracle.row_valuation``).  The witness
+    state is the lowest-numbered one where ``witness_pre`` holds; ``q``
+    enters through the rows alone.
     """
-    sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
-    if witness_pre is not None:
-        sides.append(witness_pre)
-    atoms = oracle.atoms(sides)
-    pair = sum(atoms.values())
-    valuations = sorted({row & pair for row in rows})
+    valuations = sorted(set(rows))
     forced = 0
     for mask in oracle.row_truth_sets([p.pre(k) for k in sorted(indices)], valuations):
         forced |= mask
@@ -95,10 +93,7 @@ def build_model(
 
     witnesses = masks[-1] if witness_pre is not None else 0
     witness_state = states[(witnesses & -witnesses).bit_length() - 1] if witnesses else None
-    atom_masks = (
-        (a, sum(1 << i for i, row in enumerate(valuations) if row & bit)) for a, bit in atoms.items()
-    )
-    val = {a: mask for a, mask in atom_masks if mask}
+    val = {a: mask for a, mask in oracle.row_valuation(valuations).items() if mask}
     return Certificate(Lts(states, tuple(succ), succ, val), witness_state, tuple(succ))
 
 

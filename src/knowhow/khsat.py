@@ -39,11 +39,19 @@ from dataclasses import dataclass, field
 
 from . import certificate
 from .formula import Bottom, Formula, Not, render
-from .normalform import FlattenResult, flatten
+from .normalform import FlattenResult, _built, flatten
 from .propsat import SatOracle, TruthSet
 
 # ---------------------------------------------------------------------------
 # Domain types
+
+
+def _require_flat(conjuncts: tuple[tuple[Formula, Formula], ...], statement: str) -> None:
+    """Reject a conjunct with a modal side, naming it as ``statement``
+    followed by its sides."""
+    for pre, post in conjuncts:
+        if pre.depth != 0 or post.depth != 0:
+            raise ValueError(f"{statement}({render(pre)}, {render(post)}) is not flat")
 
 
 @dataclass(frozen=True)
@@ -53,11 +61,7 @@ class PositiveSpec:
     conjuncts: tuple[tuple[Formula, Formula], ...]
 
     def __post_init__(self) -> None:
-        for pre, post in self.conjuncts:
-            if pre.depth != 0 or post.depth != 0:
-                raise ValueError(
-                    f"positive conjunct Kh({render(pre)}, {render(post)}) is not flat"
-                )
+        _require_flat(self.conjuncts, "positive conjunct Kh")
 
     @property
     def n(self) -> int:
@@ -77,11 +81,7 @@ class NegativeSpec:
     conjuncts: tuple[tuple[Formula, Formula], ...]
 
     def __post_init__(self) -> None:
-        for pre, post in self.conjuncts:
-            if pre.depth != 0 or post.depth != 0:
-                raise ValueError(
-                    f"negative conjunct ~Kh({render(pre)}, {render(post)}) is not flat"
-                )
+        _require_flat(self.conjuncts, "negative conjunct ~Kh")
 
     @property
     def m(self) -> int:
@@ -336,10 +336,11 @@ def decide(
         raise ValueError(f"unknown mode {mode!r}")
     oracle = oracle or SatOracle()
     flattening = flatten(f)
-    # Every condition a pair picks, built once per call.
-    false = Bottom()
+    # Every condition a pair picks, built once per call, and kept at modal
+    # depth 0 as flatten keeps its own nodes, so the pair specs fill no fact.
+    false = _built(Bottom)
     sides = [(leaf.pre, leaf.post) for _, leaf in flattening.defs]
-    pins = [((Not(k), false), (k, false)) for k, _ in flattening.defs]
+    pins = [((_built(Not, k), false), (k, false)) for k, _ in flattening.defs]
     exis = (flattening.phi0, false)
     records: list[GuessRecord] = []
     certificate_calls = 0

@@ -26,11 +26,10 @@ built once per scope.  Either way a guess check can keep the witness of
 each query it satisfies (``SatOracle.witnesses``) as a place: the number of
 its row in the truth table of the scope's sorted atoms, first atom most
 significant.  Its certificate is built from those places, reading its
-conditions' and atoms' bits at them (``SatOracle.row_truth_sets``,
-``SatOracle.atoms``): off the table where there is one, otherwise
-evaluated on a grid of the places.  The per-query table, the scope's table
-and that grid are one type, ``_Table``, whose ``entry`` evaluates each
-formula once.
+conditions' bits at them (``SatOracle.row_truth_sets``: off the table where
+there is one, otherwise evaluated on a grid of the places) and the scope's
+atoms' (``SatOracle.row_valuation``); no other module reads a place.  The
+per-query table, the scope's table and that grid are one type, ``_Table``.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -312,70 +311,65 @@ def _no_modality(pre: int, post: int) -> int:
 
 class _Reader:
     """A table's atom masks as ``eval_core`` reads them, through ``get``:
-    it notes in ``read`` the bits of the atoms read, and in ``outside``
-    whether one lies outside the table (read as false)."""
+    it notes in ``outside`` whether an atom lies outside the table (read as
+    false)."""
 
-    __slots__ = ("val", "bits", "read", "outside")
+    __slots__ = ("val", "outside")
 
-    def __init__(self, val: dict[str, int], bits: dict[str, int]):
-        self.val, self.bits, self.read, self.outside = val, bits, 0, False
+    def __init__(self, val: dict[str, int]):
+        self.val, self.outside = val, False
 
     def get(self, name: str, default: int) -> int:
-        bit = self.bits.get(name)
-        if bit is None:
+        mask = self.val.get(name)
+        if mask is None:
             self.outside = True
             return default
-        self.read |= bit
-        return self.val[name]
+        return mask
+
+
+def _on_rows(bits: dict[str, int], rows: Sequence[int]) -> dict[str, int]:
+    """Each atom of ``bits`` with its truth set on the places ``rows``."""
+    return {a: sum(1 << i for i, row in enumerate(rows) if row & bit) for a, bit in bits.items()}
 
 
 class _Table(NamedTuple):
     """Truth sets on a grid of valuations, one bit per row: each atom's
-    mask, every row, each atom's bit in a place, and per formula evaluated
-    so far, by id: the formula (kept alive, so its id is not reused), its
-    mask (None: it reads an atom outside the table) and the bits of the
-    atoms it reads."""
+    mask, every row, and per formula evaluated so far, by id: the formula
+    (kept alive, so its id is not reused) and its mask (None: it reads an
+    atom outside the table)."""
 
     val: dict[str, int]
     every: int
-    bits: dict[str, int]
-    cache: dict[int, tuple[Formula, int | None, int]]
+    cache: dict[int, tuple[Formula, int | None]]
 
     @classmethod
     def truth_table(cls, symbols: Sequence[str]) -> _Table:
         """The truth table of the sorted ``symbols``: row r is place r."""
-        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, _bits(symbols), {})
+        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
 
     @classmethod
     def grid(cls, bits: dict[str, int], rows: Sequence[int]) -> _Table:
         """One row per place in ``rows``, over the atoms of ``bits``."""
-        val = {a: sum(1 << i for i, row in enumerate(rows) if row & bit) for a, bit in bits.items()}
-        return cls(val, (1 << len(rows)) - 1, bits, {})
-
-    def entry(self, f: Formula) -> tuple[Formula, int | None, int]:
-        """``f``'s cache entry, evaluated on first use (``eval_core``; no
-        node fact is read); a modal ``f`` raises ``ValueError`` and is not
-        cached."""
-        entry = self.cache.get(id(f))
-        if entry is None:
-            reader = _Reader(self.val, self.bits)
-            try:
-                mask = eval_core(f, reader, self.every, _no_modality)
-            except _ModalOperand:
-                message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
-                raise ValueError(message) from None
-            entry = self.cache[id(f)] = (f, None if reader.outside else mask, reader.read)
-        return entry
+        return cls(_on_rows(bits, rows), (1 << len(rows)) - 1, {})
 
     def masks(self, fs: Sequence[Formula]) -> list[int] | None:
-        """The masks of ``fs``, or None when a member reads an atom outside
-        the table."""
+        """The masks of ``fs``, each evaluated on first use (``eval_core``;
+        no node fact is read), or None when a member reads an atom outside
+        the table; a modal member raises ``ValueError`` and is not cached."""
         masks = []
         for f in fs:  # a loop, not a comprehension: this runs on every question batch
-            mask = self.entry(f)[1]
-            if mask is None:
+            entry = self.cache.get(id(f))
+            if entry is None:
+                reader = _Reader(self.val)
+                try:
+                    mask = eval_core(f, reader, self.every, _no_modality)
+                except _ModalOperand:
+                    message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
+                    raise ValueError(message) from None
+                entry = self.cache[id(f)] = (f, None if reader.outside else mask)
+            if entry[1] is None:
                 return None
-            masks.append(mask)
+            masks.append(entry[1])
         return masks
 
 
@@ -394,13 +388,13 @@ TruthSet = int | Members
 
 
 class _Scope(NamedTuple):
-    """An oracle's state inside ``scope``: a table over the scope's sorted
-    atoms, the truth table when it ``answers`` queries and otherwise a grid
-    of no rows, which only reads which atoms a formula mentions; and per
-    query, each formula's truth set and its negation's, by id."""
+    """An oracle's state inside ``scope``: each of the scope's sorted atoms
+    with its bit in a place; the truth table over them, or None when queries
+    go to ``is_sat``; and per query, each formula's truth set and its
+    negation's, by id."""
 
-    table: _Table
-    answers: bool
+    bits: dict[str, int]
+    table: _Table | None
     members: dict[int, tuple[Members, Members]]
 
 
@@ -437,7 +431,7 @@ class SatOracle:
         """The set of all valuations, the truth sets of ``fs`` and those of
         their negations; no query is counted."""
         scope = self._scope
-        masks = scope.table.masks(fs) if scope is not None and scope.answers else None
+        masks = scope.table.masks(fs) if scope is not None and scope.table is not None else None
         if masks is not None:
             every = scope.table.every
             return every, masks, [every ^ mask for mask in masks]
@@ -451,7 +445,7 @@ class SatOracle:
         ``fs`` builds or fills a node.  The table path needs nothing: a
         mask is evaluated on first use."""
         scope = self._scope
-        if scope is not None and not scope.answers:
+        if scope is not None and scope.table is None:
             for f in fs:
                 self._members(f, scope.members)
 
@@ -477,7 +471,7 @@ class SatOracle:
         if isinstance(term, Members):
             sat, witness = is_sat(term, solver_path=self.solver_path)
             if sat and self._witnesses is not None:
-                bits = self._scope.table.bits
+                bits = self._scope.bits
                 if not witness.keys() <= bits.keys():
                     raise ValueError("a witness has atoms outside the scope")
                 self._witnesses.append(sum(bits[a] for a, value in witness.items() if value))
@@ -505,15 +499,6 @@ class SatOracle:
             found, self._witnesses = self._witnesses, saved
             rows += dict.fromkeys(found)
 
-    def atoms(self, fs: Sequence[Formula]) -> dict[str, int]:
-        """The scope's atoms that modality-free ``fs`` mention, sorted, each
-        with its bit in a place; read off the scope's table, which evaluates
-        each formula once.  No query is counted."""
-        table, read = self._scope.table, 0
-        for f in fs:
-            read |= table.entry(f)[2]
-        return {a: bit for a, bit in table.bits.items() if bit & read}
-
     def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[int]) -> list[int]:
         """The truth sets of modality-free ``fs`` on ``rows``, places over
         the scope's atoms: bit i of a mask is ``rows[i]``.  No query is
@@ -522,13 +507,18 @@ class SatOracle:
         a grid of the rows.  A formula with an atom outside the scope raises
         ``ValueError``."""
         scope = self._scope
-        masks = scope.table.masks(fs) if scope.answers else None
+        masks = scope.table.masks(fs) if scope.table is not None else None
         if masks is None:
-            masks = _Table.grid(scope.table.bits, rows).masks(fs)
+            masks = _Table.grid(scope.bits, rows).masks(fs)
             if masks is None:
                 raise ValueError("a formula has atoms outside the scope of its rows")
             return masks
         return [sum(1 << i for i, place in enumerate(rows) if mask >> place & 1) for mask in masks]
+
+    def row_valuation(self, rows: Sequence[int]) -> dict[str, int]:
+        """Each of the scope's sorted atoms with its truth set on ``rows``,
+        places over them: bit i of a mask is ``rows[i]``."""
+        return _on_rows(self._scope.bits, rows)
 
     @contextmanager
     def scope(self, atoms: Iterable[str]) -> Iterator[None]:
@@ -537,10 +527,10 @@ class SatOracle:
         is restored on exit, also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
+        table = None
         if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
-            self._scope = _Scope(_Table.truth_table(symbols), True, {})
-        else:
-            self._scope = _Scope(_Table.grid(_bits(symbols), ()), False, {})
+            table = _Table.truth_table(symbols)
+        self._scope = _Scope(_bits(symbols), table, {})
         try:
             yield
         finally:

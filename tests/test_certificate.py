@@ -29,6 +29,7 @@ from knowhow.semantics import (
     strongly_executable,
 )
 
+from tests.test_khsat import _suite
 from tests.test_semantics import truth_table
 
 
@@ -261,20 +262,6 @@ def test_large_certificate_is_built_and_verified_quickly():
     assert elapsed < 3.0
 
 
-def test_rows_are_projected_onto_the_pair_atoms():
-    # Rows are places over the scope's atoms, here p, q and r (the lowest
-    # bit); rows that differ only in r, which the pair never mentions, give
-    # one state, and r is no part of the model's valuation.
-    p, q = pos(("p", "q")), neg(("q", "false"))
-    oracle = SatOracle()
-    with oracle.scope(["p", "q", "r"]):
-        indices, rows = check(p, q, oracle)
-        c = build_model(p, q, indices, rows, oracle=oracle)
-        widened = build_model(p, q, indices, rows + [row | 0b001 for row in rows], oracle=oracle)
-    assert len(c.model.states) > 1 and widened.dump() == c.dump()
-    assert "r" not in widened.model.val
-
-
 def test_context_indices_are_inert_in_the_model():
     # For every index forced into the context, the postcondition holds
     # nowhere and the negated precondition holds everywhere.
@@ -373,7 +360,7 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
                 with monkeypatch.context() as per_query:
                     per_query.setattr(propsat, "_TABLE_MAX_SYMBOLS", -1)
                     with oracle.scope(verdict.flattening.vocabulary):
-                        assert not oracle._scope.answers
+                        assert oracle._scope.table is None
                         assert check(p, q, oracle) == (indices, rows), (seed, mode)
                         sides = [side for pair in p.conjuncts + q.conjuncts for side in pair]
                         assert oracle.row_truth_sets(sides, rows) == truth, (seed, mode)
@@ -383,6 +370,26 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
     assert certified >= len(seeds)
+
+
+@pytest.mark.parametrize("suite", ["S", "M", "L", "XL", "XXL", "M&M&M"])
+def test_certificates_take_their_atoms_from_the_vocabulary(suite, monkeypatch):
+    # decide's scope is the flattening's vocabulary, which is exactly the
+    # atoms of phi0 and of the definitions' sides; each pair mentions them
+    # all, so a certificate's valuation over the scope's atoms needs no
+    # projection onto the pair's.
+    built = recording_builds(monkeypatch)
+    for f in _suite(suite):
+        for mode in ("plain", "augmented"):
+            built.clear()
+            verdict = decide(f, mode)
+            flattening = verdict.flattening
+            sides = [side for _, leaf in flattening.defs for side in (leaf.pre, leaf.post)]
+            mentioned = set().union(flattening.phi0.atoms, *(side.atoms for side in sides))
+            assert set(flattening.vocabulary) == mentioned, (suite, mode)
+            assert built or verdict.result is Result.UNSAT
+            for *_, c in built:
+                assert c.model.val.keys() <= mentioned, (suite, mode)
 
 
 def test_decide_certificates_read_the_scope_masks(monkeypatch):

@@ -416,6 +416,7 @@ def _suite(name: str) -> list[Formula]:
     depth, leaves, atoms, count = {
         "S": (2, 2, ("p", "q"), 300),
         "M": (3, 3, ("p", "q", "r"), 300),
+        "L": (3, 6, ("p", "q", "r", "s"), 60),
         "XL": (4, 10, ("p", "q", "r", "s", "t", "u"), 60),
         "XXL": (5, 14, ("p", "q", "r", "s", "t", "u", "v", "w"), 30),
     }[name]
@@ -486,7 +487,9 @@ def test_guess_checks_after_the_first_fill_no_node(suite, monkeypatch):
 def test_decide_fills_no_node_facts_on_the_input_core(monkeypatch):
     """``decide``'s table path runs on identities: flattening, the oracle's
     truth sets, the pair checks and the certificates read no hash and no
-    ``atoms`` of the input's core form, so no fact of its nodes is filled."""
+    ``atoms`` of the input's core form, so no fact of its nodes is filled;
+    and the conditions ``decide`` builds itself, ``false`` and the pins,
+    keep their depth, so no other node's facts are filled either."""
     filled = []
     fill = formula._fill_facts
 
@@ -497,13 +500,11 @@ def test_decide_fills_no_node_facts_on_the_input_core(monkeypatch):
     monkeypatch.setattr(formula, "_fill_facts", recording_fill)
     decided = 0
     for f in _suite("M"):
-        core_nodes = set()
-        formula.fold(f.core, lambda node, _: core_nodes.add(id(node)))
         for mode in ("plain", "augmented"):
             filled.clear()
             verdict = decide(f, mode)
             assert len(verdict.flattening.vocabulary) <= propsat._TABLE_MAX_SYMBOLS
-            assert core_nodes.isdisjoint(filled), (render(f), mode)
+            assert filled == [], (render(f), mode)
             decided += 1
     assert decided == 600
 
@@ -685,7 +686,7 @@ class _RecordingOracle(SatOracle):
     def scope(self, atoms):
         with super().scope(atoms):
             if not self.scoped:  # the same scope's places, each question per query
-                self._scope = self._scope._replace(answers=False)
+                self._scope = self._scope._replace(table=None)
             yield
 
 

@@ -575,7 +575,7 @@ def test_scope_tables_read_no_node_facts(monkeypatch):
         members = [Or(P, Not(Q)), Iff(P, Top()), Implies(Q, Bottom())]
         every, truth, falsity = oracle.truth_sets(members)
         assert truth == [0b1101, 0b1100, 0b0101] and every == 0b1111
-        assert oracle.atoms(members) == {"p": 0b10, "q": 0b01}
+        assert oracle.row_valuation([0b10, 0b01]) == {"p": 0b01, "q": 0b10}
         assert fills == []
         assert oracle.truth_sets([Or(P, R)])[1] == [Members((Or(P, R),))]  # r: per query
         fills.clear()  # the per-query member and its negation, checked modality-free
