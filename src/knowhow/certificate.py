@@ -57,20 +57,20 @@ class Certificate:
 
 
 def build_model(
-    p, q, indices, rows: Iterable[int], *, witness_pre: Formula | None = None, oracle: SatOracle,
+    p, indices, rows: Iterable[int], *, witness_pre: Formula | None = None, oracle: SatOracle,
 ) -> Certificate:
-    """The explicit model for a positive/negative pair, the context indices
-    of ``p`` (``khsat.global_indices``) and the witness ``rows`` of the
-    pair's check, places over the atoms of ``oracle``'s scope
-    (``SatOracle.witnesses``), which must still be open.
+    """The explicit model for a positive conjunction ``p`` of a checked
+    pair, the context indices of ``p`` (``khsat.global_indices``) and the
+    witness ``rows`` of the pair's check, places over the atoms of
+    ``oracle``'s scope (``SatOracle.witnesses``), which must still be open.
 
     States are the distinct rows where no precondition of ``indices``
     holds, in truth-table order (first sorted atom most significant, False
     first): ascending places.  None left raises ``ValueError``.  The
     conditions' and the atoms' truth sets on them are read at those places
     (``oracle.row_truth_sets``, ``oracle.row_valuation``).  The witness
-    state is the lowest-numbered one where ``witness_pre`` holds; ``q``
-    enters through the rows alone.
+    state is the lowest-numbered one where ``witness_pre`` holds.  The
+    pair's negative conjunction enters through the rows alone.
     """
     valuations = sorted(set(rows))
     forced = 0

@@ -61,8 +61,10 @@ class Formula:
     ``core`` fills the core forms the same way.  A node in the core
     fragment is its own ``core``: it keeps ``_core = None``, not a
     reference to itself, and the nodes ``core`` builds are marked so when
-    they are built.  ``normalform.flatten`` keeps ``depth`` alone on the
-    nodes it reuses and builds; a later fill computes the same value again.
+    they are built.  ``normalform.flatten`` reads no ``core``: it keeps
+    ``depth`` alone on the nodes it reuses and builds (a later fill computes
+    the same value again) and marks none as core.  ``core`` is read by
+    ``desugar`` and, in the oracle, by the per-query path alone.
     Equality is structural, compared in one frame, each pair of nodes once;
     equal nodes are not shared or interned.  The ``repr`` spells each node
     shared by reference once.

@@ -312,7 +312,7 @@ def _check_guess(
     if not ok:
         return False, None
     exis_pre = q.conjuncts[-1][0]
-    candidate = certificate.build_model(p, q, indices, rows, witness_pre=exis_pre, oracle=oracle)
+    candidate = certificate.build_model(p, indices, rows, witness_pre=exis_pre, oracle=oracle)
     return True, candidate if certificate.verify_certificate(candidate, original) else None
 
 
@@ -349,9 +349,10 @@ def decide(
     # Every query of the call, the guess enumeration's too, draws its atoms
     # from the flattening's vocabulary.
     with oracle.scope(flattening.vocabulary):
-        # Per query, every condition's negation is built before the first guess.
+        # Per query, every condition's negation is built before the first guess;
+        # on the table, phi0's, the sides' and the names' masks are numbered.
         conditions = [*sides, *(pin for two in pins for pin in two), exis]
-        oracle.prepare([side for condition in conditions for side in condition])
+        oracle.prepare([s for condition in conditions for s in condition], flattening.numbering)
         # Definition order, True first: all-true first, _k1 most significant.
         guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
         for assignment in guesses:

@@ -19,8 +19,10 @@ asks whether the result is empty; even its guesses come from such queries,
 a descent over the definition atoms (``SatOracle.enumerate_models``).
 ``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
 to the same cutoff, a truth set is then an int mask on one truth table per
-call, each formula evaluated once and cached by identity, with no node
-fact (hash, atoms, depth) read.  Otherwise a truth set is the list of its
+call, cached by identity, with no node fact (hash, atoms, depth) read.  The
+skeleton's, the sides' and the names' masks come from one pass over
+``flatten``'s numbering (``_Table.number``), any other formula's from one
+evaluation.  Otherwise a truth set is the list of its
 member formulas, each query to ``is_sat``, and each formula's negation is
 built once per scope.  Either way a guess check can keep the witness of
 each query it satisfies (``SatOracle.witnesses``) as a place: the number of
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formula import Atom, Formula, Not, Or, _core_node, fold, render
+from .normalform import Numbering
 from .semantics import eval_core, truth_masks
 
 Assignment = dict[str, bool]
@@ -352,6 +355,20 @@ class _Table(NamedTuple):
         """One row per place in ``rows``, over the atoms of ``bits``."""
         return cls(_on_rows(bits, rows), (1 << len(rows)) - 1, {})
 
+    def number(self, numbering: Numbering) -> None:
+        """Cache the masks of the formulas ``numbering`` numbers, from one
+        pass over its structures: an atom or a modality's name reads its
+        mask, ``~`` complements, ``|`` ORs and ``false`` is 0."""
+        every, val, masks = self.every, self.val, []
+        for s in numbering.structures:  # a loop, not a comprehension: this runs once per structure
+            if type(s) is str:
+                masks.append(val[s])
+            elif s[0] is Not:
+                masks.append(every ^ masks[s[1]])
+            else:  # (Or, i, j), or (Bottom,)
+                masks.append(masks[s[1]] | masks[s[2]] if len(s) > 1 else 0)
+        self.cache.update((id(f), (f, masks[n])) for f, n in numbering.numbered)
+
     def masks(self, fs: Sequence[Formula]) -> list[int] | None:
         """The masks of ``fs``, each evaluated on first use (``eval_core``;
         no node fact is read), or None when a member reads an atom outside
@@ -439,15 +456,18 @@ class SatOracle:
         sets = [self._members(f, members) for f in fs]
         return Members(), [truth for truth, _ in sets], [falsity for _, falsity in sets]
 
-    def prepare(self, fs: Sequence[Formula]) -> None:
+    def prepare(self, fs: Sequence[Formula], numbering: Numbering) -> None:
         """Per query, build each formula's negation now, once per scope and
         with the node facts ``is_sat`` reads, so no later question about
-        ``fs`` builds or fills a node.  The table path needs nothing: a
-        mask is evaluated on first use."""
+        ``fs`` builds or fills a node.  On the table, the masks of the
+        formulas ``numbering`` numbers are taken from one pass over it
+        (``_Table.number``); any other mask is evaluated on first use."""
         scope = self._scope
         if scope is not None and scope.table is None:
             for f in fs:
                 self._members(f, scope.members)
+        elif scope is not None:
+            scope.table.number(numbering)
 
     @staticmethod
     def _members(

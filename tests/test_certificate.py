@@ -9,7 +9,7 @@ from functools import reduce
 
 import pytest
 
-from knowhow import certificate, propsat
+from knowhow import certificate, khsat, propsat
 from knowhow.certificate import build_model, verify_certificate
 from knowhow.formula import And, Atom, Bottom, Not, Or, Top, parse
 from knowhow.khsat import (
@@ -68,7 +68,7 @@ def check(p, q, oracle):
 
 def build(p, q, **kwargs):
     with scoped(p, q, kwargs.get("witness_pre")) as oracle:
-        return build_model(p, q, *check(p, q, oracle), oracle=oracle, **kwargs)
+        return build_model(p, *check(p, q, oracle), oracle=oracle, **kwargs)
 
 
 def row_valuations(c, atoms):
@@ -191,9 +191,9 @@ def test_states_follow_the_oracle_enumeration_order():
             expected = [{a: bool(table.val[a] >> r & 1) for a in ordered_atoms} for r in kept]
             if not expected:  # an unsatisfiable context leaves no state to build
                 with pytest.raises(ValueError, match="admits no state"):
-                    build_model(p, q, indices, rows, oracle=oracle)
+                    build_model(p, indices, rows, oracle=oracle)
                 continue
-            c = build_model(p, q, indices, rows, oracle=oracle)
+            c = build_model(p, indices, rows, oracle=oracle)
         assert row_valuations(c, ordered_atoms) == expected, seed
     assert constrained >= 20
 
@@ -230,7 +230,7 @@ def test_action_masks_are_the_pre_post_product_seeded():
         with scoped(p, q) as oracle:
             indices, rows = check(p, q, oracle)
             try:
-                c = build_model(p, q, indices, rows, oracle=oracle)
+                c = build_model(p, indices, rows, oracle=oracle)
             except ValueError:  # the context admits no state
                 continue
         checked += 1
@@ -268,7 +268,7 @@ def test_context_indices_are_inert_in_the_model():
     p, q = pos(("p", "false"), ("q", "p"), ("r", "r")), NegativeSpec(())
     with scoped(p, q) as oracle:
         indices, rows = check(p, q, oracle)
-        c = build_model(p, q, indices, rows, oracle=oracle)
+        c = build_model(p, indices, rows, oracle=oracle)
     assert sorted(indices) == [1, 2]
     for i in sorted(indices):
         assert eval_formula(c.model, p.post(i)) == 0
@@ -316,13 +316,19 @@ _XL = (4, 10, ("p", "q", "r", "s", "t", "u"), range(60))
 
 def recording_builds(monkeypatch, *, truth=False):
     """Records (p, q, indices, rows, witness_pre, certificate) for every
-    certificate ``decide`` builds; with ``truth``, also the truth sets of
-    the pair's sides on the rows, before the certificate."""
-    built = []
-    original = certificate.build_model
+    certificate ``decide`` builds, ``q`` from the guess check that builds
+    it; with ``truth``, also the truth sets of the pair's sides on the rows,
+    before the certificate."""
+    built, checked = [], []
+    original, check_guess = certificate.build_model, khsat._check_guess
 
-    def recording_build(p, q, indices, rows, **kwargs):
-        c = original(p, q, indices, rows, **kwargs)
+    def recording_check(p, q, *args):
+        checked.append(q)
+        return check_guess(p, q, *args)
+
+    def recording_build(p, indices, rows, **kwargs):
+        c = original(p, indices, rows, **kwargs)
+        q = checked[-1]
         record = (p, q, indices, rows, kwargs["witness_pre"], c)
         if truth:
             sides = [side for conjunct in p.conjuncts + q.conjuncts for side in conjunct]
@@ -330,6 +336,7 @@ def recording_builds(monkeypatch, *, truth=False):
         built.append(record)
         return c
 
+    monkeypatch.setattr(khsat, "_check_guess", recording_check)
     monkeypatch.setattr(certificate, "build_model", recording_build)
     return built
 
@@ -364,9 +371,7 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
                         assert check(p, q, oracle) == (indices, rows), (seed, mode)
                         sides = [side for pair in p.conjuncts + q.conjuncts for side in pair]
                         assert oracle.row_truth_sets(sides, rows) == truth, (seed, mode)
-                        alone = build_model(
-                            p, q, indices, rows, witness_pre=witness_pre, oracle=oracle
-                        )
+                        alone = build_model(p, indices, rows, witness_pre=witness_pre, oracle=oracle)
                 assert alone.dump() == c.dump(), (seed, mode)
                 certified += 1
     assert certified >= len(seeds)

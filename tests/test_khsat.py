@@ -102,7 +102,7 @@ def test_context_checks_fill_no_core_form(monkeypatch):
             assert indices == frozenset({1, 2})
             assert compatible(p, q, oracle, indices) is False
         assert composition_closure(p, indices, oracle) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert len(certificate.build_model(p, q, indices, rows, oracle=oracle).model.states) == 1
+        assert len(certificate.build_model(p, indices, rows, oracle=oracle).model.states) == 1
     assert filled == []
 
 
@@ -507,6 +507,38 @@ def test_decide_fills_no_node_facts_on_the_input_core(monkeypatch):
             assert filled == [], (render(f), mode)
             decided += 1
     assert decided == 600
+
+
+def test_decide_evaluates_no_numbered_formula_on_the_table(monkeypatch):
+    """On the table path the masks of phi0, of every side and of every name
+    come from one pass over flatten's numbering: none of them reaches
+    propsat's evaluator, in either mode."""
+    evaluated = []
+    evaluate = propsat.eval_core
+    monkeypatch.setattr(propsat, "eval_core", lambda f, *args: evaluated.append(f) or evaluate(f, *args))
+    decided = 0
+    for f in _suite("M") + _suite("M&M&M"):
+        for mode in ("plain", "augmented"):
+            evaluated.clear()
+            flattening = decide(f, mode).flattening
+            if len(flattening.vocabulary) > propsat._TABLE_MAX_SYMBOLS:
+                continue
+            sides = [side for _, leaf in flattening.defs for side in (leaf.pre, leaf.post)]
+            names = [k for k, _ in flattening.defs]
+            numbered = {id(g) for g in [flattening.phi0, *sides, *names]}
+            assert not numbered & {id(g) for g in evaluated}, (render(f), mode)
+            decided += 1
+    assert decided > 600
+
+
+@pytest.mark.parametrize("mode", ["plain", "augmented"])
+def test_decide_answers_a_1000_level_iff_chain(mode):
+    # As written the chain is a tree of 1000 <-> nodes; its core form shares
+    # each side of each <-> twice, 2^1000 paths.
+    f = parse("Kh(p, q) <-> " * 1000 + "p")
+    verdict = decide(f, mode)
+    assert verdict.result is Result.SAT
+    assert verify_certificate(verdict.certificate, f)
 
 
 def test_specs_reject_modal_operands():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from functools import partial
+from operator import is_
 
 import pytest
 
@@ -31,16 +32,25 @@ from knowhow.formula import (
     render,
 )
 from knowhow.normalform import FlattenResult, flatten
+from knowhow.normalform import _built as normalform_built
 from knowhow.oracle import random_formula
-from knowhow.semantics import eval_formula
+from knowhow.propsat import _bits, _no_modality, _Table
+from knowhow.semantics import eval_core, eval_formula
 from tests.test_semantics import random_model
 
 P, Q, R, T = Atom("p"), Atom("q"), Atom("r"), Atom("t")
 K1, K2, K3 = Atom("_k1"), Atom("_k2"), Atom("_k3")
 
 
+def desugared(result: FlattenResult) -> FlattenResult:
+    """``result`` with ``phi0`` and each definition in core form; the names
+    and the vocabulary are unchanged."""
+    defs = tuple((k, desugar(leaf)) for k, leaf in result.defs)
+    return replace(result, phi0=desugar(result.phi0), defs=defs)
+
+
 def test_flatten_two_disjoined_modalities():
-    result = flatten(parse("Kh(p & q, r & t) | Kh(p, r)"))
+    result = desugared(flatten(parse("Kh(p & q, r & t) | Kh(p, r)")))
     assert result.phi0 == Or(K1, K2)
     assert result.defs == (
         (K1, desugar(parse("Kh(p & q, r & t)"))),
@@ -55,7 +65,7 @@ def test_flatten_no_modalities_is_identity():
 
 
 def test_flatten_nested_two_passes():
-    result = flatten(parse("Kh(p, Kh(~q, p -> q)) | Kh(r, t)"))
+    result = desugared(flatten(parse("Kh(p, Kh(~q, p -> q)) | Kh(r, t)")))
     assert result.phi0 == Or(K3, K2)
     assert len(result.defs) == 3
     assert result.defs[0] == (K1, Kh(Not(Q), Or(Not(P), Q)))
@@ -198,7 +208,7 @@ def _flatten_by_rounds(f: Formula) -> FlattenResult:
         phi0 = fold(phi0, lambda g, children: _core_node(type(g), *children), leaf)
         defs.extend((atom, kh) for kh, atom in names.items())
     vocabulary = tuple(sorted(f.core.atoms.union(k.name for k, _ in defs)))
-    return FlattenResult(phi0, tuple(defs), vocabulary)
+    return FlattenResult(phi0, tuple(defs), vocabulary, numbering=None)
 
 
 def _e_chain(n: int) -> Formula:
@@ -222,16 +232,21 @@ _SUITES = {
 }
 
 
-@pytest.mark.parametrize("suite", [*_SUITES, "M&M&M"])
-def test_flatten_equals_the_round_by_round_flattening_seeded(suite):
+def _inputs(suite: str) -> list[Formula]:
+    """The seeded suite's inputs, or the chains."""
     if suite == "M&M&M":  # three M inputs conjoined: the guess-heavy suite
         m = partial(random_formula, 3, 3, ("p", "q", "r"))
-        inputs = [And(And(m(s), m(s + 5000)), m(s + 9000)) for s in range(300)]
-    else:
-        depth, leaves, atoms, count = _SUITES[suite]
-        inputs = [random_formula(depth, leaves, atoms, seed) for seed in range(count)]
-    for f in inputs:
-        result, expected = flatten(f), _flatten_by_rounds(f)
+        return [And(And(m(s), m(s + 5000)), m(s + 9000)) for s in range(300)]
+    if suite == "chains":
+        return [_e_chain(n) for n in (1, 2, 10, 400)] + [_iff_chain(n) for n in (1, 2, 12, 1000)]
+    depth, leaves, atoms, count = _SUITES[suite]
+    return [random_formula(depth, leaves, atoms, seed) for seed in range(count)]
+
+
+@pytest.mark.parametrize("suite", [*_SUITES, "M&M&M"])
+def test_flatten_equals_the_round_by_round_flattening_seeded(suite):
+    for f in _inputs(suite):
+        result, expected = desugared(flatten(f)), _flatten_by_rounds(f)
         assert result == expected, render(f)
         assert result.vocabulary == expected.vocabulary, render(f)
 
@@ -242,7 +257,7 @@ def test_flatten_equals_the_round_by_round_flattening_seeded(suite):
     ids=[f"e-chain-{n}" for n in (1, 2, 3, 10, 100, 400)] + [f"iff-chain-{n}" for n in (1, 2, 5, 12)],
 )
 def test_flatten_equals_the_round_by_round_flattening_on_chains(f):
-    assert flatten(f) == _flatten_by_rounds(f)
+    assert desugared(flatten(f)) == _flatten_by_rounds(f)
 
 
 @pytest.mark.parametrize("n", [1, 10, 400])
@@ -260,25 +275,61 @@ def test_flatten_folds_once_whatever_the_depth(monkeypatch, n):
 
 
 def test_flatten_builds_once_per_distinct_modal_node(monkeypatch):
-    # 18 levels of <-> have 2^18 paths through the core form's shared nodes,
-    # but at most 9 distinct nodes each (the Kh and the eight of its Iff's
-    # core form); each node with a modality is rebuilt once, and the one
-    # name is made once.
-    f = _iff_chain(18)
-    distinct, stack = {}, [f.core]
-    while stack:
-        node = stack.pop()
-        if node.depth and id(node) not in distinct:
-            distinct[id(node)] = node
-            stack += node.children
+    # 18 levels of <->: as parsed, 18 Iff nodes over 18 separate copies of
+    # Kh(p, q); shared, each level's two sides are one node, so there are
+    # 2^18 paths through 18 distinct Iff nodes.  Either way flatten builds
+    # each Iff above a modality once, the one definition and its name once,
+    # and once the ``false`` that A and E definitions share.
+    shared = Kh(P, Q)
+    for _ in range(18):
+        shared = Iff(shared, shared)
     built = []
 
-    def counting_core_node(cls, *fields):
-        built.append(cls)
-        return _core_node(cls, *fields)
+    def counting_built(cls, *fields):
+        built.append(cls.__name__)
+        return normalform_built(cls, *fields)
 
-    monkeypatch.setattr(normalform, "_core_node", counting_core_node)
-    result = flatten(f)
-    assert result.defs == ((K1, Kh(P, Q)),)
-    assert built.count(Atom) == 1
-    assert len(built) - 1 == len(distinct) <= 9 * 18
+    monkeypatch.setattr(normalform, "_built", counting_built)
+    for f in (_iff_chain(18), shared):
+        built.clear()
+        result = flatten(f)
+        assert result.defs == ((K1, Kh(P, Q)),)
+        assert sorted(built) == ["Atom", "Bottom", *["Iff"] * 18, "Kh"]
+
+
+@pytest.mark.parametrize("suite", [*_SUITES, "M&M&M", "chains"])
+def test_numbered_masks_equal_the_evaluator(suite):
+    # On the truth table of the vocabulary, or on a grid of 64 random places
+    # when it has more than 12 atoms, the masks that one pass over flatten's
+    # numbering gives phi0, every side and every name equal eval_core's.
+    rng = random.Random(27)
+    for f in _inputs(suite):
+        result = flatten(f)
+        sides = [side for _, leaf in result.defs for side in leaf.children]
+        numbered = [result.phi0, *sides, *(k for k, _ in result.defs)]
+        assert all(map(is_, [g for g, _ in result.numbering.numbered], numbered)), render(f)
+        symbols = result.vocabulary
+        if len(symbols) <= 12:
+            table = _Table.truth_table(symbols)
+        else:
+            places = [rng.getrandbits(len(symbols)) for _ in range(64)]
+            table = _Table.grid(_bits(symbols), places)
+        table.number(result.numbering)
+        for g in numbered:
+            expected = eval_core(g, table.val, table.every, _no_modality)
+            assert table.masks([g]) == [expected], (render(f), render(g))
+
+
+@pytest.mark.parametrize("suite", [*_SUITES, "M&M&M", "chains"])
+def test_every_node_flatten_hands_out_has_its_written_core_form(suite):
+    # A node flatten builds above sugar is not marked as its own core form,
+    # so the per-query path's CNF reads the same formula as the table.
+    # Rendering every node is quadratic in the nesting: chains of 100 levels.
+    for f in [_e_chain(100), _iff_chain(100)] if suite == "chains" else _inputs(suite):
+        result = flatten(f)
+        handed = [result.phi0, *(g for definition in result.defs for g in definition)]
+        nodes = {}
+        for g in handed:
+            fold(g, lambda node, _: nodes.setdefault(id(node), node))
+        for g in nodes.values():
+            assert g.core == desugar(parse(render(g), allow_reserved=True)), render(g)

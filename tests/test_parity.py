@@ -40,7 +40,7 @@ SUITES = (
     (3, 3, ("p", "q", "r"), range(100)),
 )
 
-EXPECTED_OUTPUT_DIGEST = "fdd2a9bc9988f3179e7a0ecd48ac5f7907a04344ba8f2f2db96465cc1de81369"
+EXPECTED_OUTPUT_DIGEST = "70db8884121825db7b155b3e12f591b6ff75e9fa507e990bb96eb5312a2acbe4"
 EXPECTED_COUNTER_DIGEST = "70d5653d598eb2a6ddde1e001e041563e938ac52e753d8ff24de1f38efdd414b"
 
 
