@@ -63,7 +63,8 @@ class Formula:
     reference to itself, and the nodes ``core`` builds are marked so when
     they are built.  ``normalform.flatten`` reads no ``core``: it keeps
     ``depth`` alone on the nodes it reuses and builds (a later fill computes
-    the same value again) and marks none as core.  ``core`` is read by
+    the same value again) and marks none as core; it keeps its result on a
+    modal input as ``_flattening``.  ``core`` is read by
     ``desugar`` and, in the oracle, by the per-query path alone.
     Equality is structural, compared in one frame, each pair of nodes once;
     equal nodes are not shared or interned.  The ``repr`` spells each node

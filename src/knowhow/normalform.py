@@ -69,10 +69,20 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
     depth-0 nodes the fold reuses, and the nodes it builds, keep their modal
     depth, which is what the pair specs check.
 
+    The result is kept on ``f``, as ``core`` is, so flattening the same
+    object again walks nothing and returns the same result: ``decide``'s
+    second mode in a differential check reads it.  Nothing is kept when
+    ``phi0`` is ``f`` itself (no modality; keeping it would make a
+    reference cycle) or when ``allow_reserved`` is set, so a result is kept
+    only once the reserved-atom check has passed.
+
     Inputs containing reserved ``_k…`` atoms are rejected unless
     ``allow_reserved`` is set (useful for re-flattening an already flattened
     skeleton, which introduces no fresh atoms and hence cannot collide).
     """
+    kept = getattr(f, "_flattening", None)
+    if kept is not None:
+        return kept
     ids: dict[int, int] = {}  # id of a visited node of ``f`` -> the number of its core structure
     structures: dict[object, int] = {}  # an atom's name, or a core class and child numbers
     depths: list[int] = []  # modal depth by number
@@ -180,4 +190,7 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
         shapes[sid] = name.name  # a modality reads its name
     vocabulary = tuple(sorted(atoms.union(name.name for name in names.values())))
     defs = tuple((names[sid], definitions[sid]) for sid in ordered)
-    return FlattenResult(phi0, defs, vocabulary, Numbering(shapes, numbered))
+    result = FlattenResult(phi0, defs, vocabulary, Numbering(shapes, numbered))
+    if phi0 is not f and not allow_reserved:
+        _keep(f, "_flattening", result)
+    return result

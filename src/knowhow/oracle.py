@@ -44,6 +44,7 @@ from .formula import (
     Or,
     Top,
     Univ,
+    fold,
     kh_occurrences,
 )
 from .semantics import Lts, eval_core, eval_formula, make_lts
@@ -190,7 +191,7 @@ def _exhaustive_tier(f: Formula, atoms: list[str], bounds: SearchBounds) -> Lts 
                     for idx, atom in enumerate(atoms)
                 }
                 truth = eval_core(f, val_masks, all_mask, kh)
-                hits = np.nonzero(np.broadcast_to(truth, combos))[0]
+                hits = np.flatnonzero(truth)
                 if hits.size:
                     model = _decode_model(n, k, int(hits[0]), atoms, val_masks)
                     if eval_formula(model, f) == 0:  # pragma: no cover
@@ -207,9 +208,12 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
     box covers (it could not be complete for that vocabulary).  When it ran
     and the bounds lie inside the box (at most 3 states and 2 actions), its
     miss is returned without random trials, which could only redraw models
-    it has already rejected.
+    it has already rejected.  The atom names come from one ``fold`` over
+    ``f``, which fills no node fact.
     """
-    atoms = sorted(f.atoms)
+    names: set[str] = set()
+    fold(f, lambda node, _: names.add(node.name) if type(node) is Atom else None)
+    atoms = sorted(names)
     if len(atoms) <= _EXHAUSTIVE_MAX_ATOMS:
         model = _exhaustive_tier(f, atoms, bounds)
         if model is not None:

@@ -11,7 +11,7 @@ from operator import and_
 
 import pytest
 
-from knowhow import certificate, formula, khsat, propsat, semantics
+from knowhow import certificate, formula, khsat, normalform, propsat, semantics
 from knowhow.certificate import verify_certificate
 from knowhow.formula import And, Atom, Bottom, Formula, Kh, Not, Or, Top, parse, render
 from knowhow.khsat import (
@@ -27,7 +27,7 @@ from knowhow.khsat import (
     per_guess_call_bound,
 )
 from knowhow.normalform import flatten
-from knowhow.oracle import random_formula
+from knowhow.oracle import SearchBounds, bounded_sat_search, random_formula
 from knowhow.propsat import Members, SatOracle, is_sat
 from knowhow.semantics import eval_formula, make_lts
 from tests.test_propsat import projections_by_dpll, truth_table_sat
@@ -453,6 +453,41 @@ def test_decide_equals_decide_on_the_reference_pairs(suite, monkeypatch):
         assert dumps[0] == dumps[1], (text, mode)
 
 
+@pytest.mark.parametrize("suite", ["S", "M"])
+def test_a_second_decide_reads_the_kept_flattening(suite, monkeypatch):
+    """A differential check decides one object in both modes: the second
+    ``decide``, in either order, returns the flattening the first kept on
+    the input, building and folding nothing, and answers as on a fresh
+    parse.  An input with no modality is its own phi0 and keeps nothing."""
+    built, folds = [], []
+    build, walk = normalform._built, normalform.fold
+    monkeypatch.setattr(normalform, "_built", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(normalform, "fold", lambda *args: folds.append(args) or walk(*args))
+    kept = 0
+    for text in map(render, _suite(suite)):
+        for first_mode, mode in (("plain", "augmented"), ("augmented", "plain")):
+            f = parse(text)
+            first = decide(f, first_mode, trace=True)
+            built.clear()
+            folds.clear()
+            verdict = decide(f, mode, trace=True)
+            modal = first.flattening.phi0 is not f
+            assert (verdict.flattening is first.flattening) == modal, (text, mode)
+            if modal:
+                assert built == [] and folds == [], (text, mode)
+                kept += 1
+            expected = decide(parse(text), mode, trace=True)
+            assert verdict.result is expected.result, (text, mode)
+            assert verdict.trace == expected.trace, (text, mode)
+            assert verdict.partition == expected.partition, (text, mode)
+            assert (verdict.enumeration_calls, verdict.certificate_calls) == (
+                expected.enumeration_calls, expected.certificate_calls,
+            ), (text, mode)
+            dumps = [v.certificate.dump() if v.certificate else None for v in (verdict, expected)]
+            assert dumps[0] == dumps[1], (text, mode)
+    assert kept > 400
+
+
 @pytest.mark.parametrize("suite", ["M", "M&M&M", "XL"])
 def test_guess_checks_after_the_first_fill_no_node(suite, monkeypatch):
     """Each condition a pair picks is built once per ``decide`` call, and
@@ -863,8 +898,6 @@ def test_enumeration_queries_stay_within_two_per_definition_per_guess():
 
 
 def test_decide_agrees_with_bounded_search_smoke():
-    from knowhow.oracle import SearchBounds, bounded_sat_search, random_formula
-
     bounds = SearchBounds(random_trials=40)
     for seed in range(80):
         f = random_formula(2, 2, ("p", "q"), seed)
@@ -894,15 +927,25 @@ def test_nested_definitions_rescued_by_atom_pinning_certificate():
 
 
 def test_decide_leaves_no_reference_cycles():
-    # The model checker's self-calling walker is emptied after each call, so
-    # deciding leaves nothing for the cycle collector.
+    # The model checker's self-calling walker is emptied after each call,
+    # and flatten keeps its result on no input that is its own phi0, so a
+    # differential check (plain, augmented, then the falsifier) leaves
+    # nothing for the cycle collector, propositional inputs included.  The
+    # falsifier's first call builds its cached witness tables: warm it first.
+    bounds = SearchBounds(max_states=2, random_trials=20)
     texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
+    texts += [render(random_formula(2, 2, ("p", "q"), seed)) for seed in range(50)]
+    texts += [render(random_formula(0, 0, ("p", "q"), seed)) for seed in range(20)]
+    bounded_sat_search(parse("p & ~p"), bounds)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         for text in texts:
-            decide(parse(text))
+            f = parse(text)
+            decide(f)
+            decide(f, "augmented")
+            bounded_sat_search(f, bounds)
         gc.collect()
         assert gc.garbage == []
     finally:

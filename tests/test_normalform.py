@@ -102,12 +102,15 @@ def test_flatten_rejects_reserved_atoms():
 )
 def test_flatten_rejects_reserved_atoms_under_sugar(f, listed):
     # The check reads the atoms of the core form; sugar hides none of them.
-    with pytest.raises(ValueError) as raised:
-        flatten(f)
-    assert str(raised.value) == (
-        f"input uses reserved atom(s) {listed}; the '_k' prefix is for generated definitions"
-    )
-    assert flatten(f, allow_reserved=True).phi0.depth == 0
+    # It runs on every call: no earlier call, with or without
+    # ``allow_reserved``, keeps a result that would skip it.
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            flatten(f)
+        assert str(raised.value) == (
+            f"input uses reserved atom(s) {listed}; the '_k' prefix is for generated definitions"
+        )
+        assert flatten(f, allow_reserved=True).phi0.depth == 0
 
 
 def test_reflattening_phi0_adds_nothing():
@@ -115,6 +118,24 @@ def test_reflattening_phi0_adds_nothing():
     again = flatten(result.phi0, allow_reserved=True)
     assert again.phi0 == result.phi0
     assert again.defs == ()
+
+
+def test_flatten_keeps_its_result_on_a_modal_input(monkeypatch):
+    """Flattening the same object again returns the result kept on it and
+    builds and folds nothing.  An input without a modality is its own phi0,
+    so keeping its result would make a reference cycle: it keeps nothing."""
+    modal, propositional = parse("Kh(p, q & r) | E ~p"), parse("p | ~q")
+    first = flatten(modal)
+    calls = []
+    monkeypatch.setattr(normalform, "_built", lambda *args: calls.append(args))
+    monkeypatch.setattr(normalform, "fold", lambda *args: calls.append(args))
+    assert flatten(modal) is first
+    assert calls == []
+    monkeypatch.undo()
+    result = flatten(propositional)
+    assert result.phi0 is propositional
+    assert flatten(propositional) is not result
+    assert flatten(propositional) == result
 
 
 def test_flatten_desugars_input():

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from knowhow import oracle
+from knowhow import formula, oracle
 from knowhow.formula import And, Exis, Not, atoms_of, kh_occurrences, modal_depth, parse
 from knowhow.oracle import (
     SearchBounds,
@@ -68,6 +68,26 @@ def test_search_finds_the_same_model_for_a_formula_and_its_core_seeded():
             assert bounded_sat_search(f.core, bounds) == model, (seed, atoms)
             found += model is not None
     assert found >= 100
+
+
+def test_search_fills_no_node_fact(monkeypatch):
+    # The input's atom names come from one fold over it: no node's hash,
+    # atoms or depth is filled, in the exhaustive tier (two atoms, at the
+    # differential workload's bounds) or in the random tier (three atoms).
+    inputs = [
+        (random_formula(2, 2, atoms, seed), bounds)
+        for atoms, bounds in (
+            (("p", "q"), SearchBounds(max_states=2)),
+            (("p", "q", "r"), SearchBounds(max_states=2, random_trials=20)),
+        )
+        for seed in range(300 if len(atoms) == 2 else 40)
+    ]
+    filled = []
+    fill = formula._fill_facts
+    monkeypatch.setattr(formula, "_fill_facts", lambda node, children: filled.append(node) or fill(node, children))
+    found = sum(bounded_sat_search(f, bounds) is not None for f, bounds in inputs)
+    assert filled == []
+    assert found > 150
 
 
 def test_search_random_tier_handles_wide_vocabulary():
