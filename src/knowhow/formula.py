@@ -540,10 +540,6 @@ def subformulas(f: Formula) -> set[Formula]:
     return found
 
 
-def atoms_of(f: Formula) -> frozenset[str]:
-    return f.atoms
-
-
 def kh_occurrences(f: Formula) -> int:
     """Number of modality occurrences after desugaring (A/E each count one)."""
     return fold(desugar(f), lambda node, counts: sum(counts) + isinstance(node, Kh))

@@ -349,10 +349,12 @@ def decide(
     # Every query of the call, the guess enumeration's too, draws its atoms
     # from the flattening's vocabulary.
     with oracle.scope(flattening.vocabulary):
-        # Per query, every condition's negation is built before the first guess;
+        # Per query, the negation of every condition a pair can pick is built
+        # before the first guess, a plain pair's pins before its first retry;
         # on the table, phi0's, the sides' and the names' masks are numbered.
-        conditions = [*sides, *(pin for two in pins for pin in two), exis]
-        oracle.prepare([s for condition in conditions for s in condition], flattening.numbering)
+        pinned = [s for two in pins for pin in two for s in pin]
+        conditions = [s for condition in [*sides, exis] for s in condition]
+        oracle.prepare(conditions + (pinned if mode == "augmented" else []), flattening.numbering)
         # Definition order, True first: all-true first, _k1 most significant.
         guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
         for assignment in guesses:
@@ -367,6 +369,7 @@ def decide(
             # original formula whenever that pair is itself compatible.
             retry = ok and cert is None and mode == "plain"
             if retry:
+                oracle.prepare(pinned)  # builds only on the first retry
                 before = oracle.calls
                 pair = _build_pair(sides, pins, exis, values, "augmented")
                 cert = _check_guess(*pair, f, oracle)[1]

@@ -21,6 +21,10 @@ rules need each atom's masks to lie within the shape's full state mask,
 which the valuation counters' masks do.  Of the valuations that are equal
 up to a permutation of the states it visits only the least: they have
 isomorphic models, so the first model found is the same.
+
+numpy is imported by the exhaustive tier alone (``_witness_table`` and
+``_exhaustive_tier``), on its first run: the generators, and every caller
+that only imports this module, load no numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .formula import (
     And,
@@ -88,6 +90,8 @@ class SearchBounds:
 
 @lru_cache(maxsize=None)
 def _witness_table(n: int, k: int) -> np.ndarray:
+    import numpy as np
+
     combos = 1 << (k * n * n)
     subsets = 1 << n
     r = np.arange(combos, dtype=np.int64)
@@ -173,6 +177,8 @@ def _least_valuations(n: int, atom_count: int) -> list[int]:
 
 
 def _exhaustive_tier(f: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:
+    import numpy as np
+
     max_states = min(_EXHAUSTIVE_MAX_STATES, bounds.max_states)
     max_actions = min(_EXHAUSTIVE_MAX_ACTIONS, bounds.max_actions)
     for n in range(1, max_states + 1):

@@ -36,14 +36,13 @@ per-query table, the scope's table and that grid are one type, ``_Table``.
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
 implementation.  An external solver's answer is checked: a missing verdict,
-a model that falsifies a clause, or a timeout raises ``SolverError``.
+a model that falsifies a clause, or a timeout raises ``SolverError``.  The
+modules that run it (``os``, ``subprocess``, ``tempfile``) are imported only
+when a solver is set, on its first query.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -216,6 +215,10 @@ def _parse_solver_output(text: str) -> tuple[bool, dict[int, bool]]:
 def _solve(instance: CnfInstance, solver_path: str | None) -> list[bool] | None:
     if solver_path is None:
         return _dpll(instance.var_count, instance.clauses)
+    import os
+    import subprocess
+    import tempfile
+
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
         handle.write(export_dimacs(instance))
         path = handle.name
@@ -456,17 +459,17 @@ class SatOracle:
         sets = [self._members(f, members) for f in fs]
         return Members(), [truth for truth, _ in sets], [falsity for _, falsity in sets]
 
-    def prepare(self, fs: Sequence[Formula], numbering: Numbering) -> None:
+    def prepare(self, fs: Sequence[Formula], numbering: Numbering | None = None) -> None:
         """Per query, build each formula's negation now, once per scope and
         with the node facts ``is_sat`` reads, so no later question about
         ``fs`` builds or fills a node.  On the table, the masks of the
-        formulas ``numbering`` numbers are taken from one pass over it
+        formulas a given ``numbering`` numbers are taken from one pass over it
         (``_Table.number``); any other mask is evaluated on first use."""
         scope = self._scope
         if scope is not None and scope.table is None:
             for f in fs:
                 self._members(f, scope.members)
-        elif scope is not None:
+        elif scope is not None and numbering is not None:
             scope.table.number(numbering)
 
     @staticmethod

@@ -26,7 +26,6 @@ from knowhow.formula import (
     ParseError,
     Top,
     Univ,
-    atoms_of,
     desugar,
     fold,
     kh_occurrences,
@@ -217,10 +216,6 @@ def test_subformulas_goldens():
     assert subformulas(Kh(P, Q)) == {Kh(P, Q), P, Q}
 
 
-def test_atoms_of():
-    assert atoms_of(parse("Kh(p & q, r) | t")) == {"p", "q", "r", "t"}
-
-
 def test_kh_occurrences_counts_sugar():
     assert kh_occurrences(parse("A p & E q")) == 2
     assert kh_occurrences(parse("Kh(p, Kh(q, r))")) == 2
@@ -294,7 +289,7 @@ def _sugar_rich_formulas():
 def test_cached_facts_match_reference_recursions_seeded():
     for f in _sugar_rich_formulas():
         for g in subformulas(f):
-            assert g.atoms == atoms_of(g) == _ref_atoms(g), g
+            assert g.atoms == _ref_atoms(g), g
             assert g.depth == modal_depth(g) == _ref_depth(g), g
             assert g.core == desugar(g) == _ref_core(g), g
             assert g.core.core is g.core  # a core node is its own core

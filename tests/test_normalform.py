@@ -23,7 +23,6 @@ from knowhow.formula import (
     Top,
     Univ,
     _core_node,
-    atoms_of,
     desugar,
     fold,
     kh_occurrences,
@@ -162,7 +161,7 @@ def test_flatten_contract_seeded():
         for k, leaf in result.defs:
             assert k.name.startswith("_k")
             assert modal_depth(leaf) == 1
-            assert k.name not in atoms_of(f)
+            assert k.name not in f.atoms
         names = [k.name for k, _ in result.defs]
         assert len(names) == len(set(names))
         assert len(result.defs) <= kh_occurrences(f)

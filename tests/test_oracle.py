@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from knowhow import formula, oracle
-from knowhow.formula import And, Exis, Not, atoms_of, kh_occurrences, modal_depth, parse
+from knowhow.formula import And, Exis, Not, kh_occurrences, modal_depth, parse
 from knowhow.oracle import (
     SearchBounds,
     _decode_model,
@@ -310,7 +310,7 @@ def test_random_formula_respects_bounds():
         f = random_formula(2, 3, ("p", "q"), seed)
         assert modal_depth(f) <= 2
         assert kh_occurrences(f) <= 3
-        assert atoms_of(f) <= {"p", "q"}
+        assert f.atoms <= {"p", "q"}
 
 
 def test_random_formula_depth_zero_is_propositional():

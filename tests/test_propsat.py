@@ -28,7 +28,6 @@ from knowhow.formula import (
     Not,
     Or,
     Top,
-    atoms_of,
     parse,
 )
 from knowhow.khsat import decide
@@ -71,7 +70,7 @@ def eval_prop(f, assignment) -> bool:
 def truth_table_sat(fs, symbols=None) -> bool:
     """Independent oracle: exhaustive evaluation over all assignments."""
     if symbols is None:
-        symbols = sorted(set().union(*(atoms_of(f) for f in fs)) if fs else set())
+        symbols = sorted(set().union(*(f.atoms for f in fs)) if fs else set())
     for bits in itertools.product([False, True], repeat=len(symbols)):
         assignment = dict(zip(symbols, bits))
         if all(eval_prop(f, assignment) for f in fs):
@@ -80,7 +79,7 @@ def truth_table_sat(fs, symbols=None) -> bool:
 
 
 def truth_table_projections(f, proj) -> set[tuple[bool, ...]]:
-    symbols = sorted(atoms_of(f) | set(proj))
+    symbols = sorted(f.atoms | set(proj))
     found = set()
     for bits in itertools.product([False, True], repeat=len(symbols)):
         assignment = dict(zip(symbols, bits))
