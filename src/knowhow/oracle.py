@@ -9,29 +9,29 @@ model the sweep has already rejected.  Any model it returns is re-checked
 with the exact evaluator before being handed back, so a hit is always
 trustworthy; a miss proves nothing outside the box.
 
-The exhaustive tier is vectorized with numpy: for each (state count, action
-count) shape, a formula-independent table of witness-plan existence — indexed
-by relation combination, precondition mask, and postcondition mask — is
-computed once by a subset-reachability fixpoint and cached.  Evaluating a
-formula over all relation combinations of a shape then runs the model
-checker's own walker (``semantics.eval_core``) on integer arrays of truth
-masks, with ``Kh`` read from that table.  Both tiers evaluate the formula
-as written, sugar included, and never build its core form; the walker's
-rules need each atom's masks to lie within the shape's full state mask,
-which the valuation counters' masks do.  Of the valuations that are equal
-up to a permutation of the states it visits only the least: they have
-isomorphic models, so the first model found is the same.
-
-numpy is imported by the exhaustive tier alone (``_witness_table`` and
-``_exhaustive_tier``), on its first run: the generators, and every caller
-that only imports this module, load no numpy.
+The exhaustive tier is bit-sliced on Python ints: for each (state count,
+action count) shape, a formula-independent table of witness-plan existence
+— for each precondition and postcondition mask, the set of relation
+combinations, one bit each, where a witness plan exists — is computed once
+by a subset-reachability fixpoint and cached.  Evaluating a formula over
+all relation combinations of a shape then runs the model checker's own
+walker (``semantics.eval_core``) once per valuation on ints that hold a
+state set under every combination, one slice of combination bits per
+state, with ``Kh`` read from that table; the lowest combination whose
+truth set is not empty is the hit.  Both tiers evaluate the formula as
+written, sugar included, and never build its core form; the walker's rules
+need each atom's sets to lie within the shape's full state set, which the
+valuation counters' masks do.  Of the valuations that are equal up to a
+permutation of the states it visits only the least: they have isomorphic
+models, so the first model found is the same.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .formula import (
     And,
@@ -49,7 +49,7 @@ from .formula import (
     fold,
     kh_occurrences,
 )
-from .semantics import Lts, eval_core, eval_formula, make_lts
+from .semantics import Lts, eval_core, eval_formula, make_lts, truth_masks
 
 _EXHAUSTIVE_MAX_STATES = 3
 _EXHAUSTIVE_MAX_ACTIONS = 2
@@ -80,72 +80,67 @@ class SearchBounds:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized witness tables
+# Bit-sliced witness tables
 #
 # For a shape (n states, k actions) every relation combination is an integer
 # r with k * n * n bits: bit (a * n * n + s * n + t) says state s has an
-# a-successor t.  The table w[r, pre, post] records whether some plan is
-# strongly executable on all of `pre` with image inside `post`.
+# a-successor t.  A set of combinations is an int whose bit r says r is in
+# it; the combinations with one relation bit set form a periodic mask, as a
+# truth-table column does.  The table w[pre][post] is the set of
+# combinations where some plan is strongly executable on all of `pre` with
+# image inside `post`.
 
 
 @lru_cache(maxsize=None)
-def _witness_table(n: int, k: int) -> np.ndarray:
-    import numpy as np
-
-    combos = 1 << (k * n * n)
+def _witness_table(n: int, k: int) -> list[list[int]]:
+    bits = k * n * n
+    every = (1 << (1 << bits)) - 1
     subsets = 1 << n
-    r = np.arange(combos, dtype=np.int64)
+    edge = truth_masks(range(bits - 1, -1, -1))  # relation bit i -> its combinations
 
-    # successor masks per action and source state, shape (combos,)
-    succ = np.empty((k, n, combos), dtype=np.int16)
-    row_mask = (1 << n) - 1
-    for a in range(k):
-        for s in range(n):
-            succ[a, s] = ((r >> (a * n * n + s * n)) & row_mask).astype(np.int16)
+    # moves[T]: for each action, each frontier U it steps T to, with the
+    # combinations where it applies at every state of T and its image is U
+    moves: list[list[tuple[int, int]]] = []
+    for frontier in range(subsets):
+        states = [s for s in range(n) if frontier >> s & 1]
+        moves.append([])
+        for a in range(k):
+            applicable = every
+            for s in states:
+                applicable &= reduce(or_, (edge[a * n * n + s * n + t] for t in range(n)))
+            into = [reduce(or_, (edge[a * n * n + s * n + t] for s in states), 0) for t in range(n)]
+            moves[frontier] += [(image, m) for image, m in enumerate(_partition(applicable, into)) if m]
 
-    # image[a][T] and applicability[a][T] for every frontier subset T
-    image = np.zeros((k, subsets, combos), dtype=np.int16)
-    applicable = np.zeros((k, subsets, combos), dtype=bool)
-    for a in range(k):
-        for subset in range(subsets):
-            img = np.zeros(combos, dtype=np.int16)
-            app = np.ones(combos, dtype=bool)
-            for s in range(n):
-                if subset >> s & 1:
-                    img |= succ[a, s]
-                    app &= succ[a, s] != 0
-            image[a, subset] = img
-            applicable[a, subset] = app
-
-    # reach[pre, T] : frontier T is reachable from initial frontier `pre`
-    reach = np.zeros((subsets, subsets, combos), dtype=bool)
+    table = []
     for pre in range(subsets):
-        reach[pre, pre] = True
-    changed = True
-    while changed:
-        changed = False
-        for pre in range(subsets):
-            for frontier in range(subsets):
-                active = reach[pre, frontier]
-                if not active.any():
-                    continue
-                for a in range(k):
-                    step = active & applicable[a, frontier]
-                    if not step.any():
-                        continue
-                    targets = image[a, frontier]
-                    for target in np.unique(targets[step]):
-                        update = step & (targets == target) & ~reach[pre, target]
-                        if update.any():
-                            reach[pre, target] |= update
-                            changed = True
-
-    # w[r, pre, post] = exists reachable frontier T with T subset of post
-    table = np.zeros((combos, subsets, subsets), dtype=bool)
-    for post in range(subsets):
-        inside = [t for t in range(subsets) if t & ~post == 0]
-        table[:, :, post] = reach[:, inside, :].any(axis=1).T
+        # reach[T]: the combinations where frontier T is reachable from pre,
+        # closed by passing on only what each frontier newly gains
+        reach = [0] * subsets
+        reach[pre] = every
+        gains = {pre: every}
+        while gains:
+            frontier, gained = gains.popitem()
+            for image, m in moves[frontier]:
+                new = gained & m & ~reach[image]
+                if new:
+                    reach[image] |= new
+                    gains[image] = gains.get(image, 0) | new
+        # w[pre][post] is reach[T] over every T within post
+        for s in range(n):
+            for post in range(subsets):
+                if post >> s & 1:
+                    reach[post] |= reach[post ^ 1 << s]
+        table.append(reach)
     return table
+
+
+def _partition(whole: int, members: list[int]) -> list[int]:
+    """``whole`` split by membership: part i holds the bits of ``whole``
+    that lie in ``members[j]`` exactly for the bits j set in i."""
+    parts = [whole]
+    for member in members:
+        parts = [m & ~member for m in parts] + [m & member for m in parts]
+    return parts
 
 
 def _decode_model(n: int, k: int, combo: int, atoms: list[str], val_masks: dict[str, int]) -> Lts:
@@ -177,31 +172,46 @@ def _least_valuations(n: int, atom_count: int) -> list[int]:
 
 
 def _exhaustive_tier(f: Formula, atoms: list[str], bounds: SearchBounds) -> Lts | None:
-    import numpy as np
-
     max_states = min(_EXHAUSTIVE_MAX_STATES, bounds.max_states)
     max_actions = min(_EXHAUSTIVE_MAX_ACTIONS, bounds.max_actions)
     for n in range(1, max_states + 1):
         for k in range(0, max_actions + 1):
             combos = 1 << (k * n * n)
             table = _witness_table(n, k)
-            rows = np.arange(combos)
+            every = (1 << combos) - 1
             all_mask = (1 << n) - 1
+            # A set of states under every combination at once: n slices of
+            # ``combos`` bits, bit s * combos + r saying state s is in the set
+            # under combination r.  spread[S] is the state set S under all.
+            spread = [0]
+            for s in range(n):
+                spread += [m | every << s * combos for m in spread]
 
-            def kh(pre, post):
-                return np.where(table[rows, pre, post], all_mask, 0).astype(np.int16)
+            def slices(states: int) -> list[int]:
+                return [states >> s * combos & every for s in range(n)]
+
+            def kh(pre: int, post: int) -> int:
+                # _partition(every, slices(x))[S]: the combinations where x is S
+                posts = [(q, m) for q, m in enumerate(_partition(every, slices(post))) if m]
+                hit = 0
+                for p, at_pre in enumerate(_partition(every, slices(pre))):
+                    if at_pre:
+                        row = table[p]
+                        hit |= at_pre & reduce(or_, (m & row[q] for q, m in posts))
+                return reduce(or_, (hit << s * combos for s in range(n)))
 
             for val_counter in _least_valuations(n, len(atoms)):
                 val_masks = {
                     atom: (val_counter >> (idx * n)) & all_mask
                     for idx, atom in enumerate(atoms)
                 }
-                truth = eval_core(f, val_masks, all_mask, kh)
-                hits = np.flatnonzero(truth)
-                if hits.size:
-                    model = _decode_model(n, k, int(hits[0]), atoms, val_masks)
+                truth = eval_core(f, {a: spread[m] for a, m in val_masks.items()}, spread[all_mask], kh)
+                hits = reduce(or_, slices(truth))
+                if hits:
+                    combo = (hits & -hits).bit_length() - 1
+                    model = _decode_model(n, k, combo, atoms, val_masks)
                     if eval_formula(model, f) == 0:  # pragma: no cover
-                        raise AssertionError("vectorized tier disagrees with exact evaluator")
+                        raise AssertionError("bit-sliced tier disagrees with exact evaluator")
                     return model
     return None
 
@@ -214,12 +224,9 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
     box covers (it could not be complete for that vocabulary).  When it ran
     and the bounds lie inside the box (at most 3 states and 2 actions), its
     miss is returned without random trials, which could only redraw models
-    it has already rejected.  The atom names come from one ``fold`` over
-    ``f``, which fills no node fact.
+    it has already rejected.
     """
-    names: set[str] = set()
-    fold(f, lambda node, _: names.add(node.name) if type(node) is Atom else None)
-    atoms = sorted(names)
+    atoms = _atom_names(f)
     if len(atoms) <= _EXHAUSTIVE_MAX_ATOMS:
         model = _exhaustive_tier(f, atoms, bounds)
         if model is not None:
@@ -238,6 +245,28 @@ def bounded_sat_search(f: Formula, bounds: SearchBounds = SearchBounds()) -> Lts
         if eval_formula(model, f) != 0:
             return model
     return None
+
+
+def _atom_names(f: Formula) -> list[str]:
+    """The atom names of ``f``, sorted, read without filling a node fact.
+    The walk recurses once per nesting level; past the recursion limit
+    ``formula.fold`` collects them again in one frame."""
+    names: set[str] = set()
+
+    def walk(g: Formula) -> None:
+        if type(g) is Atom:
+            names.add(g.name)
+        else:
+            for child in g.children:
+                walk(child)
+
+    try:
+        walk(f)
+    except RecursionError:
+        fold(f, lambda node, _: names.add(node.name) if type(node) is Atom else None)
+    finally:
+        del walk  # empties the closure's own cell: no cycle for the collector
+    return sorted(names)
 
 
 # ---------------------------------------------------------------------------

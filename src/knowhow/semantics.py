@@ -138,7 +138,7 @@ def make_lts(
     return Lts(state_tuple, tuple(rel.keys()), succ, val)
 
 
-def truth_masks(atoms: Sequence[str]) -> dict[str, int]:
+def truth_masks(atoms: Sequence[T]) -> dict[T, int]:
     """Each atom's truth set on the rows of the truth table of ``atoms``.
 
     Row r makes ``atoms[j]`` true iff bit ``len(atoms) - 1 - j`` of r is set:

@@ -1,5 +1,5 @@
-"""The cold-start contract: numpy and the external-solver modules load only
-on the paths that run them.
+"""The cold-start contract: no path loads numpy, and the external-solver
+modules load only on the path that runs them.
 
 Each check runs in a fresh interpreter, so modules the test session has
 already imported cannot hide an import, and compares ``sys.modules`` with
@@ -85,32 +85,39 @@ if sys.argv[1] == "numpy-first":
 import contextlib, io, json
 from knowhow import parse
 from knowhow.cli import main
-from knowhow.oracle import SearchBounds, bounded_sat_search
+from knowhow.oracle import bounded_sat_search
 from knowhow.semantics import dump_model
 
-entry, text = sys.argv[2:]
+entry, *texts = sys.argv[2:]
 before = "numpy" in sys.modules
-if entry == "bounded_sat_search":
-    model = bounded_sat_search(parse(text), SearchBounds(max_states=2))
-    answer = None if model is None else dump_model(model)
-else:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["check", text, "--mode", "differential", "--max-states", "2", "--format", "json"])
-    answer = [code, json.loads(out.getvalue())]
-print(json.dumps({"before": before, "after": "numpy" in sys.modules, "answer": answer}))
+answers = []
+for text in texts:
+    if entry == "bounded_sat_search":
+        model = bounded_sat_search(parse(text))
+        answers.append(None if model is None else dump_model(model))
+    else:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", text, "--mode", "differential", "--format", "json"])
+        answers.append([code, json.loads(out.getvalue())["oracle_check"]])
+print(json.dumps({"before": before, "after": "numpy" in sys.modules, "answers": answers}))
 """
 
 
 @pytest.mark.parametrize("entry", ["bounded_sat_search", "check-differential"])
-def test_the_falsifier_loads_numpy_on_first_use_and_answers_alike(entry):
-    lazy = _fresh(_FALSIFIER, "lazy", entry, _FORMULA)
-    eager = _fresh(_FALSIFIER, "numpy-first", entry, _FORMULA)
-    assert (lazy["before"], lazy["after"]) == (False, True)
+def test_the_falsifier_loads_no_numpy_and_answers_alike(entry):
+    # In the default box: the first formula's model has 3 states, and the
+    # contradiction makes the sweep build the witness tables of all nine
+    # shapes up to 3 states and 2 actions.
+    texts = ["p & q & E (p & ~q) & E ~p", "p & ~p"]
+    alone = _fresh(_FALSIFIER, "alone", entry, *texts)
+    eager = _fresh(_FALSIFIER, "numpy-first", entry, *texts)
+    assert (alone["before"], alone["after"]) == (False, False)
     assert eager["before"] and eager["after"]
-    assert lazy["answer"] == eager["answer"]
-    assert lazy["answer"] is not None  # the falsifier found a model
-    if entry == "check-differential":
-        code, report = lazy["answer"]
-        assert code == 10
-        assert report["oracle_check"] == "model-found-agrees"
+    assert alone["answers"] == eager["answers"]
+    hit, miss = alone["answers"]
+    if entry == "bounded_sat_search":
+        assert '"s2"' in hit and miss is None
+    else:
+        assert hit == [10, "model-found-agrees"]
+        assert miss == [20, "no-model-found"]
