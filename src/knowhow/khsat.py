@@ -29,7 +29,10 @@ everywhere, denied atoms false everywhere) — closing a soundness gap that
 ``plain`` mode instead handles by certificate gating (see ``decide``).  A pin's
 postcondition is false, so the first context sweep forces every pin and the
 context lies inside the guess; nothing is conjoined to the existential
-conjunct (phi0, false).  ``decide`` builds every condition once per call.
+conjunct (phi0, false).  ``decide`` names every condition by its
+structure's number in ``flatten``'s numbering (``Numbering``: phi0, false,
+each definition's sides, name and pin ``~_ki``) and builds no formula for
+it; the pair specs and the checks take formulas too.
 """
 
 from __future__ import annotations
@@ -38,27 +41,31 @@ import enum
 from dataclasses import dataclass, field
 
 from . import certificate
-from .formula import Bottom, Formula, Not, render
-from .normalform import FlattenResult, _built, flatten
+from .formula import Formula, render
+from .normalform import FlattenResult, flatten
 from .propsat import SatOracle, TruthSet
 
 # ---------------------------------------------------------------------------
 # Domain types
 
 
-def _require_flat(conjuncts: tuple[tuple[Formula, Formula], ...], statement: str) -> None:
+Condition = Formula | int  # a modality-free formula, or a structure's number in flatten's numbering
+
+
+def _require_flat(conjuncts: tuple[tuple[Condition, Condition], ...], statement: str) -> None:
     """Reject a conjunct with a modal side, naming it as ``statement``
-    followed by its sides."""
-    for pre, post in conjuncts:
-        if pre.depth != 0 or post.depth != 0:
-            raise ValueError(f"{statement}({render(pre)}, {render(post)}) is not flat")
+    followed by its sides; a number names a modality-free structure."""
+    for conjunct in conjuncts:
+        for side in conjunct:
+            if type(side) is not int and side.depth != 0:
+                raise ValueError(f"{statement}({', '.join(map(render, conjunct))}) is not flat")
 
 
 @dataclass(frozen=True)
 class PositiveSpec:
     """Ordered conjunction of asserted know-how statements Kh(pre, post)."""
 
-    conjuncts: tuple[tuple[Formula, Formula], ...]
+    conjuncts: tuple[tuple[Condition, Condition], ...]
 
     def __post_init__(self) -> None:
         _require_flat(self.conjuncts, "positive conjunct Kh")
@@ -67,10 +74,10 @@ class PositiveSpec:
     def n(self) -> int:
         return len(self.conjuncts)
 
-    def pre(self, i: int) -> Formula:
+    def pre(self, i: int) -> Condition:
         return self.conjuncts[i - 1][0]
 
-    def post(self, i: int) -> Formula:
+    def post(self, i: int) -> Condition:
         return self.conjuncts[i - 1][1]
 
 
@@ -78,7 +85,7 @@ class PositiveSpec:
 class NegativeSpec:
     """Ordered conjunction of denied know-how statements ~Kh(pre, post)."""
 
-    conjuncts: tuple[tuple[Formula, Formula], ...]
+    conjuncts: tuple[tuple[Condition, Condition], ...]
 
     def __post_init__(self) -> None:
         _require_flat(self.conjuncts, "negative conjunct ~Kh")
@@ -137,7 +144,7 @@ class Verdict:
 # Context fixpoint, composition closure and compatibility
 
 
-def _sides(spec: PositiveSpec | NegativeSpec) -> list[Formula]:
+def _sides(spec: PositiveSpec | NegativeSpec) -> list[Condition]:
     """The conjuncts' sides in order: pre 1, post 1, pre 2, post 2, ..."""
     return [side for conjunct in spec.conjuncts for side in conjunct]
 
@@ -268,18 +275,18 @@ def per_guess_call_bound(n: int, m: int) -> int:
 
 
 def _partition(result: FlattenResult, assignment: dict[str, bool]) -> GuessPartition:
-    numbered = list(enumerate(result.defs, start=1))
+    numbered = list(enumerate(result.numbering.names, start=1))
     return GuessPartition(
-        p_plus=tuple(i for i, (k, _) in numbered if assignment[k.name]),
-        p_minus=tuple(i for i, (k, _) in numbered if not assignment[k.name]),
+        p_plus=tuple(i for i, k in numbered if assignment[k]),
+        p_minus=tuple(i for i, k in numbered if not assignment[k]),
         k_assignment=dict(assignment),
     )
 
 
 def _build_pair(
-    sides: list[tuple[Formula, Formula]],
-    pins: list[tuple[tuple[Formula, Formula], tuple[Formula, Formula]]],
-    exis: tuple[Formula, Formula],
+    sides: list[tuple[Condition, Condition]],
+    pins: list[tuple[tuple[Condition, Condition], tuple[Condition, Condition]]],
+    exis: tuple[Condition, Condition],
     values: list[bool],
     mode: str,
 ) -> tuple[PositiveSpec, NegativeSpec]:
@@ -336,12 +343,13 @@ def decide(
         raise ValueError(f"unknown mode {mode!r}")
     oracle = oracle or SatOracle()
     flattening = flatten(f)
-    # Every condition a pair picks, built once per call, and kept at modal
-    # depth 0 as flatten keeps its own nodes, so the pair specs fill no fact.
-    false = _built(Bottom)
-    sides = [(leaf.pre, leaf.post) for _, leaf in flattening.defs]
-    pins = [((_built(Not, k), false), (k, false)) for k, _ in flattening.defs]
-    exis = (flattening.phi0, false)
+    # Every condition a pair picks is the number of its structure in the
+    # flattening's numbering; no formula is built for it.
+    numbering = flattening.numbering
+    false = numbering.false
+    sides = numbering.sides
+    pins = [((pin, false), (k, false)) for k, pin in zip(numbering.atoms, numbering.pins)]
+    exis = (numbering.phi0, false)
     records: list[GuessRecord] = []
     certificate_calls = 0
     cert = None
@@ -349,16 +357,16 @@ def decide(
     # Every query of the call, the guess enumeration's too, draws its atoms
     # from the flattening's vocabulary.
     with oracle.scope(flattening.vocabulary):
-        # Per query, the negation of every condition a pair can pick is built
-        # before the first guess, a plain pair's pins before its first retry;
-        # on the table, phi0's, the sides' and the names' masks are numbered.
+        # The numbers stand for their structures from here on.  Per query,
+        # the negation of every condition a pair can pick is built before
+        # the first guess, a plain pair's pins before its first retry.
         pinned = [s for two in pins for pin in two for s in pin]
         conditions = [s for condition in [*sides, exis] for s in condition]
-        oracle.prepare(conditions + (pinned if mode == "augmented" else []), flattening.numbering)
+        oracle.prepare(conditions + (pinned if mode == "augmented" else []), numbering.structures)
         # Definition order, True first: all-true first, _k1 most significant.
-        guesses = oracle.enumerate_models(flattening.phi0, [k for k, _ in flattening.defs])
+        guesses = oracle.enumerate_models(numbering.phi0, numbering.atoms, numbering.names)
         for assignment in guesses:
-            values = [assignment[k.name] for k, _ in flattening.defs]
+            values = [assignment[k] for k in numbering.names]
             p, q = _build_pair(sides, pins, exis, values, mode)
             before = oracle.calls
             ok, cert = _check_guess(p, q, f, oracle)

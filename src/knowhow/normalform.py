@@ -11,12 +11,16 @@ with every modality inside replaced by its name, so they mention only
 earlier names.  The conjunction of ``phi0`` with the definition
 biconditionals ``A _ki <-> Kh(pre, post)`` is satisfiable exactly when the
 input is.
+
+``flatten`` numbers the core structures first and builds ``phi0`` and the
+definitions only when one of them is read: ``decide`` reads its conditions
+by their numbers (``Numbering``) and builds no formula for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 from .formula import And, Atom, Bottom, Exis, Formula, Iff, Implies, Kh, Not, Or, Top, Univ
@@ -25,23 +29,47 @@ from .formula import RESERVED_PREFIX, _DESUGAR, _MODAL, _keep, fold
 
 class Numbering(NamedTuple):
     """The distinct core structures of an input in post-order, each an atom's
-    or a name's name, ``(Not, i)``, ``(Or, i, j)`` or ``(Bottom,)`` over earlier
-    numbers; ``phi0``, the definitions' pres and posts and the names by number."""
+    or a name's name, ``(Not, i)``, ``(Or, i, j)`` or ``(Bottom,)`` over
+    earlier numbers, and the numbers of the conditions ``decide`` reads:
+    ``phi0``'s, ``false``'s and, per definition in order, its name's, its
+    sides' and its pin's ``~_ki``."""
 
     structures: list[str | tuple]
-    numbered: list[tuple[Formula, int]]
+    phi0: int
+    false: int
+    names: tuple[str, ...]  # the definitions' names, in order
+    atoms: tuple[int, ...]  # the number of each name
+    sides: tuple[tuple[int, int], ...]  # the numbers of each definition's pre and post
+    pins: tuple[int, ...]  # the number of each ~_ki
 
 
 @dataclass(frozen=True)
 class FlattenResult:
     """Modality-free skeleton plus ordered fresh-atom definitions, the
     sorted atoms of both, which ``decide`` scopes its oracle over, and their
-    numbering, which ``decide`` evaluates on the scope's table."""
+    numbering, which ``decide`` evaluates on the scope's table.
+
+    A result of ``flatten`` builds ``phi0`` and ``defs`` on the first read
+    of either, and then lets go of the input's nodes it kept for that."""
 
     phi0: Formula
     defs: tuple[tuple[Atom, Kh], ...]
     vocabulary: tuple[str, ...] = field(compare=False, repr=False)
-    numbering: Numbering = field(compare=False, repr=False)
+    numbering: Numbering | None = field(compare=False, repr=False)
+
+    def __getattr__(self, name: str) -> object:  # only for what the instance lacks
+        rename = self.__dict__.get("_rename") if name in ("phi0", "defs") else None
+        if rename is None:
+            raise AttributeError(name)
+        phi0, defs = rename()
+        _keep(self, "phi0", phi0)
+        _keep(self, "defs", defs)
+        object.__delattr__(self, "_rename")
+        return getattr(self, name)
+
+    def __getstate__(self) -> dict[str, object]:
+        # Pickle the fields only: the pending fold reads nodes by identity.
+        return {name: getattr(self, name) for name in ("phi0", "defs", "vocabulary", "numbering")}
 
     def definitions(self) -> Formula:
         """The definition conjunct: A _ki <-> leaf_i for every definition."""
@@ -59,22 +87,27 @@ def _built(cls: type, *fields: object) -> Formula:
 
 
 def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
-    """Flatten to leaf normal form in two passes over ``f`` as written, each
-    visiting a shared node once.  A walk numbers every node's core
-    structure, equal for nodes with equal core forms, and collects the
-    atoms; the structures inside a sugar node's core form are numbered too,
-    each at its own modal depth.  One fold then replaces each modality by
-    its name.  Renaming is injective, so two modalities share a name exactly
-    when their core forms are equal.  No node fact is read or filled: the
-    depth-0 nodes the fold reuses, and the nodes it builds, keep their modal
-    depth, which is what the pair specs check.
+    """Flatten to leaf normal form: a walk over ``f`` as written, visiting
+    a shared node once, numbers every node's core structure, equal for
+    nodes with equal core forms, and collects the atoms; the structures
+    inside a sugar node's core form are numbered too, each at its own modal
+    depth, and so are ``false`` and each name's negation, the pins that
+    ``decide`` reads.  Renaming is injective, so two modalities share a
+    name exactly when their core forms are equal.
+
+    ``phi0`` and ``defs`` are built on first read, by one fold over ``f``
+    that replaces each modality by its name (``_rename``).  No node fact is
+    read or filled: the depth-0 nodes the fold reuses, and the nodes it
+    builds, keep their modal depth, which is what the pair specs check.
 
     The result is kept on ``f``, as ``core`` is, so flattening the same
     object again walks nothing and returns the same result: ``decide``'s
     second mode in a differential check reads it.  Nothing is kept when
-    ``phi0`` is ``f`` itself (no modality; keeping it would make a
+    ``f`` has no modality (it is its own ``phi0``; keeping it would make a
     reference cycle) or when ``allow_reserved`` is set, so a result is kept
-    only once the reserved-atom check has passed.
+    only once the reserved-atom check has passed.  A kept result folds over
+    a copy of ``f``'s root, not over ``f``, which it would otherwise refer
+    back to.
 
     Inputs containing reserved ``_k…`` atoms are rejected unless
     ``allow_reserved`` is set (useful for re-flattening an already flattened
@@ -140,9 +173,9 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
         return sid
 
     try:
-        visit(f)
+        top = visit(f)
     except RecursionError:  # the same post-order in one frame, each node once its children are
-        fold(f, lambda node, _: visit(node), lambda node: ids.get(id(node)))
+        top = fold(f, lambda node, _: visit(node), lambda node: ids.get(id(node)))
     finally:
         del visit  # empties the closure's own cell: no cycle for the collector
     if not allow_reserved:
@@ -152,11 +185,36 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
                 f"input uses reserved atom(s) {', '.join(reserved)}; "
                 f"the {RESERVED_PREFIX!r} prefix is for generated definitions"
             )
-    shapes = list(structures)  # by number; an atom's name is a str, whose first item is no class
     # Equal depths never nest, so post-order keeps pre-order's order of first
     # occurrence within a depth; the sort is stable: depth 1 first, then 2, ...
-    ordered = sorted((sid for sid, s in enumerate(shapes) if s[0] is Kh), key=depths.__getitem__)
-    names = {sid: _built(Atom, f"{RESERVED_PREFIX}{i}") for i, sid in enumerate(ordered, 1)}
+    ordered = sorted((sid for sid, s in enumerate(structures) if s[0] is Kh), key=depths.__getitem__)
+    false, pins = number((Bottom,), 0), tuple([neg(sid) for sid in ordered])
+    shapes = list(structures)  # by number; an atom's name is a str, whose first item is no class
+    sides = tuple([shapes[sid][1:] for sid in ordered])
+    names = tuple([f"{RESERVED_PREFIX}{i}" for i in range(1, len(ordered) + 1)])
+    for sid, name in zip(ordered, names):
+        shapes[sid] = name  # a modality reads its name
+    numbering = Numbering(shapes, top, false, names, tuple(ordered), sides, pins)
+    keep = bool(ordered) and not allow_reserved
+    root = type(f)(*f.children) if keep else f  # a result kept on ``f`` must not refer to ``f``
+    ids[id(root)] = ids.pop(id(f))
+    result = object.__new__(FlattenResult)
+    _keep(result, "vocabulary", tuple(sorted(atoms.union(names))))
+    _keep(result, "numbering", numbering)
+    _keep(result, "_rename", partial(_rename, root, ids, depths, numbering))
+    if keep:
+        _keep(f, "_flattening", result)
+    return result
+
+
+def _rename(
+    f: Formula, ids: dict[int, int], depths: list[int], numbering: Numbering
+) -> tuple[Formula, tuple[tuple[Atom, Kh], ...]]:
+    """``phi0`` and the definitions of ``flatten``'s walk over ``f``: one
+    fold that replaces each modality by its name, builds each definition
+    once, over its sides' folds, and reuses every node without a modality."""
+    shapes = numbering.structures
+    names = {sid: _built(Atom, name) for sid, name in zip(numbering.atoms, numbering.names)}
     false = _built(Bottom)
     definitions: dict[int, Kh] = {}
 
@@ -182,15 +240,4 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
         return node
 
     phi0 = fold(f, combine, reuse)
-    numbered = [(phi0, ids[id(f)])]
-    for sid in ordered:
-        numbered += zip(definitions[sid].children, shapes[sid][1:])
-    for sid, name in names.items():
-        numbered.append((name, sid))
-        shapes[sid] = name.name  # a modality reads its name
-    vocabulary = tuple(sorted(atoms.union(name.name for name in names.values())))
-    defs = tuple((names[sid], definitions[sid]) for sid in ordered)
-    result = FlattenResult(phi0, defs, vocabulary, Numbering(shapes, numbered))
-    if phi0 is not f and not allow_reserved:
-        _keep(f, "_flattening", result)
-    return result
+    return phi0, tuple((names[sid], definitions[sid]) for sid in numbering.atoms)

@@ -318,7 +318,10 @@ def random_formula(
             return Exis(gen(depth - 1, mult))
         return Kh(gen(depth - 1, mult), gen(depth - 1, mult))
 
-    f = gen(depth_max, 1)
+    try:
+        f = gen(depth_max, 1)
+    finally:
+        del gen  # empties the closure's own cell: no cycle for the collector
     assert kh_occurrences(f) <= leaf_max
     return f
 

@@ -5,7 +5,9 @@ queries over sets of modal-depth-0 formulas.  A query over at most
 ``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
 member on the truth table of the sorted symbols (``semantics.truth_masks``
 and ``eval_core``, the model checker's evaluator, which reads each member
-as written); neither a CNF nor a core form is built.
+as written; a member in core form, whose nodes may be shared, by
+``_core_mask``, each shared node once); neither a CNF nor a core form is
+built.
 Larger queries go to a deterministic DPLL over a structural (Tseitin) CNF
 encoding of the members' core forms (``Formula.core``): lowest-index
 variable first, False branch first, unit propagation, chronological
@@ -17,14 +19,15 @@ The decision procedure asks ``SatOracle`` about truth sets: it reads the
 truth sets of its conditions and their negations once, intersects them and
 asks whether the result is empty; even its guesses come from such queries,
 a descent over the definition atoms (``SatOracle.enumerate_models``).
-``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary: up
-to the same cutoff, a truth set is then an int mask on one truth table per
-call, cached by identity, with no node fact (hash, atoms, depth) read.  The
-skeleton's, the sides' and the names' masks come from one pass over
-``flatten``'s numbering (``_Table.number``), any other formula's from one
-evaluation.  Otherwise a truth set is the list of its
-member formulas, each query to ``is_sat``, and each formula's negation is
-built once per scope.  Either way a guess check can keep the witness of
+``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary and
+names each condition by its number in ``flatten``'s numbering, whose
+structures it hands to ``SatOracle.prepare``.  Up to the same cutoff, a
+truth set is then an int mask on one truth table per call, a number's from
+a list filled by one pass over the structures (``_Table.number``), a
+formula's evaluated once and cached by identity.  Otherwise a truth set is
+the list of its member formulas, each query to ``is_sat``; a number stands
+for one core node per structure, and each condition's negation is built,
+once per scope.  Either way a guess check can keep the witness of
 each query it satisfies (``SatOracle.witnesses``) as a place: the number of
 its row in the truth table of the scope's sorted atoms, first atom most
 significant.  Its certificate is built from those places, reading its
@@ -45,10 +48,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .formula import Atom, Formula, Not, Or, _core_node, fold, render
-from .normalform import Numbering
+from .formula import Atom, Bottom, Formula, Not, Or, _core_node, fold, render
 from .semantics import eval_core, truth_masks
 
 Assignment = dict[str, bool]
@@ -358,31 +361,30 @@ class _Table(NamedTuple):
         """One row per place in ``rows``, over the atoms of ``bits``."""
         return cls(_on_rows(bits, rows), (1 << len(rows)) - 1, {})
 
-    def number(self, numbering: Numbering) -> None:
-        """Cache the masks of the formulas ``numbering`` numbers, from one
-        pass over its structures: an atom or a modality's name reads its
-        mask, ``~`` complements, ``|`` ORs and ``false`` is 0."""
-        every, val, masks = self.every, self.val, []
-        for s in numbering.structures:  # a loop, not a comprehension: this runs once per structure
-            if type(s) is str:
-                masks.append(val[s])
-            elif s[0] is Not:
-                masks.append(every ^ masks[s[1]])
-            else:  # (Or, i, j), or (Bottom,)
-                masks.append(masks[s[1]] | masks[s[2]] if len(s) > 1 else 0)
-        self.cache.update((id(f), (f, masks[n])) for f, n in numbering.numbered)
+    def number(self, structures: Sequence[str | tuple]) -> list[int]:
+        """The masks of a numbering's ``structures`` by number, from one pass
+        over them: an atom or a modality's name reads its mask, ``~``
+        complements, ``|`` ORs and ``false`` is 0."""
+        return _interpret(structures, self.val.__getitem__, self.every.__xor__, int.__or__, 0)
 
-    def masks(self, fs: Sequence[Formula]) -> list[int] | None:
-        """The masks of ``fs``, each evaluated on first use (``eval_core``;
-        no node fact is read), or None when a member reads an atom outside
-        the table; a modal member raises ``ValueError`` and is not cached."""
+    def masks(self, fs: Sequence[Formula | int], numbered: Sequence[int] = ()) -> list[int] | None:
+        """The masks of ``fs``, a number's read off ``numbered`` (by
+        ``number``), a formula's evaluated on first use (no node fact is
+        read), or None when a member reads an atom outside the table; a
+        modal member raises ``ValueError`` and is not cached."""
         masks = []
         for f in fs:  # a loop, not a comprehension: this runs on every question batch
+            if type(f) is int:
+                masks.append(numbered[f])
+                continue
             entry = self.cache.get(id(f))
             if entry is None:
                 reader = _Reader(self.val)
                 try:
-                    mask = eval_core(f, reader, self.every, _no_modality)
+                    if getattr(f, "_core", False) is None:  # its own core form: maybe shared
+                        mask = _core_mask(f, reader, self.every)
+                    else:
+                        mask = eval_core(f, reader, self.every, _no_modality)
                 except _ModalOperand:
                     message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
                     raise ValueError(message) from None
@@ -391,6 +393,64 @@ class _Table(NamedTuple):
                 return None
             masks.append(entry[1])
         return masks
+
+
+def _core_mask(f: Formula, val: _Reader, every: int) -> int:
+    """The mask of a formula in core form, each node shared by reference
+    evaluated once: a core form holds both sides of each ``<->`` twice, and
+    ``eval_core``'s walk would follow every path.  The walk recurses once
+    per nesting level; past the recursion limit ``fold`` evaluates it again
+    in one frame."""
+    masks: dict[int, int] = {}  # id of an evaluated node -> its mask
+
+    def walk(g: Formula, children: object = None) -> int:
+        mask = masks.get(id(g))
+        if mask is None:
+            cls = type(g)
+            if cls is Or:
+                mask = walk(g.left) | walk(g.right)
+            elif cls is Not:
+                mask = every ^ walk(g.f)
+            elif cls is Atom:
+                mask = val.get(g.name, 0)
+            elif cls is Bottom:
+                mask = 0
+            else:
+                raise _ModalOperand
+            masks[id(g)] = mask
+        return mask
+
+    try:
+        return walk(f)
+    except RecursionError:  # each node once its children are
+        return fold(f, walk, lambda g: masks.get(id(g)))
+    finally:
+        del walk  # empties the closure's own cell: no cycle for the collector
+
+
+def _interpret(structures: Sequence[str | tuple], atom, neg, disj, false) -> list:
+    """The value of each of a numbering's ``structures`` by number, over
+    the values of earlier ones: ``atom(name)`` for an atom's or a name's
+    name, ``neg``, ``disj`` and ``false`` for ``(Not, i)``, ``(Or, i, j)``
+    and ``(Bottom,)``."""
+    values = []
+    for s in structures:  # a loop, not a comprehension: this runs once per structure
+        if type(s) is str:
+            values.append(atom(s))
+        elif s[0] is Not:
+            values.append(neg(values[s[1]]))
+        elif len(s) > 1:
+            values.append(disj(values[s[1]], values[s[2]]))
+        else:
+            values.append(false)
+    return values
+
+
+def _core_nodes(structures: Sequence[str | tuple]) -> list[Formula]:
+    """One node per structure of a numbering, by number, each its own core
+    form: an atom's or a name's name is an ``Atom``."""
+    return _interpret(structures, partial(_core_node, Atom), partial(_core_node, Not),
+                      partial(_core_node, Or), _core_node(Bottom))
 
 
 class Members(tuple):
@@ -410,11 +470,15 @@ TruthSet = int | Members
 class _Scope(NamedTuple):
     """An oracle's state inside ``scope``: each of the scope's sorted atoms
     with its bit in a place; the truth table over them, or None when queries
-    go to ``is_sat``; and per query, each formula's truth set and its
+    go to ``is_sat``; the structures of a numbering whose numbers stand for
+    conditions, and by number each one's mask on the table, or per query
+    its core node; and per query, each formula's truth set and its
     negation's, by id."""
 
     bits: dict[str, int]
     table: _Table | None
+    structures: Sequence[str | tuple]
+    numbered: list
     members: dict[int, tuple[Members, Members]]
 
 
@@ -423,21 +487,24 @@ class SatOracle:
     """Counting facade over the oracle; one count per query.
 
     Callers ask about truth sets (``TruthSet``): ``truth_sets`` supplies
-    those of given formulas and of their negations, callers intersect them
-    with ``&``, and ``ask`` counts one query and says whether a set is
+    those of given conditions and of their negations, callers intersect
+    them with ``&``, and ``ask`` counts one query and says whether a set is
     non-empty.  An enumeration is a descent of such queries, so it counts
     one per branch it tries, whichever path answers it.
 
-    Inside ``scope(atoms)``, with no external solver and at most
-    ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
-    table over those atoms: each formula's mask is evaluated once, cached
-    by identity, a negation is the complement ``every ^ mask`` and a query
-    is an AND of masks.  Otherwise, and for a batch with an atom outside
-    the scope, a truth set is its ``Members`` and ``ask`` hands them to
-    ``is_sat``, so DPLL or the external solver sees every query; inside a
-    scope each formula's negation is built once.  Inside ``witnesses()``,
-    ``ask`` also keeps each satisfied query's witness as a place over the
-    scope's atoms.
+    A condition is a modality-free formula or, once ``prepare`` has taken
+    a numbering's structures, the number of one.  Inside ``scope(atoms)``,
+    with no external solver and at most ``_TABLE_MAX_SYMBOLS`` atoms, a
+    truth set is an int mask on one truth table over those atoms: a
+    number's from one pass over the structures, a formula's evaluated
+    once, cached by identity; a negation is the complement ``every ^
+    mask`` and a query is an AND of masks.  Otherwise, and for a batch with
+    an atom outside the scope, a truth set is its ``Members`` and ``ask``
+    hands them to ``is_sat``, so DPLL or the external solver sees every
+    query; a number then stands for its structure's core node, and inside
+    a scope each condition's negation is built once.  Inside
+    ``witnesses()``, ``ask`` also keeps each satisfied query's witness as a
+    place over the scope's atoms.
     """
 
     solver_path: str | None = None
@@ -446,40 +513,49 @@ class SatOracle:
     _witnesses: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def truth_sets(
-        self, fs: Sequence[Formula]
+        self, fs: Sequence[Formula | int]
     ) -> tuple[TruthSet, list[TruthSet], list[TruthSet]]:
-        """The set of all valuations, the truth sets of ``fs`` and those of
-        their negations; no query is counted."""
+        """The set of all valuations, the truth sets of the conditions
+        ``fs`` and those of their negations; no query is counted."""
         scope = self._scope
-        masks = scope.table.masks(fs) if scope is not None and scope.table is not None else None
+        table = scope.table if scope is not None else None
+        masks = table.masks(fs, scope.numbered) if table is not None else None
         if masks is not None:
-            every = scope.table.every
+            every = table.every
             return every, masks, [every ^ mask for mask in masks]
-        members = {} if scope is None else scope.members
-        sets = [self._members(f, members) for f in fs]
+        sets = [self._members(f) for f in fs]
         return Members(), [truth for truth, _ in sets], [falsity for _, falsity in sets]
 
-    def prepare(self, fs: Sequence[Formula], numbering: Numbering | None = None) -> None:
-        """Per query, build each formula's negation now, once per scope and
-        with the node facts ``is_sat`` reads, so no later question about
-        ``fs`` builds or fills a node.  On the table, the masks of the
-        formulas a given ``numbering`` numbers are taken from one pass over it
-        (``_Table.number``); any other mask is evaluated on first use."""
+    def prepare(
+        self, fs: Sequence[Formula | int], structures: Sequence[str | tuple] | None = None
+    ) -> None:
+        """Inside a scope, take the numbers of a numbering's ``structures``,
+        when given, for conditions: on the table their masks come from one
+        pass over them (``_Table.number``), per query their core nodes are
+        built now.  Per query, also build each condition's negation now,
+        once per scope and with the node facts ``is_sat`` reads, so no later
+        question about ``fs`` builds or fills a node."""
         scope = self._scope
-        if scope is not None and scope.table is None:
+        if scope is None:
+            return
+        if structures is not None:
+            table = scope.table
+            numbered = table.number(structures) if table is not None else _core_nodes(structures)
+            scope = self._scope = scope._replace(structures=structures, numbered=numbered)
+        if scope.table is None:
             for f in fs:
-                self._members(f, scope.members)
-        elif scope is not None and numbering is not None:
-            scope.table.number(numbering)
+                self._members(f)
 
-    @staticmethod
-    def _members(
-        f: Formula, members: dict[int, tuple[Members, Members]]
-    ) -> tuple[Members, Members]:
-        """``f``'s truth set and its negation's per query, built once into
-        ``members``: the negation in core form, both checked modality-free
+    def _members(self, f: Formula | int) -> tuple[Members, Members]:
+        """A condition's truth set and its negation's per query, built once
+        per scope: a number stands for its structure's core node; the
+        negation is in core form, and both are checked modality-free
         (``_symbols``), which fills the node facts ``is_sat`` and ``to_cnf``
         read."""
+        scope = self._scope
+        if type(f) is int:
+            f = scope.numbered[f]
+        members = scope.members if scope is not None else {}
         entry = members.get(id(f))
         if entry is None:
             negation = _core_node(Not, f.core)
@@ -522,17 +598,19 @@ class SatOracle:
             found, self._witnesses = self._witnesses, saved
             rows += dict.fromkeys(found)
 
-    def row_truth_sets(self, fs: Sequence[Formula], rows: Sequence[int]) -> list[int]:
-        """The truth sets of modality-free ``fs`` on ``rows``, places over
+    def row_truth_sets(self, fs: Sequence[Formula | int], rows: Sequence[int]) -> list[int]:
+        """The truth sets of the conditions ``fs`` on ``rows``, places over
         the scope's atoms: bit i of a mask is ``rows[i]``.  No query is
         counted.  On the scope's truth table each bit is read off the
-        formula's mask at the place; otherwise the formulas are evaluated on
-        a grid of the rows.  A formula with an atom outside the scope raises
+        condition's mask at the place; otherwise the conditions are
+        evaluated on a grid of the rows, the numbers by one pass over the
+        structures.  A formula with an atom outside the scope raises
         ``ValueError``."""
         scope = self._scope
-        masks = scope.table.masks(fs) if scope.table is not None else None
+        masks = scope.table.masks(fs, scope.numbered) if scope.table is not None else None
         if masks is None:
-            masks = _Table.grid(scope.bits, rows).masks(fs)
+            grid = _Table.grid(scope.bits, rows)
+            masks = grid.masks(fs, grid.number(scope.structures))
             if masks is None:
                 raise ValueError("a formula has atoms outside the scope of its rows")
             return masks
@@ -553,20 +631,25 @@ class SatOracle:
         table = None
         if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
             table = _Table.truth_table(symbols)
-        self._scope = _Scope(_bits(symbols), table, {})
+        self._scope = _Scope(_bits(symbols), table, (), [], {})
         try:
             yield
         finally:
             self._scope = saved
 
-    def enumerate_models(self, f: Formula, atoms: Sequence[Atom]) -> Iterator[Assignment]:
-        """The distinct projections of ``f``'s models onto ``atoms``, lazily.
+    def enumerate_models(
+        self, f: Formula | int, atoms: Sequence[Atom | int], names: Sequence[str] | None = None
+    ) -> Iterator[Assignment]:
+        """The distinct projections of ``f``'s models onto ``atoms``, lazily,
+        each keyed by the atoms' ``names`` (by default read off ``atoms``;
+        given when they are numbers).
 
         A depth-first descent over the truth sets of ``f`` and of ``atoms``,
         in the order given, True branch first, that asks once for each
         branch before it enters it (the root included).  The first g
         projections cost at most 1 + 2·g·len(atoms) queries, and nothing is
         asked past the last one taken."""
+        names = [atom.name for atom in atoms] if names is None else names
         every, truth, falsity = self.truth_sets([f, *atoms])
         stack: list[tuple[TruthSet, tuple[bool, ...]]] = [(every & truth[0], ())]
         while stack:
@@ -575,7 +658,7 @@ class SatOracle:
                 continue
             i = len(values) + 1  # the next atom's place among the truth sets
             if i > len(atoms):
-                yield {atom.name: value for atom, value in zip(atoms, values)}
+                yield dict(zip(names, values))
             else:  # the False branch waits under the True branch
                 stack.append((term & falsity[i], (*values, False)))
                 stack.append((term & truth[i], (*values, True)))

@@ -468,10 +468,10 @@ def test_a_second_decide_reads_the_kept_flattening(suite, monkeypatch):
         for first_mode, mode in (("plain", "augmented"), ("augmented", "plain")):
             f = parse(text)
             first = decide(f, first_mode, trace=True)
+            modal = first.flattening.phi0 is not f
             built.clear()
             folds.clear()
             verdict = decide(f, mode, trace=True)
-            modal = first.flattening.phi0 is not f
             assert (verdict.flattening is first.flattening) == modal, (text, mode)
             if modal:
                 assert built == [] and folds == [], (text, mode)
@@ -566,6 +566,41 @@ def test_decide_evaluates_no_numbered_formula_on_the_table(monkeypatch):
     assert decided > 600
 
 
+def test_decide_builds_no_formula_on_the_table(monkeypatch):
+    """On the table path decide reads every condition by its number in
+    flatten's numbering: it builds no node, neither flatten's
+    (``normalform._built``) nor a core form's (``formula._core_node``),
+    and runs no fold, in either mode."""
+    inputs, calls = _suite("M"), []
+    for module, name in [
+        (normalform, "_built"), (formula, "_core_node"), (propsat, "_core_node"),
+        (formula, "fold"), (normalform, "fold"), (propsat, "fold"), (semantics, "fold"),
+    ]:
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, call=call: calls.append(call) or call(*args))
+    for f in inputs:
+        for mode in ("plain", "augmented"):
+            verdict = decide(f, mode)
+            assert len(verdict.flattening.vocabulary) <= propsat._TABLE_MAX_SYMBOLS
+            assert calls == [], (render(f), mode)
+
+
+@pytest.mark.parametrize("suite", ["S", "M", "L", "XL", "XXL"])
+def test_a_flattening_read_after_decide_equals_one_read_at_once(suite):
+    # decide leaves phi0 and the definitions unbuilt; read afterwards they
+    # equal, sugar and all, those of a flattening read as soon as it is made.
+    for f in _suite(suite):
+        for mode in ("plain", "augmented"):
+            late = decide(parse(render(f)), mode).flattening
+            early = flatten(parse(render(f)))
+            phi0, defs = early.phi0, early.defs
+            assert (late.phi0, late.defs) == (phi0, defs), (render(f), mode)
+            assert render(late.phi0) == render(phi0), (render(f), mode)
+            assert [(k, render(leaf)) for k, leaf in late.defs] == [
+                (k, render(leaf)) for k, leaf in defs
+            ], (render(f), mode)
+
+
 @pytest.mark.parametrize("mode", ["plain", "augmented"])
 def test_decide_answers_a_1000_level_iff_chain(mode):
     # As written the chain is a tree of 1000 <-> nodes; its core form shares
@@ -574,6 +609,22 @@ def test_decide_answers_a_1000_level_iff_chain(mode):
     verdict = decide(f, mode)
     assert verdict.result is Result.SAT
     assert verify_certificate(verdict.certificate, f)
+
+
+@pytest.mark.parametrize("mode", ["plain", "augmented"])
+def test_decide_answers_iff_chains_over_a_wide_vocabulary(mode):
+    # Eleven atoms or more: every query goes per query, and its members are
+    # core forms, which share both sides of each <->.  A 100-level chain as
+    # the skeleton, and one as a definition's side, whose negation the
+    # checks read, are each evaluated one shared node at a time, not along
+    # each of 2^100 paths.
+    wide = "(a & b & c & d & e & f & g & h & i)"
+    for text in ["Kh(p, q) <-> " * 100 + wide, "Kh(" + "p <-> " * 100 + wide + ", q) & x"]:
+        f = parse(text)
+        verdict = decide(f, mode)
+        assert len(verdict.flattening.vocabulary) > propsat._TABLE_MAX_SYMBOLS
+        assert verdict.result is Result.SAT
+        assert verify_certificate(verdict.certificate, f)
 
 
 def test_specs_reject_modal_operands():
@@ -933,14 +984,15 @@ def test_decide_leaves_no_reference_cycles():
     # nothing for the cycle collector, propositional inputs included.  The
     # falsifier's first call builds its cached witness tables: warm it first.
     bounds = SearchBounds(max_states=2, random_trials=20)
-    texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
-    texts += [render(random_formula(2, 2, ("p", "q"), seed)) for seed in range(50)]
-    texts += [render(random_formula(0, 0, ("p", "q"), seed)) for seed in range(20)]
     bounded_sat_search(parse("p & ~p"), bounds)
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
+        # The generator's own closure is emptied too: the inputs are made here.
+        texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
+        texts += [render(random_formula(2, 2, ("p", "q"), seed)) for seed in range(50)]
+        texts += [render(random_formula(0, 0, ("p", "q"), seed)) for seed in range(20)]
         for text in texts:
             f = parse(text)
             decide(f)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import replace
 from functools import partial
-from operator import is_
 
 import pytest
 
@@ -13,6 +13,7 @@ from knowhow import normalform
 from knowhow.formula import (
     And,
     Atom,
+    Bottom,
     Exis,
     Formula,
     Iff,
@@ -290,8 +291,8 @@ def test_flatten_folds_once_whatever_the_depth(monkeypatch, n):
 
     monkeypatch.setattr(normalform, "fold", counting_fold)
     result = flatten(_e_chain(n))
-    assert len(folds) == 1
     assert len(result.defs) == n and result.phi0 == Not(Atom(f"_k{n}"))
+    assert len(folds) == 1
 
 
 def test_flatten_builds_once_per_distinct_modal_node(monkeypatch):
@@ -321,23 +322,36 @@ def test_flatten_builds_once_per_distinct_modal_node(monkeypatch):
 def test_numbered_masks_equal_the_evaluator(suite):
     # On the truth table of the vocabulary, or on a grid of 64 random places
     # when it has more than 12 atoms, the masks that one pass over flatten's
-    # numbering gives phi0, every side and every name equal eval_core's.
+    # numbering gives the numbers of phi0, false and every side, name and
+    # pin ~_ki equal eval_core's on the formulas flatten builds for them.
     rng = random.Random(27)
     for f in _inputs(suite):
         result = flatten(f)
-        sides = [side for _, leaf in result.defs for side in leaf.children]
-        numbered = [result.phi0, *sides, *(k for k, _ in result.defs)]
-        assert all(map(is_, [g for g, _ in result.numbering.numbered], numbered)), render(f)
+        numbering = result.numbering
+        assert numbering.names == tuple(k.name for k, _ in result.defs), render(f)
+        numbered = [(result.phi0, numbering.phi0), (Bottom(), numbering.false)]
+        for (k, leaf), sides, name, pin in zip(
+            result.defs, numbering.sides, numbering.atoms, numbering.pins
+        ):
+            numbered += [*zip(leaf.children, sides), (k, name), (Not(k), pin)]
         symbols = result.vocabulary
         if len(symbols) <= 12:
             table = _Table.truth_table(symbols)
         else:
             places = [rng.getrandbits(len(symbols)) for _ in range(64)]
             table = _Table.grid(_bits(symbols), places)
-        table.number(result.numbering)
-        for g in numbered:
+        masks = table.number(numbering.structures)
+        for g, n in numbered:
             expected = eval_core(g, table.val, table.every, _no_modality)
-            assert table.masks([g]) == [expected], (render(f), render(g))
+            assert masks[n] == expected, (render(f), render(g))
+
+
+def test_a_pickled_flattening_equals_the_one_read_in_place():
+    # A result not read yet pickles its fields, not its pending fold.
+    for f in _inputs("M") + _inputs("chains")[:3]:
+        copy = pickle.loads(pickle.dumps(flatten(f)))
+        assert copy == flatten(parse(render(f))), render(f)
+        assert copy.vocabulary == flatten(f).vocabulary
 
 
 @pytest.mark.parametrize("suite", [*_SUITES, "M&M&M", "chains"])
