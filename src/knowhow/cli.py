@@ -17,7 +17,7 @@ import time
 import click
 
 from .certificate import Certificate
-from .formula import Atom, Formula, Kh, ParseError, fold, parse, render
+from .formula import Atom, Formula, Kh, ParseError, desugar, fold, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
@@ -73,7 +73,7 @@ def _top_level_kh(f: Formula) -> list[Kh]:
     """Maximal Kh subformulas of the desugared formula, first-seen order."""
     found: dict[Formula, Formula] = {}  # keys in first-seen order
     # A Kh is a leaf of the fold: it is recorded and not descended into.
-    fold(f.core, lambda g, _: g, lambda g: found.setdefault(g, g) if isinstance(g, Kh) else None)
+    fold(desugar(f), lambda g, _: g, lambda g: found.setdefault(g, g) if isinstance(g, Kh) else None)
     return list(found)
 
 

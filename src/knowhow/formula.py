@@ -18,19 +18,19 @@ Atoms match ``[a-z][a-zA-Z0-9_]*``.  Names starting with the reserved prefix
 ``_k`` are generated by the flattener and rejected in user input.
 
 Every node class derives from ``Formula``.  A node's hash, atoms and modal
-depth are filled together by one post-order visit on first read, its core
-form by another; nodes that ``core`` builds are marked core as they are
-built.  The visits recurse, and ``fold`` finishes one past the recursion
-limit.  ``fold`` walks a formula bottom-up in one call frame, combining a
-node shared by reference once; parsing is iterative too, so none of these
-is bounded by the recursion limit.
+depth are filled together by one post-order visit on first read; the visit
+recurses, and ``fold`` finishes one past the recursion limit.  No core form
+is kept on a node: ``desugar`` builds one per call, and the decision
+procedure and the oracle read ``normalform.number_core``'s numbering of the
+core structures instead.  ``fold`` walks a formula bottom-up in one call
+frame, combining a node shared by reference once; parsing is iterative too,
+so none of these is bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter, is_
 from typing import Callable, NamedTuple, TypeVar
 
@@ -48,7 +48,7 @@ class _fact:
     def __get__(self, node: Formula | None, owner: type | None = None) -> object:
         if node is None:
             return self
-        _fill(node, "_hash", _fill_facts)
+        _fill(node)
         return getattr(node, self.name)
 
 
@@ -57,18 +57,12 @@ class Formula:
 
     Nodes are immutable.  The first read of a node's hash, ``atoms`` or
     ``depth`` fills all three, on the node and on every node below it that
-    lacks them, in one post-order visit (``_fill``); the first read of
-    ``core`` fills the core forms the same way.  A node in the core
-    fragment is its own ``core``: it keeps ``_core = None``, not a
-    reference to itself, and the nodes ``core`` builds are marked so when
-    they are built.  ``normalform.flatten`` reads no ``core``: it keeps
-    ``depth`` alone on the nodes it reuses and builds (a later fill computes
-    the same value again) and marks none as core; it keeps its result on a
-    modal input as ``_flattening``.  ``core`` is read by
-    ``desugar`` and, in the oracle, by the per-query path alone.
-    Equality is structural, compared in one frame, each pair of nodes once;
-    equal nodes are not shared or interned.  The ``repr`` spells each node
-    shared by reference once.
+    lacks them, in one post-order visit (``_fill``).  ``normalform.flatten``
+    keeps ``depth`` alone on the nodes it reuses and builds (a later fill
+    computes the same value again), and keeps its result on a modal input
+    as ``_flattening``.  Equality is structural, compared in one frame,
+    each pair of nodes once; equal nodes are not shared or interned.  The
+    ``repr`` spells each node shared by reference once.
     """
 
     __match_args__: tuple[str, ...] = ()  # a node class's fields, in order
@@ -81,7 +75,7 @@ class Formula:
         try:
             return self._hash
         except AttributeError:
-            _fill(self, "_hash", _fill_facts)
+            _fill(self)
             return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -98,13 +92,6 @@ class Formula:
                 compared.add(key)
                 pairs += zip(a.children, b.children)
         return True
-
-    @property
-    def core(self) -> Formula:
-        """The same formula over Atom, Bottom, Not, Or and Kh only."""
-        if not hasattr(self, "_core"):
-            _fill(self, "_core", _fill_core)
-        return self._core or self  # None: the node is its own core
 
     def __getstate__(self) -> dict[str, object]:
         # Pickle the fields only: a string's hash differs between processes.
@@ -221,26 +208,26 @@ _keep = object.__setattr__  # past the frozen guard, and not through ``__dict__`
 _MODAL = {Kh, Univ, Exis}
 
 
-def _fill(root: Formula, name: str, fill_one: Callable[..., None]) -> None:
-    """Call ``fill_one(node, children)`` once on ``root`` and on every node
-    below it that lacks the attribute ``name``, each after its children.
+def _fill(root: Formula) -> None:
+    """Fill the facts of ``root`` and of every node below it that lacks
+    them (``_fill_facts``), each after its children.
 
     The visit recurses once per nesting level; past the recursion limit
-    ``fold`` finishes the job in one frame, taking a node that has ``name``
-    as done.  A node left half filled is filled again: ``fill_one`` keeps
-    ``name`` last, and its values do not depend on how often it runs."""
+    ``fold`` finishes the job in one frame, taking a filled node as done.
+    A node left half filled is filled again: ``_fill_facts`` keeps the
+    hash last, and its values do not depend on how often it runs."""
 
     def visit(node: Formula) -> None:
         children = node.children
         for child in children:
-            if not hasattr(child, name):  # else a shared node, filled on an earlier visit
+            if not hasattr(child, "_hash"):  # else a shared node, filled on an earlier visit
                 visit(child)
-        fill_one(node, children)
+        _fill_facts(node, children)
 
     try:
         visit(root)
     except RecursionError:
-        fold(root, lambda node, _: fill_one(node, node.children), lambda node: hasattr(node, name) or None)
+        fold(root, lambda node, _: _fill_facts(node, node.children), lambda node: hasattr(node, "_hash") or None)
     finally:
         del visit  # empties the closure's own cell: no cycle for the collector
 
@@ -261,31 +248,15 @@ def _fill_facts(node: Formula, children: tuple[Formula, ...]) -> None:
     _keep(node, "_hash", hash((cls.__name__, *fields)))  # last: marks the node filled
 
 
-def _core_node(cls: type, *fields: object) -> Formula:
-    """A new node of the core fragment, marked as its own core."""
-    node = cls(*fields)
-    _keep(node, "_core", None)
-    return node
-
-
-_neg, _or = partial(_core_node, Not), partial(_core_node, Or)
 # The core form of each sugar node from its children's core forms.
 _DESUGAR: dict[type, Callable[..., Formula]] = {
-    Top: lambda: _neg(_core_node(Bottom)),
-    And: lambda left, right: _neg(_or(_neg(left), _neg(right))),
-    Implies: lambda left, right: _or(_neg(left), right),
-    Iff: lambda left, right: _neg(_or(_neg(_or(_neg(left), right)), _neg(_or(_neg(right), left)))),
-    Univ: lambda f: _core_node(Kh, _neg(f), _core_node(Bottom)),
-    Exis: lambda f: _neg(_core_node(Kh, _neg(_neg(f)), _core_node(Bottom))),
+    Top: lambda: Not(Bottom()),
+    And: lambda left, right: Not(Or(Not(left), Not(right))),
+    Implies: lambda left, right: Or(Not(left), right),
+    Iff: lambda left, right: Not(Or(Not(Or(Not(left), right)), Not(Or(Not(right), left)))),
+    Univ: lambda f: Kh(Not(f), Bottom()),
+    Exis: lambda f: Not(Kh(Not(Not(f)), Bottom())),
 }
-
-
-def _fill_core(node: Formula, children: tuple[Formula, ...]) -> None:
-    cls, cores = type(node), [child.core for child in children]
-    if cls in _DESUGAR:
-        _keep(node, "_core", _DESUGAR[cls](*cores))
-    else:  # None: the node is already in the core fragment
-        _keep(node, "_core", None if all(map(is_, cores, children)) else _core_node(cls, *cores))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +494,18 @@ def render(f: Formula) -> str:
 # Structural operations
 
 
+def _desugar_node(node: Formula, cores: list[Formula]) -> Formula:
+    cls = type(node)
+    if cls in _DESUGAR:
+        return _DESUGAR[cls](*cores)
+    return node if all(map(is_, cores, node.children)) else cls(*cores)
+
+
 def desugar(f: Formula) -> Formula:
-    """Reduce to the core constructors Atom, Bottom, Not, Or, Kh."""
-    return f.core
+    """Reduce to the core constructors Atom, Bottom, Not, Or, Kh: one fold,
+    which reuses every node with no sugar below it and keeps nothing on the
+    nodes."""
+    return fold(f, _desugar_node)
 
 
 def modal_depth(f: Formula) -> int:

@@ -16,8 +16,8 @@ Pipeline (all satisfiability questions are propositional oracle calls):
    that.  Each check reads every side's truth set and its complement once
    (``SatOracle.truth_sets``) and asks each question it cannot already
    answer once, as their intersection (``SatOracle.ask``): bitmasks inside
-   ``decide``'s table scope, otherwise member formulas for ``is_sat``, in
-   the same order and with the same count.
+   ``decide``'s table scope, otherwise members for ``is_sat``, in the same
+   order and with the same count.
 4. The first compatible guess (descending lexicographic order, all-true
    first, ``_k1`` most significant) whose built certificate verifies against
    the original formula yields SAT, and the descent stops there; exhausting
@@ -355,14 +355,9 @@ def decide(
     cert = None
     start = oracle.calls
     # Every query of the call, the guess enumeration's too, draws its atoms
-    # from the flattening's vocabulary.
-    with oracle.scope(flattening.vocabulary):
-        # The numbers stand for their structures from here on.  Per query,
-        # the negation of every condition a pair can pick is built before
-        # the first guess, a plain pair's pins before its first retry.
-        pinned = [s for two in pins for pin in two for s in pin]
-        conditions = [s for condition in [*sides, exis] for s in condition]
-        oracle.prepare(conditions + (pinned if mode == "augmented" else []), numbering.structures)
+    # from the flattening's vocabulary, and the numbers stand for their
+    # structures: masks on the scope's table, or signed numbers per query.
+    with oracle.scope(flattening.vocabulary, numbering.structures):
         # Definition order, True first: all-true first, _k1 most significant.
         guesses = oracle.enumerate_models(numbering.phi0, numbering.atoms, numbering.names)
         for assignment in guesses:
@@ -377,7 +372,6 @@ def decide(
             # original formula whenever that pair is itself compatible.
             retry = ok and cert is None and mode == "plain"
             if retry:
-                oracle.prepare(pinned)  # builds only on the first retry
                 before = oracle.calls
                 pair = _build_pair(sides, pins, exis, values, "augmented")
                 cert = _check_guess(*pair, f, oracle)[1]

@@ -12,16 +12,19 @@ earlier names.  The conjunction of ``phi0`` with the definition
 biconditionals ``A _ki <-> Kh(pre, post)`` is satisfiable exactly when the
 input is.
 
-``flatten`` numbers the core structures first and builds ``phi0`` and the
-definitions only when one of them is read: ``decide`` reads its conditions
-by their numbers (``Numbering``) and builds no formula for them.
+``flatten`` numbers the core structures first (``number_core``) and builds
+``phi0`` and the definitions only when one of them is read: ``decide``
+reads its conditions by their numbers (``Numbering``) and builds no formula
+for them.  The numbering is the only core form there is: the oracle
+numbers its own members with ``number_core`` too, and a Tseitin encoding
+(``propsat.to_cnf``) reads the numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .formula import And, Atom, Bottom, Exis, Formula, Iff, Implies, Kh, Not, Or, Top, Univ
 from .formula import RESERVED_PREFIX, _DESUGAR, _MODAL, _keep, fold
@@ -79,52 +82,37 @@ class FlattenResult:
 
 def _built(cls: type, *fields: object) -> Formula:
     """A new node, kept at the modal depth it has when every modality below
-    it is named (1 for a definition, else 0); as there may be sugar below
-    it, it is not marked as its own core form."""
+    it is named (1 for a definition, else 0)."""
     node = cls(*fields)
     _keep(node, "depth", int(cls is Kh))
     return node
 
 
-def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
-    """Flatten to leaf normal form: a walk over ``f`` as written, visiting
-    a shared node once, numbers every node's core structure, equal for
-    nodes with equal core forms, and collects the atoms; the structures
-    inside a sugar node's core form are numbered too, each at its own modal
-    depth, and so are ``false`` and each name's negation, the pins that
-    ``decide`` reads.  Renaming is injective, so two modalities share a
-    name exactly when their core forms are equal.
+def number_core(fs: Sequence[Formula], base: Sequence[str | tuple] = ()) -> tuple:
+    """Number the core structures of the formulas ``fs`` into one table,
+    after the structures of ``base`` (each at modal depth 0): a walk over
+    each formula as written, visiting a shared node once, gives every node
+    the number of its core structure, equal for nodes with equal core
+    forms; the structures inside a sugar node's core form are numbered too,
+    each at its own modal depth.  Numbers follow the post-order of the
+    walk, so a structure's children have lower numbers.  The walk recurses
+    once per nesting level; past the recursion limit ``fold`` finishes it
+    in one frame.
 
-    ``phi0`` and ``defs`` are built on first read, by one fold over ``f``
-    that replaces each modality by its name (``_rename``).  No node fact is
-    read or filled: the depth-0 nodes the fold reuses, and the nodes it
-    builds, keep their modal depth, which is what the pair specs check.
-
-    The result is kept on ``f``, as ``core`` is, so flattening the same
-    object again walks nothing and returns the same result: ``decide``'s
-    second mode in a differential check reads it.  Nothing is kept when
-    ``f`` has no modality (it is its own ``phi0``; keeping it would make a
-    reference cycle) or when ``allow_reserved`` is set, so a result is kept
-    only once the reserved-atom check has passed.  A kept result folds over
-    a copy of ``f``'s root, not over ``f``, which it would otherwise refer
-    back to.
-
-    Inputs containing reserved ``_k…`` atoms are rejected unless
-    ``allow_reserved`` is set (useful for re-flattening an already flattened
-    skeleton, which introduces no fresh atoms and hence cannot collide).
-    """
-    kept = getattr(f, "_flattening", None)
-    if kept is not None:
-        return kept
-    ids: dict[int, int] = {}  # id of a visited node of ``f`` -> the number of its core structure
-    structures: dict[object, int] = {}  # an atom's name, or a core class and child numbers
-    depths: list[int] = []  # modal depth by number
+    Returns each formula's number, the structures by number, as
+    ``Numbering`` holds them, each one's modal depth, the number of each
+    visited node by id, the atoms met, and ``number(structure, depth)``,
+    which numbers one more structure."""
+    keys = {s: sid for sid, s in enumerate(base)}  # a structure -> its number
+    structures, depths = list(base), [0] * len(base)
+    ids: dict[int, int] = {}  # id of a visited node -> the number of its core structure
     atoms: set[str] = set()
 
     def number(structure: object, depth: int) -> int:
-        sid = structures.get(structure)
+        sid = keys.get(structure)
         if sid is None:  # the first of its structure
-            sid = structures[structure] = len(depths)
+            sid = keys[structure] = len(structures)
+            structures.append(structure)
             depths.append(depth)
         return sid
 
@@ -172,12 +160,46 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
         ids[id(node)] = sid
         return sid
 
+    tops = []
     try:
-        top = visit(f)
-    except RecursionError:  # the same post-order in one frame, each node once its children are
-        top = fold(f, lambda node, _: visit(node), lambda node: ids.get(id(node)))
+        for f in fs:
+            try:
+                tops.append(visit(f))
+            except RecursionError:  # the same post-order in one frame, each node once its children are
+                tops.append(fold(f, lambda node, _: visit(node), lambda node: ids.get(id(node))))
     finally:
         del visit  # empties the closure's own cell: no cycle for the collector
+    return tops, structures, depths, ids, atoms, number
+
+
+def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
+    """Flatten to leaf normal form: ``number_core`` numbers the core
+    structures of ``f`` and collects its atoms, and ``false`` and each
+    name's negation, the pins that ``decide`` reads, are numbered after
+    them.  Renaming is injective, so two modalities share a name exactly
+    when their core forms are equal.
+
+    ``phi0`` and ``defs`` are built on first read, by one fold over ``f``
+    that replaces each modality by its name (``_rename``).  No node fact is
+    read or filled: the depth-0 nodes the fold reuses, and the nodes it
+    builds, keep their modal depth, which is what the pair specs check.
+
+    The result is kept on ``f``, so flattening the same object again walks
+    nothing and returns the same result: ``decide``'s second mode in a
+    differential check reads it.  Nothing is kept when ``f`` has no
+    modality (it is its own ``phi0``; keeping it would make a reference
+    cycle) or when ``allow_reserved`` is set, so a result is kept only once
+    the reserved-atom check has passed.  A kept result folds over a copy of
+    ``f``'s root, not over ``f``, which it would otherwise refer back to.
+
+    Inputs containing reserved ``_k…`` atoms are rejected unless
+    ``allow_reserved`` is set (useful for re-flattening an already flattened
+    skeleton, which introduces no fresh atoms and hence cannot collide).
+    """
+    kept = getattr(f, "_flattening", None)
+    if kept is not None:
+        return kept
+    (top,), shapes, depths, ids, atoms, number = number_core([f])
     if not allow_reserved:
         reserved = sorted(a for a in atoms if a.startswith(RESERVED_PREFIX))
         if reserved:
@@ -187,9 +209,9 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
             )
     # Equal depths never nest, so post-order keeps pre-order's order of first
     # occurrence within a depth; the sort is stable: depth 1 first, then 2, ...
-    ordered = sorted((sid for sid, s in enumerate(structures) if s[0] is Kh), key=depths.__getitem__)
-    false, pins = number((Bottom,), 0), tuple([neg(sid) for sid in ordered])
-    shapes = list(structures)  # by number; an atom's name is a str, whose first item is no class
+    kh = [sid for sid, s in enumerate(shapes) if s[0] is Kh]  # an atom's name: no class
+    ordered = sorted(kh, key=depths.__getitem__)
+    false, pins = number((Bottom,), 0), tuple([number((Not, sid), depths[sid]) for sid in ordered])
     sides = tuple([shapes[sid][1:] for sid in ordered])
     names = tuple([f"{RESERVED_PREFIX}{i}" for i in range(1, len(ordered) + 1)])
     for sid, name in zip(ordered, names):

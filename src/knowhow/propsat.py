@@ -1,40 +1,41 @@
 """Propositional satisfiability oracle for modality-free formulas.
 
 Every algorithm in the decision procedure bottoms out in satisfiability
-queries over sets of modal-depth-0 formulas.  A query over at most
-``_TABLE_MAX_SYMBOLS`` symbols is answered from one evaluation of each
-member on the truth table of the sorted symbols (``semantics.truth_masks``
-and ``eval_core``, the model checker's evaluator, which reads each member
-as written; a member in core form, whose nodes may be shared, by
-``_core_mask``, each shared node once); neither a CNF nor a core form is
-built.
-Larger queries go to a deterministic DPLL over a structural (Tseitin) CNF
-encoding of the members' core forms (``Formula.core``): lowest-index
-variable first, False branch first, unit propagation, chronological
-backtracking.  Both paths return the same verdicts and witnesses: the
-lowest satisfying row, first symbol most significant, is the model DPLL
-finds first.  Identical inputs always produce identical answers.
+queries over sets of modal-depth-0 formulas.  A query's members are read
+through one numbering of their core structures (``normalform.number_core``):
+a formula member is numbered, and a member may also be the signed number of
+a structure of a numbering it comes with (i, or ~i for its negation).  The
+query's symbols are the atoms reachable from its members.  A query over at
+most ``_TABLE_MAX_SYMBOLS`` symbols is answered from one pass over the
+reachable structures on the truth table of the sorted symbols
+(``_interpret``); neither a CNF nor a formula is built.  Larger queries go
+to a deterministic DPLL over a structural (Tseitin) CNF encoding of the
+numbering (``to_cnf``): lowest-index variable first, False branch first,
+unit propagation, chronological backtracking.  Both paths return the same
+verdicts and witnesses: the lowest satisfying row, first symbol most
+significant, is the model DPLL finds first.  Identical inputs always
+produce identical answers.
 
 The decision procedure asks ``SatOracle`` about truth sets: it reads the
 truth sets of its conditions and their negations once, intersects them and
 asks whether the result is empty; even its guesses come from such queries,
 a descent over the definition atoms (``SatOracle.enumerate_models``).
 ``decide`` opens a ``SatOracle.scope`` over its flattening's vocabulary and
-names each condition by its number in ``flatten``'s numbering, whose
-structures it hands to ``SatOracle.prepare``.  Up to the same cutoff, a
-truth set is then an int mask on one truth table per call, a number's from
-a list filled by one pass over the structures (``_Table.number``), a
-formula's evaluated once and cached by identity.  Otherwise a truth set is
-the list of its member formulas, each query to ``is_sat``; a number stands
-for one core node per structure, and each condition's negation is built,
-once per scope.  Either way a guess check can keep the witness of
+numbering, and names each condition by its number in that numbering.  Up
+to the same cutoff, a truth set is then an int mask on one truth table per
+call, a number's from a list filled by one pass over the structures
+(``_Table.number``), a formula's evaluated once (``eval_core``) and cached
+by identity.  Otherwise a truth set is the list of its members
+(``Members``), each query to ``is_sat``: a number's negation is ``~i`` and
+a formula's is ``Not(f)``, so nothing is built per scope.  Either way a
+guess check can keep the witness of
 each query it satisfies (``SatOracle.witnesses``) as a place: the number of
 its row in the truth table of the scope's sorted atoms, first atom most
 significant.  Its certificate is built from those places, reading its
 conditions' bits at them (``SatOracle.row_truth_sets``: off the table where
 there is one, otherwise evaluated on a grid of the places) and the scope's
 atoms' (``SatOracle.row_valuation``); no other module reads a place.  The
-per-query table, the scope's table and that grid are one type, ``_Table``.
+scope's table, the per-query table and that grid are one type, ``_Table``.
 
 An external DIMACS solver can be substituted per call; it then receives
 every query, whatever its size.  The built-in DPLL remains the reference
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .formula import Atom, Bottom, Formula, Not, Or, _core_node, fold, render
+from .formula import Atom, Formula, Not, render
+from .normalform import number_core
 from .semantics import eval_core, truth_masks
 
 Assignment = dict[str, bool]
@@ -82,48 +83,78 @@ class CnfInstance:
 _TABLE_MAX_SYMBOLS = 10
 
 
-def _symbols(fs: Sequence[Formula]) -> list[str]:
-    """Sorted vocabulary of the members; a modal member raises ``ValueError``."""
-    for f in fs:
-        if f.depth != 0:
-            raise ValueError(f"modal depth {f.depth} operand for the oracle: {render(f)}")
-    return sorted(set().union(*(f.atoms for f in fs)))
-
-
-def to_cnf(fs: Sequence[Formula]) -> CnfInstance:
-    """Equisatisfiable CNF for the conjunction of ``fs``.
-
-    Each member's core form is encoded with one Tseitin variable per
-    distinct ``Or`` node and one for ``Bottom``, fixed false by a unit
-    clause.  Definition clauses are emitted in both directions, so the CNF's
-    models project bijectively onto assignments of the proposition symbols
-    that satisfy the conjunction.
-    """
+def _numbered(fs: Iterable[Formula | int], structures: Sequence[str | tuple] = ()) -> tuple:
+    """The members ``fs`` as signed numbers, and the structures they number:
+    a number is kept, and the formulas are numbered after ``structures``
+    (``number_core``); a modal formula raises ``ValueError``."""
     fs = list(fs)
-    symbols = _symbols(fs)
+    formulas = [f for f in fs if type(f) is not int]
+    if not formulas:
+        return fs, structures
+    tops, structures, depths, *_ = number_core(formulas, structures)
+    for f, top in zip(formulas, tops):
+        if depths[top]:
+            raise ValueError(f"modal depth {depths[top]} operand for the oracle: {render(f)}")
+    tops = iter(tops)
+    return [f if type(f) is int else next(tops) for f in fs], structures
+
+
+def _reachable(structures: Sequence[str | tuple], roots: Iterable[int], done=()) -> list[int]:
+    """The numbers of the structures reachable from the signed numbers
+    ``roots`` and not in ``done``, which holds each of its numbers'
+    children, ascending."""
+    found: set[int] = set()
+    todo = [root if root >= 0 else ~root for root in roots]
+    while todo:
+        sid = todo.pop()
+        if sid not in found and sid not in done:
+            found.add(sid)
+            s = structures[sid]
+            if type(s) is tuple:
+                todo += s[1:]
+    return sorted(found)
+
+
+def _atoms_of(structures: Sequence[str | tuple], numbers: Iterable[int]) -> list[str]:
+    """The sorted atoms among the structures ``numbers``."""
+    return sorted({s for s in map(structures.__getitem__, numbers) if type(s) is str})
+
+
+def to_cnf(fs: Sequence[Formula | int], structures: Sequence[str | tuple] = ()) -> CnfInstance:
+    """Equisatisfiable CNF for the conjunction of ``fs``: modality-free
+    formulas, or signed numbers of the numbering's ``structures``.
+
+    Formulas are numbered first (``number_core``).  The atoms reachable
+    from the members get variables 1..n in sorted order.  Member by member,
+    each newly reached ``(Or, i, j)`` and ``(Bottom,)`` gets one Tseitin
+    variable, in number order, ``Bottom``'s fixed false by a unit clause,
+    and ``(Not, i)`` is the negated literal of i; then the member adds its
+    unit clause.  Definition clauses are emitted in both directions, so the
+    CNF's models project bijectively onto assignments of the proposition
+    symbols that satisfy the conjunction.
+    """
+    roots, structures = _numbered(fs, structures)
+    symbols = _atoms_of(structures, _reachable(structures, roots))
     var_map = {name: i + 1 for i, name in enumerate(symbols)}
     next_var = len(symbols) + 1
     clauses: list[tuple[int, ...]] = []
-    defs: dict[Formula, int] = {}
-
-    def known(g: Formula) -> int | None:  # an atom's or an encoded node's literal
-        return var_map[g.name] if isinstance(g, Atom) else defs.get(g)
-
-    def literal(g: Formula, children: list[int]) -> int:
-        nonlocal next_var
-        if isinstance(g, Not):
-            return -children[0]
-        if isinstance(g, Or):
-            a, b = children
-            clauses.extend(((-next_var, a, b), (next_var, -a), (next_var, -b)))
-        else:  # Bottom
-            clauses.append((-next_var,))
-        defs[g] = next_var
-        next_var += 1
-        return next_var - 1
-
-    for f in fs:
-        clauses.append((fold(f.core, literal, known),))
+    literals: dict[int, int] = {}  # number of an encoded structure -> its literal
+    for root in roots:
+        for sid in _reachable(structures, (root,), literals):
+            s = structures[sid]
+            if type(s) is str:
+                literals[sid] = var_map[s]
+            elif s[0] is Not:
+                literals[sid] = -literals[s[1]]
+            else:
+                if len(s) > 1:  # (Or, i, j)
+                    a, b = literals[s[1]], literals[s[2]]
+                    clauses.extend(((-next_var, a, b), (next_var, -a), (next_var, -b)))
+                else:  # (Bottom,)
+                    clauses.append((-next_var,))
+                literals[sid] = next_var
+                next_var += 1
+        clauses.append((literals[root] if root >= 0 else -literals[~root],))
     return CnfInstance(next_var - 1, tuple(clauses), var_map)
 
 
@@ -246,23 +277,30 @@ def _solve(instance: CnfInstance, solver_path: str | None) -> list[bool] | None:
 
 
 def is_sat(
-    fs: Sequence[Formula], *, solver_path: str | None = None
+    fs: Sequence[Formula | int], *, solver_path: str | None = None
 ) -> tuple[bool, Assignment | None]:
-    """Satisfiability of the conjunction of modality-free formulas.
+    """Satisfiability of the conjunction of modality-free formulas, or of a
+    ``Members`` term, whose numbers read its ``structures``.
 
-    Returns ``(True, witness)`` with a total assignment over the occurring
-    symbols, or ``(False, None)``.  The empty set is satisfiable by
-    convention.  The witness is the first model in False-first order over
-    the sorted symbols, which is the model the built-in DPLL finds first.
+    Returns ``(True, witness)`` with a total assignment over the symbols
+    reachable from the members, or ``(False, None)``.  The empty set is
+    satisfiable by convention.  With no solver set and at most
+    ``_TABLE_MAX_SYMBOLS`` symbols, the query is answered on their truth
+    table; otherwise through ``to_cnf``.  The witness is the first model in
+    False-first order over the sorted symbols, which is the model the
+    built-in DPLL finds first.
     """
-    fs = list(fs)
-    symbols = _symbols(fs)
+    roots, structures = _numbered(fs, getattr(fs, "structures", ()))
+    numbers = _reachable(structures, roots)
+    symbols = _atoms_of(structures, numbers)
     if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
-        return _cnf_is_sat(fs, solver_path)
+        return _cnf_is_sat(roots, solver_path, structures)
     table = _Table.truth_table(symbols)
-    rows = table.every
-    for mask in table.masks(fs):
-        rows &= mask
+    every = table.every
+    values = _interpret(structures, table.val.__getitem__, every.__xor__, int.__or__, 0, numbers)
+    rows = every
+    for root in roots:
+        rows &= values[root] if root >= 0 else every ^ values[~root]
     if not rows:
         return False, None
     lowest = rows & -rows
@@ -270,10 +308,12 @@ def is_sat(
 
 
 def _cnf_is_sat(
-    fs: Sequence[Formula], solver_path: str | None = None
+    fs: Sequence[Formula | int],
+    solver_path: str | None = None,
+    structures: Sequence[str | tuple] = (),
 ) -> tuple[bool, Assignment | None]:
     """``is_sat`` through Tseitin CNF and DPLL (or the external solver)."""
-    instance = to_cnf(fs)
+    instance = to_cnf(fs, structures)
     model = _solve(instance, solver_path)
     if model is None:
         return False, None
@@ -369,9 +409,9 @@ class _Table(NamedTuple):
 
     def masks(self, fs: Sequence[Formula | int], numbered: Sequence[int] = ()) -> list[int] | None:
         """The masks of ``fs``, a number's read off ``numbered`` (by
-        ``number``), a formula's evaluated on first use (no node fact is
-        read), or None when a member reads an atom outside the table; a
-        modal member raises ``ValueError`` and is not cached."""
+        ``number``), a formula's evaluated as written on first use (no node
+        fact is read), or None when a member reads an atom outside the
+        table; a modal member raises ``ValueError`` and is not cached."""
         masks = []
         for f in fs:  # a loop, not a comprehension: this runs on every question batch
             if type(f) is int:
@@ -381,10 +421,7 @@ class _Table(NamedTuple):
             if entry is None:
                 reader = _Reader(self.val)
                 try:
-                    if getattr(f, "_core", False) is None:  # its own core form: maybe shared
-                        mask = _core_mask(f, reader, self.every)
-                    else:
-                        mask = eval_core(f, reader, self.every, _no_modality)
+                    mask = eval_core(f, reader, self.every, _no_modality)
                 except _ModalOperand:
                     message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
                     raise ValueError(message) from None
@@ -395,73 +432,43 @@ class _Table(NamedTuple):
         return masks
 
 
-def _core_mask(f: Formula, val: _Reader, every: int) -> int:
-    """The mask of a formula in core form, each node shared by reference
-    evaluated once: a core form holds both sides of each ``<->`` twice, and
-    ``eval_core``'s walk would follow every path.  The walk recurses once
-    per nesting level; past the recursion limit ``fold`` evaluates it again
-    in one frame."""
-    masks: dict[int, int] = {}  # id of an evaluated node -> its mask
-
-    def walk(g: Formula, children: object = None) -> int:
-        mask = masks.get(id(g))
-        if mask is None:
-            cls = type(g)
-            if cls is Or:
-                mask = walk(g.left) | walk(g.right)
-            elif cls is Not:
-                mask = every ^ walk(g.f)
-            elif cls is Atom:
-                mask = val.get(g.name, 0)
-            elif cls is Bottom:
-                mask = 0
-            else:
-                raise _ModalOperand
-            masks[id(g)] = mask
-        return mask
-
-    try:
-        return walk(f)
-    except RecursionError:  # each node once its children are
-        return fold(f, walk, lambda g: masks.get(id(g)))
-    finally:
-        del walk  # empties the closure's own cell: no cycle for the collector
-
-
-def _interpret(structures: Sequence[str | tuple], atom, neg, disj, false) -> list:
+def _interpret(structures: Sequence[str | tuple], atom, neg, disj, false, numbers=None) -> list:
     """The value of each of a numbering's ``structures`` by number, over
     the values of earlier ones: ``atom(name)`` for an atom's or a name's
     name, ``neg``, ``disj`` and ``false`` for ``(Not, i)``, ``(Or, i, j)``
-    and ``(Bottom,)``."""
-    values = []
-    for s in structures:  # a loop, not a comprehension: this runs once per structure
+    and ``(Bottom,)``; with ``numbers``, ascending and holding each of
+    their children, of those alone (the others read None)."""
+    values = [None] * len(structures)
+    for sid in range(len(structures)) if numbers is None else numbers:
+        s = structures[sid]  # a loop, not a comprehension: this runs once per structure
         if type(s) is str:
-            values.append(atom(s))
+            values[sid] = atom(s)
         elif s[0] is Not:
-            values.append(neg(values[s[1]]))
+            values[sid] = neg(values[s[1]])
         elif len(s) > 1:
-            values.append(disj(values[s[1]], values[s[2]]))
+            values[sid] = disj(values[s[1]], values[s[2]])
         else:
-            values.append(false)
+            values[sid] = false
     return values
 
 
-def _core_nodes(structures: Sequence[str | tuple]) -> list[Formula]:
-    """One node per structure of a numbering, by number, each its own core
-    form: an atom's or a name's name is an ``Atom``."""
-    return _interpret(structures, partial(_core_node, Atom), partial(_core_node, Not),
-                      partial(_core_node, Or), _core_node(Bottom))
-
-
 class Members(tuple):
-    """A truth set kept as the formulas whose conjunction it is: the
-    per-query path's truth-set term.  ``a & b`` lists ``a``'s members then
-    ``b``'s, as ``&`` intersects two masks on the table path."""
+    """A truth set kept as the members whose conjunction it is, the
+    per-query path's truth-set term: formulas, or signed numbers of a
+    numbering's ``structures`` (i, or ~i for its negation).  ``a & b``
+    lists ``a``'s members then ``b``'s, as ``&`` intersects two masks on the
+    table path."""
 
-    __slots__ = ()
+    structures: Sequence[str | tuple] = ()
+
+    def __new__(cls, members: Iterable[Formula | int] = (), structures: Sequence[str | tuple] = ()):
+        term = tuple.__new__(cls, members)
+        if structures:
+            term.structures = structures
+        return term
 
     def __and__(self, other: Members) -> Members:
-        return Members(tuple.__add__(self, other))
+        return Members(tuple.__add__(self, other), self.structures or other.structures)
 
 
 TruthSet = int | Members
@@ -471,15 +478,12 @@ class _Scope(NamedTuple):
     """An oracle's state inside ``scope``: each of the scope's sorted atoms
     with its bit in a place; the truth table over them, or None when queries
     go to ``is_sat``; the structures of a numbering whose numbers stand for
-    conditions, and by number each one's mask on the table, or per query
-    its core node; and per query, each formula's truth set and its
-    negation's, by id."""
+    conditions, and on the table each one's mask, by number."""
 
     bits: dict[str, int]
     table: _Table | None
     structures: Sequence[str | tuple]
-    numbered: list
-    members: dict[int, tuple[Members, Members]]
+    numbered: list[int] | None
 
 
 @dataclass
@@ -492,17 +496,17 @@ class SatOracle:
     non-empty.  An enumeration is a descent of such queries, so it counts
     one per branch it tries, whichever path answers it.
 
-    A condition is a modality-free formula or, once ``prepare`` has taken
-    a numbering's structures, the number of one.  Inside ``scope(atoms)``,
-    with no external solver and at most ``_TABLE_MAX_SYMBOLS`` atoms, a
-    truth set is an int mask on one truth table over those atoms: a
-    number's from one pass over the structures, a formula's evaluated
-    once, cached by identity; a negation is the complement ``every ^
-    mask`` and a query is an AND of masks.  Otherwise, and for a batch with
-    an atom outside the scope, a truth set is its ``Members`` and ``ask``
-    hands them to ``is_sat``, so DPLL or the external solver sees every
-    query; a number then stands for its structure's core node, and inside
-    a scope each condition's negation is built once.  Inside
+    A condition is a modality-free formula or, inside a scope given a
+    numbering's structures, the number of one.  Inside ``scope(atoms,
+    structures)``, with no external solver and at most
+    ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
+    table over those atoms: a number's from one pass over the structures, a
+    formula's evaluated once, cached by identity; a negation is the
+    complement ``every ^ mask`` and a query is an AND of masks.  Otherwise,
+    and for a batch with an atom outside the scope, a truth set is its
+    ``Members`` and ``ask`` hands them to ``is_sat``, so DPLL or the
+    external solver sees every query; a number's negation is then ``~i``
+    and a formula's ``Not(f)``.  Inside
     ``witnesses()``, ``ask`` also keeps each satisfied query's witness as a
     place over the scope's atoms.
     """
@@ -523,45 +527,10 @@ class SatOracle:
         if masks is not None:
             every = table.every
             return every, masks, [every ^ mask for mask in masks]
-        sets = [self._members(f) for f in fs]
-        return Members(), [truth for truth, _ in sets], [falsity for _, falsity in sets]
-
-    def prepare(
-        self, fs: Sequence[Formula | int], structures: Sequence[str | tuple] | None = None
-    ) -> None:
-        """Inside a scope, take the numbers of a numbering's ``structures``,
-        when given, for conditions: on the table their masks come from one
-        pass over them (``_Table.number``), per query their core nodes are
-        built now.  Per query, also build each condition's negation now,
-        once per scope and with the node facts ``is_sat`` reads, so no later
-        question about ``fs`` builds or fills a node."""
-        scope = self._scope
-        if scope is None:
-            return
-        if structures is not None:
-            table = scope.table
-            numbered = table.number(structures) if table is not None else _core_nodes(structures)
-            scope = self._scope = scope._replace(structures=structures, numbered=numbered)
-        if scope.table is None:
-            for f in fs:
-                self._members(f)
-
-    def _members(self, f: Formula | int) -> tuple[Members, Members]:
-        """A condition's truth set and its negation's per query, built once
-        per scope: a number stands for its structure's core node; the
-        negation is in core form, and both are checked modality-free
-        (``_symbols``), which fills the node facts ``is_sat`` and ``to_cnf``
-        read."""
-        scope = self._scope
-        if type(f) is int:
-            f = scope.numbered[f]
-        members = scope.members if scope is not None else {}
-        entry = members.get(id(f))
-        if entry is None:
-            negation = _core_node(Not, f.core)
-            _symbols([f, negation])
-            entry = members[id(f)] = Members((f,)), Members((negation,))
-        return entry
+        structures = scope.structures if scope is not None else ()
+        truth = [Members((f,), structures) for f in fs]
+        falsity = [Members((~f if type(f) is int else Not(f),), structures) for f in fs]
+        return Members((), structures), truth, falsity
 
     def ask(self, term: TruthSet) -> bool:
         """Whether a truth set is non-empty; one query.  Inside ``witnesses``
@@ -622,16 +591,22 @@ class SatOracle:
         return _on_rows(self._scope.bits, rows)
 
     @contextmanager
-    def scope(self, atoms: Iterable[str]) -> Iterator[None]:
+    def scope(
+        self, atoms: Iterable[str], structures: Sequence[str | tuple] = ()
+    ) -> Iterator[None]:
         """Answer from one truth table over ``atoms`` until exit, or per
-        query when they are too many or a solver is set; the previous scope
-        is restored on exit, also on an exception."""
+        query when they are too many or a solver is set.  Meanwhile the
+        numbers of a numbering's ``structures``, whose atoms lie among
+        ``atoms``, stand for conditions: on the table their masks come from
+        one pass over them (``_Table.number``).  The previous scope is
+        restored on exit, also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
-        table = None
+        table = numbered = None
         if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
             table = _Table.truth_table(symbols)
-        self._scope = _Scope(_bits(symbols), table, (), [], {})
+            numbered = table.number(structures)
+        self._scope = _Scope(_bits(symbols), table, structures, numbered)
         try:
             yield
         finally:

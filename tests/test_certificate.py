@@ -366,9 +366,9 @@ def test_decide_certificates_equal_standalone_builds(depth, leaves, atoms, seeds
                 oracle = SatOracle()
                 with monkeypatch.context() as per_query:
                     per_query.setattr(propsat, "_TABLE_MAX_SYMBOLS", -1)
-                    with oracle.scope(verdict.flattening.vocabulary):
-                        # decide's pairs hold the numbers of its flattening's structures.
-                        oracle.prepare([], verdict.flattening.numbering.structures)
+                    # decide's pairs hold the numbers of its flattening's structures.
+                    flattening = verdict.flattening
+                    with oracle.scope(flattening.vocabulary, flattening.numbering.structures):
                         assert oracle._scope.table is None
                         assert check(p, q, oracle) == (indices, rows), (seed, mode)
                         sides = [side for pair in p.conjuncts + q.conjuncts for side in pair]

@@ -248,7 +248,7 @@ def _ref_depth(f):
 
 
 def _ref_core(f):
-    """The desugaring rules as one recursion, independent of `Formula.core`."""
+    """The desugaring rules as one recursion, independent of `desugar`'s fold."""
     if isinstance(f, Atom):
         return Atom(f.name)
     if isinstance(f, Bottom):
@@ -291,20 +291,21 @@ def test_cached_facts_match_reference_recursions_seeded():
         for g in subformulas(f):
             assert g.atoms == _ref_atoms(g), g
             assert g.depth == modal_depth(g) == _ref_depth(g), g
-            assert g.core == desugar(g) == _ref_core(g), g
-            assert g.core.core is g.core  # a core node is its own core
+            core = desugar(g)
+            assert core == _ref_core(g), g
+            assert desugar(core) is core  # a core form desugars to itself
             assert vars(g)["_hash"] == hash(g)  # kept after the dict lookups above
 
 
 def test_nodes_with_cached_facts_equal_fresh_nodes_seeded():
     for f in _sugar_rich_formulas():
         for g in subformulas(f):
-            facts = (g.atoms, g.depth, g.core, hash(g))
+            facts = (g.atoms, g.depth, desugar(g), hash(g))
             fresh = _rebuild(g)  # nothing read yet
             assert "_hash" not in vars(fresh)
             assert fresh is not g and fresh == g and g == fresh
             assert {fresh: 1}[g] == 1 and {g: 1}[fresh] == 1
-            assert (fresh.atoms, fresh.depth, fresh.core, hash(fresh)) == facts
+            assert (fresh.atoms, fresh.depth, desugar(fresh), hash(fresh)) == facts
 
 
 def test_facts_of_deeply_nested_formulas():
@@ -313,7 +314,7 @@ def test_facts_of_deeply_nested_formulas():
     f, g = Atom("p"), Atom("p")
     for _ in range(600):
         f, g = Not(f), Not(g)
-    assert (f.depth, f.atoms, f.core) == (0, {"p"}, f)
+    assert (f.depth, f.atoms) == (0, {"p"}) and desugar(f) is f
     assert hash(f) == hash(g)
     assert decide(parse("Kh(" + "~" * 600 + "p, q)")).result is Result.SAT
 
@@ -332,7 +333,7 @@ _READS = {
     "hash": hash,
     "atoms": lambda g: g.atoms,
     "depth": lambda g: g.depth,
-    "core": lambda g: g.core,
+    "core": desugar,
 }
 
 
@@ -345,8 +346,7 @@ def test_facts_do_not_depend_on_read_order_seeded(first):
             _READS[first](g)
             assert g.atoms == _ref_atoms(g), g
             assert g.depth == _ref_depth(g), g
-            assert g.core == _ref_core(g), g
-            assert g.core.core is g.core
+            assert desugar(g) == _ref_core(g), g
             assert hash(g) == hash((type(g).__name__, *(getattr(g, n) for n in g.__match_args__)))
 
 
@@ -356,27 +356,23 @@ def test_facts_of_a_20000_deep_chain_need_no_recursion():
         f = Not(f) if i % 1000 else Univ(f)
     assert (f.depth, f.atoms) == (20, {"p"})
     assert hash(f) == hash(("Not", f.f))
-    assert f.core.depth == 20
+    assert desugar(f).depth == 20
 
 
 def test_shared_subformulas_are_filled_once(monkeypatch):
-    # Each Iff's core form uses both sides twice, so filling a shared node
-    # on every visit would grow with the number of paths, not of nodes: 4^8
-    # through the core form here, which fails the count in about a second,
-    # where a chain of 12 still ran after 100 s.
+    # Each Iff here uses its one child twice, and its core form uses both
+    # sides twice, so filling a shared node on every visit would grow with
+    # the number of paths, not of nodes: 2^8 through the formula and 4^8
+    # through its core form, which fails the count in about a second, where
+    # a chain of 12 still ran after 100 s.
     f = Atom("p")
     for _ in range(8):
         f = Iff(f, f)
     filled = []
-    for name in ("_fill_facts", "_fill_core"):
-        fill_one = getattr(formula, name)
-        monkeypatch.setattr(
-            formula, name, lambda node, children, fill_one=fill_one: (
-                filled.append((fill_one, node)), fill_one(node, children)
-            )
-        )
-    assert f.core.atoms == {"p"}
-    assert len(filled) == len({(fill_one, id(node)) for fill_one, node in filled})
+    fill = formula._fill_facts
+    monkeypatch.setattr(formula, "_fill_facts", lambda node, children: (filled.append(node), fill(node, children)))
+    assert f.atoms == desugar(f).atoms == {"p"}
+    assert len(filled) == len({id(node) for node in filled})
 
 
 def _distinct(f):
@@ -394,7 +390,7 @@ def _distinct(f):
 def test_fold_combines_each_shared_node_once(value):
     # 18 levels of <-> have 2^18 paths through the core form's shared nodes;
     # a None from combine is a value too, kept like any other.
-    core = _iff_chain(18).core
+    core = desugar(_iff_chain(18))
     combined = []
     assert fold(core, lambda node, _: (combined.append(node), value)[1]) is value
     assert len(combined) == len({id(g) for g in combined}) == len(_distinct(core))
@@ -404,7 +400,7 @@ def test_fold_combines_each_shared_node_once(value):
 def test_subformulas_and_kh_occurrences_equal_a_tree_walk_on_iff_chains(n):
     f = _iff_chain(n)
     assert subformulas(f) == set(_nodes(f))
-    assert subformulas(f.core) == set(_nodes(f.core))
+    assert subformulas(desugar(f)) == set(_nodes(desugar(f)))
     tree_count = sum(isinstance(g, Kh) for g in _nodes(_ref_core(f)))
     assert kh_occurrences(f) == tree_count == 2 ** (n + 1) - 2
 
@@ -413,7 +409,7 @@ def test_subformulas_and_kh_occurrences_finish_on_a_24_level_iff_chain():
     # 2^24 paths, but each level adds seven distinct nodes to the four of
     # Kh(p, q), its negation, p and q.
     f = _iff_chain(24)
-    assert len(subformulas(f.core)) == 7 * 24 + 4
+    assert len(subformulas(desugar(f))) == 7 * 24 + 4
     assert kh_occurrences(f) == 2**25 - 2
 
 
@@ -423,7 +419,7 @@ def test_equality_compares_each_pair_of_shared_nodes_once(monkeypatch):
     # children on each of 2^16 paths.
     chain = "p <-> " * 16 + "q"
     f = parse(f"Kh(p, {chain}) | Kh(p, {chain})")
-    left, right = f.core.children
+    left, right = desugar(f).children
     assert left is not right
     reads = []
     for cls in (Not, Or, Kh):
@@ -436,15 +432,16 @@ def test_equality_compares_each_pair_of_shared_nodes_once(monkeypatch):
 
 
 def test_reading_facts_leaves_no_reference_cycles():
-    # A core node keeps no reference to itself, so dropping formulas whose
-    # facts were all read leaves nothing for the cycle collector.
+    # Facts and core forms keep no reference back to their node, so dropping
+    # formulas whose facts were all read leaves nothing for the cycle
+    # collector.
     texts = [render(random_formula(3, 4, ("p", "q", "r"), seed)) for seed in range(50)]
     gc.collect()
     gc.disable()
     try:
         for text in texts:
             for g in subformulas(parse(text)):
-                g.atoms, g.depth, g.core, hash(g)
+                g.atoms, g.depth, desugar(g), hash(g)
         del g
         assert gc.collect() == 0
     finally:
@@ -457,9 +454,9 @@ def _recording_fallbacks(monkeypatch):
     names, fold = [], formula.fold
 
     def recording(root, *rest):
-        lacking = [name for name in ("_hash", "_core") if not hasattr(root, name)]
+        lacking = not hasattr(root, "_hash")
         value = fold(root, *rest)
-        names.extend(name for name in lacking if hasattr(root, name))
+        names.extend(["_hash"] if lacking and hasattr(root, "_hash") else [])
         return value
 
     monkeypatch.setattr(formula, "fold", recording)
@@ -469,15 +466,14 @@ def _recording_fallbacks(monkeypatch):
 def _failing_recursion(monkeypatch):
     """Make every fill that ``_fill``'s recursive visit asks for raise
     ``RecursionError``, so that its fold fallback fills every node."""
-    for name in ("_fill_facts", "_fill_core"):
-        fill_one = getattr(formula, name)
+    fill = formula._fill_facts
 
-        def guarded(node, children, fill_one=fill_one):
-            if sys._getframe(1).f_code.co_name == "visit":
-                raise RecursionError
-            fill_one(node, children)
+    def guarded(node, children):
+        if sys._getframe(1).f_code.co_name == "visit":
+            raise RecursionError
+        fill(node, children)
 
-        monkeypatch.setattr(formula, name, guarded)
+    monkeypatch.setattr(formula, "_fill_facts", guarded)
 
 
 def _frames_to_the_limit():
@@ -502,22 +498,16 @@ def test_recursive_fill_matches_the_iterative_fill_seeded(depth, leaves, atoms, 
     inputs = [random_formula(depth, leaves, atoms, seed) for seed in range(60)]
     recursive, folded = [_rebuild(f) for f in inputs], [_rebuild(f) for f in inputs]
     for f in recursive:
-        hash(f.core), hash(f)
+        hash(f)
     assert fallbacks == []  # the recursion alone filled every S, M and XL input
     _failing_recursion(monkeypatch)
-    expected = []
     for f in folded:
-        hash(f.core), hash(f)
-        # One fold per fill: the input's core, that core's hash, and the
-        # input's hash unless the input is its own core.
-        expected += ["_core", "_hash"] + ["_hash"] * (f.core is not f)
-    assert fallbacks == expected
+        hash(f)
+    assert fallbacks == ["_hash"] * len(folded)  # one fold per fill
     for f, g in zip(recursive, folded):
-        pairs = zip(_nodes(f) + _nodes(f.core), _nodes(g) + _nodes(g.core))
-        for a, b in pairs:
-            assert all(hasattr(a, name) and hasattr(b, name) for name in ("_hash", "_core"))
+        for a, b in zip(_nodes(f), _nodes(g)):
+            assert hasattr(a, "_hash") and hasattr(b, "_hash")
             assert (a.atoms, a.depth, hash(a), type(a)) == (b.atoms, b.depth, hash(b), type(b))
-            assert a.core == b.core and (a.core is a) == (b.core is b)
 
 
 def _chain(length):
@@ -533,8 +523,7 @@ def _assert_reference_facts(f):
     for g in _nodes(f):
         assert g.atoms == _ref_atoms(g), g
         assert g.depth == _ref_depth(g), g
-        assert g.core == _ref_core(g), g
-        assert g.core.core is g.core
+        assert desugar(g) == _ref_core(g), g
 
 
 def test_a_formula_nested_past_the_recursion_limit_is_filled_by_the_fallback(monkeypatch):
@@ -543,10 +532,10 @@ def test_a_formula_nested_past_the_recursion_limit_is_filled_by_the_fallback(mon
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit - _frames_to_the_limit() + 200)  # 200 frames left here
     try:
-        f.core, hash(f)
+        hash(f)
     finally:
         sys.setrecursionlimit(limit)
-    assert fallbacks == ["_core", "_hash"]
+    assert fallbacks == ["_hash"]
     _assert_reference_facts(f)
 
 
@@ -557,19 +546,19 @@ def test_a_small_formula_filled_near_the_recursion_limit_is_filled_by_the_fallba
     def fill_at(frames_left):
         if frames_left > 20:
             return fill_at(frames_left - 1)
-        return hash(f), f.core
+        return hash(f)
 
     fill_at(_frames_to_the_limit() - 2)
-    assert fallbacks == ["_hash", "_core"]
+    assert fallbacks == ["_hash"]
     _assert_reference_facts(f)
 
 
 def test_pickles_carry_fields_not_cached_facts():
     f = parse("A (p -> q) & E ~r <-> Kh(p, true)")
-    facts = (f.atoms, f.depth, f.core, hash(f))
+    facts = (f.atoms, f.depth, hash(f))
     copy = pickle.loads(pickle.dumps(f))
     assert set(vars(copy)) == {"left", "right"}
-    assert copy == f and (copy.atoms, copy.depth, copy.core, hash(copy)) == facts
+    assert copy == f and (copy.atoms, copy.depth, hash(copy)) == facts
 
 
 def test_repr_spells_each_shared_node_once():
@@ -586,7 +575,7 @@ def test_repr_spells_each_shared_node_once():
     assert repr(Or(shared, And(shared, p))) == (
         "Or(left=#1, right=And(left=#1, right=Atom(name='p'))) with #1=Not(f=Atom(name='p'))"
     )
-    twelve, twenty_four = (repr(parse("Kh(p, q) <-> " * n + "p").core) for n in (12, 24))
+    twelve, twenty_four = (repr(desugar(parse("Kh(p, q) <-> " * n + "p"))) for n in (12, 24))
     assert len(twenty_four) < 2.1 * len(twelve)
     assert twenty_four.count("=Kh(pre=Atom(name='p'), post=Atom(name='q'))") == 24
 

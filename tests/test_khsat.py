@@ -11,9 +11,9 @@ from operator import and_
 
 import pytest
 
-from knowhow import certificate, formula, khsat, normalform, propsat, semantics
+from knowhow import formula, khsat, normalform, propsat, semantics
 from knowhow.certificate import verify_certificate
-from knowhow.formula import And, Atom, Bottom, Formula, Kh, Not, Or, Top, parse, render
+from knowhow.formula import And, Atom, Bottom, Formula, Kh, Not, Top, parse, render
 from knowhow.khsat import (
     GuessPartition,
     NegativeSpec,
@@ -78,32 +78,6 @@ def test_global_indices_fixpoint_characterization():
         for k in range(1, n + 1):
             in_i = k in indices
             assert truth_table_sat(members + [p.post(k)]) == (not in_i)
-
-
-def test_context_checks_fill_no_core_form(monkeypatch):
-    # The context travels as its indices and is read off the sides' truth
-    # sets, so once the sides' cores are read no formula needs its core.
-    p = PositiveSpec(((P, Bottom()), (Q, P)))
-    q = NegativeSpec(((Or(P, Q), Bottom()),))
-    filled = []
-    original = formula._fill_core
-
-    def recording_fill(node, children):
-        filled.append(node)
-        return original(node, children)
-
-    oracle = SatOracle()
-    with oracle.scope(["p", "q"]):
-        for side in (side for conjunct in p.conjuncts + q.conjuncts for side in conjunct):
-            side.core
-        monkeypatch.setattr(formula, "_fill_core", recording_fill)
-        with oracle.witnesses() as rows:
-            indices = global_indices(p, oracle)
-            assert indices == frozenset({1, 2})
-            assert compatible(p, q, oracle, indices) is False
-        assert composition_closure(p, indices, oracle) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert len(certificate.build_model(p, indices, rows, oracle=oracle).model.states) == 1
-    assert filled == []
 
 
 def sat_positive(p: PositiveSpec, oracle: SatOracle | None = None) -> bool:
@@ -568,13 +542,13 @@ def test_decide_evaluates_no_numbered_formula_on_the_table(monkeypatch):
 
 def test_decide_builds_no_formula_on_the_table(monkeypatch):
     """On the table path decide reads every condition by its number in
-    flatten's numbering: it builds no node, neither flatten's
-    (``normalform._built``) nor a core form's (``formula._core_node``),
-    and runs no fold, in either mode."""
+    flatten's numbering: it builds no node of flatten's
+    (``normalform._built``), numbers no formula in the oracle
+    (``propsat.number_core``) and runs no fold, in either mode."""
     inputs, calls = _suite("M"), []
     for module, name in [
-        (normalform, "_built"), (formula, "_core_node"), (propsat, "_core_node"),
-        (formula, "fold"), (normalform, "fold"), (propsat, "fold"), (semantics, "fold"),
+        (normalform, "_built"), (propsat, "number_core"),
+        (formula, "fold"), (normalform, "fold"), (semantics, "fold"),
     ]:
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, call=call: calls.append(call) or call(*args))
@@ -801,8 +775,8 @@ class _RecordingOracle(SatOracle):
         return answer
 
     @contextmanager
-    def scope(self, atoms):
-        with super().scope(atoms):
+    def scope(self, atoms, structures=()):
+        with super().scope(atoms, structures):
             if not self.scoped:  # the same scope's places, each question per query
                 self._scope = self._scope._replace(table=None)
             yield

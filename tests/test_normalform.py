@@ -23,7 +23,6 @@ from knowhow.formula import (
     Or,
     Top,
     Univ,
-    _core_node,
     desugar,
     fold,
     kh_occurrences,
@@ -34,7 +33,7 @@ from knowhow.formula import (
 from knowhow.normalform import FlattenResult, flatten
 from knowhow.normalform import _built as normalform_built
 from knowhow.oracle import random_formula
-from knowhow.propsat import _bits, _no_modality, _Table
+from knowhow.propsat import _bits, _no_modality, _Table, to_cnf
 from knowhow.semantics import eval_core, eval_formula
 from tests.test_semantics import random_model
 
@@ -213,7 +212,7 @@ def _flatten_by_rounds(f: Formula) -> FlattenResult:
     innermost modalities (modal depth exactly 1) of the skeleton so far, in
     left-to-right order of first occurrence, refolds the whole skeleton, and
     repeats until no modality remains."""
-    phi0, defs = f.core, []
+    phi0, defs = desugar(f), []
     while phi0.depth != 0:
         names: dict[Kh, Atom] = {}
 
@@ -222,13 +221,13 @@ def _flatten_by_rounds(f: Formula) -> FlattenResult:
                 return g
             if isinstance(g, Kh) and g.depth == 1:
                 if g not in names:
-                    names[g] = _core_node(Atom, f"_k{first + len(names)}")
+                    names[g] = Atom(f"_k{first + len(names)}")
                 return names[g]
             return None
 
-        phi0 = fold(phi0, lambda g, children: _core_node(type(g), *children), leaf)
+        phi0 = fold(phi0, lambda g, children: type(g)(*children), leaf)
         defs.extend((atom, kh) for kh, atom in names.items())
-    vocabulary = tuple(sorted(f.core.atoms.union(k.name for k, _ in defs)))
+    vocabulary = tuple(sorted(f.atoms.union(k.name for k, _ in defs)))
     return FlattenResult(phi0, tuple(defs), vocabulary, numbering=None)
 
 
@@ -354,10 +353,21 @@ def test_a_pickled_flattening_equals_the_one_read_in_place():
         assert copy.vocabulary == flatten(f).vocabulary
 
 
+@pytest.mark.parametrize("suite", list(_SUITES))
+def test_to_cnf_of_a_formula_equals_that_of_its_core_form_seeded(suite):
+    # The numbering reads a sugar node as its core form, so a skeleton or a
+    # definition side as written encodes as its core form does, clause for
+    # clause and variable for variable.
+    for f in _inputs(suite):
+        result = flatten(f)
+        for g in [result.phi0, *(side for _, leaf in result.defs for side in leaf.children)]:
+            assert to_cnf([g]) == to_cnf([desugar(g)]), render(g)
+
+
 @pytest.mark.parametrize("suite", [*_SUITES, "M&M&M", "chains"])
 def test_every_node_flatten_hands_out_has_its_written_core_form(suite):
-    # A node flatten builds above sugar is not marked as its own core form,
-    # so the per-query path's CNF reads the same formula as the table.
+    # Every node flatten hands out, reused or built, desugars to the core
+    # form of its own text: the skeleton and the definitions read as written.
     # Rendering every node is quadratic in the nesting: chains of 100 levels.
     for f in [_e_chain(100), _iff_chain(100)] if suite == "chains" else _inputs(suite):
         result = flatten(f)
@@ -366,4 +376,4 @@ def test_every_node_flatten_hands_out_has_its_written_core_form(suite):
         for g in handed:
             fold(g, lambda node, _: nodes.setdefault(id(node), node))
         for g in nodes.values():
-            assert g.core == desugar(parse(render(g), allow_reserved=True)), render(g)
+            assert desugar(g) == desugar(parse(render(g), allow_reserved=True)), render(g)

@@ -28,6 +28,7 @@ from knowhow.formula import (
     Or,
     Top,
     Univ,
+    desugar,
     parse,
     subformulas,
 )
@@ -531,7 +532,7 @@ def test_sugar_evaluates_as_its_core_form_seeded(monkeypatch):
         return every if pre & ~post == 0 else 0
 
     for seed, f in enumerate(_sugared_formulas()):
-        core, deep_f = f.core, deep(f)
+        core, deep_f = desugar(f), deep(f)
         for k in range(3):
             m = random_lts(1 + 2 * k, k, atoms, 0.4, 100 * seed + k)
 
@@ -550,15 +551,15 @@ def test_sugar_evaluates_as_its_core_form_seeded(monkeypatch):
 
 def test_evaluation_fills_no_core_form(monkeypatch):
     # The model checker, the certificate check and the falsifier's two
-    # tiers walk a formula as written: none of them reads its core form.
+    # tiers walk a formula as written: none of them builds its core form.
     filled = []
-    original = formula._fill_core
+    original = formula._desugar_node
 
     def recording_fill(node, children):
         filled.append(node)
         return original(node, children)
 
-    monkeypatch.setattr(formula, "_fill_core", recording_fill)
+    monkeypatch.setattr(formula, "_desugar_node", recording_fill)
     text = "E (p & q) & A (p -> Kh(q <-> true, r)) & ~(p <-> E q)"
     m = random_lts(3, 2, ("p", "q", "r"), 0.5, 7)
     eval_formula(m, parse(text))
