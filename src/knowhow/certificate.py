@@ -57,7 +57,7 @@ class Certificate:
 
 
 def build_model(
-    p, indices, rows: Iterable[int], *, witness_pre: Formula | None = None, oracle: SatOracle,
+    p, indices, rows: Iterable[int], *, witness_pre: Formula | int | None = None, oracle: SatOracle,
 ) -> Certificate:
     """The explicit model for a positive conjunction ``p`` of a checked
     pair, the context indices of ``p`` (``khsat.global_indices``) and the

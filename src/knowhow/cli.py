@@ -10,7 +10,6 @@ text or as a single JSON document.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
@@ -21,21 +20,12 @@ from .formula import Atom, Formula, Kh, ParseError, desugar, fold, parse, render
 from .khsat import Result, Verdict, decide, oracle_call_count
 from .normalform import FlattenResult, flatten
 from .oracle import SearchBounds, bounded_sat_search, random_formula, random_lts
-from .propsat import SatOracle, SolverError
+from .propsat import SatOracle
 from .semantics import dump_model, eval_formula, has_witness_plan, load_model
-
-SOLVER_ENV_VAR = "KNOWHOW_SAT_SOLVER"
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
-
-
-def _resolve_solver(flag_value: str | None) -> str | None:
-    path = flag_value or os.environ.get(SOLVER_ENV_VAR) or None
-    if path is not None and not os.path.exists(path):
-        raise click.UsageError(f"external solver not found: {path}")
-    return path
 
 
 def _check_count(count: int) -> None:
@@ -117,22 +107,20 @@ def cli() -> None:
 @click.argument("formula", required=False)
 @click.option("--file", "-f", "file", type=click.Path(exists=True), help="Read the formula from a file (# lines are comments).")
 @click.option("--mode", type=click.Choice(["plain", "augmented", "differential"]), default="plain", show_default=True)
-@click.option("--solver", help=f"External solver executable (default: ${SOLVER_ENV_VAR}).")
 @click.option("--max-states", type=int, default=3, show_default=True, help="Bounded-search state cap for the differential cross-check.")
 @click.option("--trials", type=int, default=200, show_default=True, help="Random trials for the differential cross-check; they run only for formulas over more than 2 atoms or with --max-states above 3.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--trace", is_flag=True, help="Record per-guess oracle-call counts.")
 @click.option("--certificate-out", type=click.Path(), help="Write the SAT certificate to this file.")
-def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, certificate_out):
+def check(formula, file, mode, max_states, trials, seed, fmt, trace, certificate_out):
     """Decide satisfiability; exit 10 on SAT, 20 on UNSAT."""
-    solver_path = _resolve_solver(solver)
     # Built before deciding so that a bad --max-states fails in every mode.
     bounds = SearchBounds(max_states=max_states, random_trials=trials, seed=seed)
     f = _read_formula(formula, file)
     want_trace = trace or mode == "differential"
 
-    oracle = SatOracle(solver_path=solver_path)
+    oracle = SatOracle()
     primary = decide(f, "plain" if mode == "differential" else mode,
                      oracle=oracle, trace=want_trace)
     certificate = primary.certificate
@@ -169,8 +157,7 @@ def check(formula, file, mode, solver, max_states, trials, seed, fmt, trace, cer
                   " ".join(f"{k}={v}" for k, v in calls.items() if v is not None)))
 
     if mode == "differential":
-        other_oracle = SatOracle(solver_path=solver_path)
-        other = decide(f, "augmented", oracle=other_oracle, trace=True)
+        other = decide(f, "augmented", trace=True)
         pairs += [
             ("augmented_result", other.result.value),
             ("modes_agree", primary.result is other.result),
@@ -279,14 +266,12 @@ def gen_model(states, actions, atoms, density, seed):
 @click.option("--atoms", default="p,q", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["plain", "augmented", "differential"]), default="plain", show_default=True)
-@click.option("--solver", help=f"External solver executable (default: ${SOLVER_ENV_VAR}).")
 @click.option("--trials", type=int, default=0, show_default=True, help="Random trials for the oracle cross-check; they run only for formulas over more than 2 atoms, and 2-atom formulas get the exhaustive box alone.")
 @click.option("--formula", "extra_formulas", multiple=True, help="Pinned instance prepended to the generated suite (repeatable).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formulas, fmt):
+def bench(count, depth, leaves, atoms, seed, mode, trials, extra_formulas, fmt):
     """Run a seeded suite; report time, calls, verdicts, agreement."""
     _check_count(count)
-    solver_path = _resolve_solver(solver)
     bounds = SearchBounds(random_trials=trials, seed=seed)
     names = _atom_names(atoms)
     instances: list[tuple[str, Formula]] = [
@@ -299,7 +284,7 @@ def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formula
 
     rows: list[dict[str, object]] = []
     for label, f in instances:
-        oracle = SatOracle(solver_path=solver_path)
+        oracle = SatOracle()
         started = time.perf_counter()
         verdict = decide(f, "plain" if mode == "differential" else mode,
                          oracle=oracle, trace=True)
@@ -314,7 +299,7 @@ def bench(count, depth, leaves, atoms, seed, mode, solver, trials, extra_formula
             "formula": render(f),
         }
         if mode == "differential":
-            other = decide(f, "augmented", oracle=SatOracle(solver_path=solver_path))
+            other = decide(f, "augmented")
             row["modes_agree"] = verdict.result is other.result
             row["oracle_check"] = _oracle_check(f, verdict.result, bounds)
         rows.append(row)
@@ -348,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError as exc:  # pickling still recurses per level
         click.echo(f"error: formula nests too deeply ({exc})", err=True)
         return EXIT_ERROR
-    except (SolverError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return code if isinstance(code, int) else 0

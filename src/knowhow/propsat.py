@@ -36,13 +36,6 @@ conditions' bits at them (``SatOracle.row_truth_sets``: off the table where
 there is one, otherwise evaluated on a grid of the places) and the scope's
 atoms' (``SatOracle.row_valuation``); no other module reads a place.  The
 scope's table, the per-query table and that grid are one type, ``_Table``.
-
-An external DIMACS solver can be substituted per call; it then receives
-every query, whatever its size.  The built-in DPLL remains the reference
-implementation.  An external solver's answer is checked: a missing verdict,
-a model that falsifies a clause, or a timeout raises ``SolverError``.  The
-modules that run it (``os``, ``subprocess``, ``tempfile``) are imported only
-when a solver is set, on its first query.
 """
 
 from __future__ import annotations
@@ -72,14 +65,14 @@ class CnfInstance:
     var_map: dict[str, int]
 
 
-# Queries over at most this many symbols are answered from a truth table when
-# no external solver is set.  On per-query calls recorded from plain decide
-# runs on random_formula(3, 8, p..w) inputs (each query's best of 5, averaged
-# over up to 200 queries per size; shared 2-CPU Linux machine, Python 3.11),
-# the table costs 0.017 ms at 8 symbols against 0.120 ms for Tseitin CNF and
-# DPLL, 0.028 against 0.174 ms at 10, 0.026 against 0.123 ms at 11 and 0.043
-# against 0.208 ms at 12.  The table doubles per symbol, so the two cross
-# further up; this cutoff is below that point, not at it.
+# Queries over at most this many symbols are answered from a truth table, the
+# others through Tseitin CNF and DPLL.  On per-query calls recorded from plain
+# decide runs on random_formula(3, 8, p..w) inputs (each query's best of 5,
+# averaged over up to 200 queries per size; shared 2-CPU Linux machine, Python
+# 3.11), the table costs 0.017 ms at 8 symbols against 0.120 ms for Tseitin
+# CNF and DPLL, 0.028 against 0.174 ms at 10, 0.026 against 0.123 ms at 11 and
+# 0.043 against 0.208 ms at 12.  The table doubles per symbol, so the two
+# cross further up; this cutoff is below that point, not at it.
 _TABLE_MAX_SYMBOLS = 10
 
 
@@ -220,81 +213,22 @@ def _dpll(var_count: int, clauses: Sequence[tuple[int, ...]]) -> list[bool] | No
         set_lit(var, False)  # the flip to True is forced, not a decision
 
 
-class SolverError(RuntimeError):
-    """An external solver gave no verdict line, a model that falsifies a
-    clause, or no answer in time."""
-
-
-def _parse_solver_output(text: str) -> tuple[bool, dict[int, bool]]:
-    verdict: bool | None = None
-    values: dict[int, bool] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("s "):
-            token = line[2:].strip()
-            if token == "SATISFIABLE":
-                verdict = True
-            elif token == "UNSATISFIABLE":
-                verdict = False
-        elif line.startswith("v "):
-            for word in line[2:].split():
-                lit = int(word)
-                if lit != 0:
-                    values[abs(lit)] = lit > 0
-    if verdict is None:
-        raise SolverError("no 's' verdict line")
-    return verdict, values
-
-
-def _solve(instance: CnfInstance, solver_path: str | None) -> list[bool] | None:
-    if solver_path is None:
-        return _dpll(instance.var_count, instance.clauses)
-    import os
-    import subprocess
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
-        handle.write(export_dimacs(instance))
-        path = handle.name
-    try:
-        proc = subprocess.run(
-            [solver_path, path], capture_output=True, text=True, timeout=300, check=False
-        )
-        verdict, values = _parse_solver_output(proc.stdout)
-        if not verdict:
-            return None
-        # Unreported variables default to False (common solver behavior for
-        # don't-care variables).
-        model = [values.get(v, False) for v in range(1, instance.var_count + 1)]
-        for clause in instance.clauses:
-            if not any(model[abs(lit) - 1] == (lit > 0) for lit in clause):
-                raise SolverError(f"reported model falsifies clause {clause}")
-        return model
-    except (SolverError, subprocess.TimeoutExpired) as exc:
-        raise SolverError(f"external solver {solver_path!r}: {exc}") from None
-    finally:
-        os.unlink(path)
-
-
-def is_sat(
-    fs: Sequence[Formula | int], *, solver_path: str | None = None
-) -> tuple[bool, Assignment | None]:
+def is_sat(fs: Sequence[Formula | int]) -> tuple[bool, Assignment | None]:
     """Satisfiability of the conjunction of modality-free formulas, or of a
     ``Members`` term, whose numbers read its ``structures``.
 
     Returns ``(True, witness)`` with a total assignment over the symbols
     reachable from the members, or ``(False, None)``.  The empty set is
-    satisfiable by convention.  With no solver set and at most
-    ``_TABLE_MAX_SYMBOLS`` symbols, the query is answered on their truth
-    table; otherwise through ``to_cnf``.  The witness is the first model in
-    False-first order over the sorted symbols, which is the model the
-    built-in DPLL finds first.
+    satisfiable by convention.  With at most ``_TABLE_MAX_SYMBOLS``
+    symbols, the query is answered on their truth table; otherwise through
+    ``to_cnf`` and DPLL.  The witness is the first model in False-first
+    order over the sorted symbols, which is the model DPLL finds first.
     """
     roots, structures = _numbered(fs, getattr(fs, "structures", ()))
     numbers = _reachable(structures, roots)
     symbols = _atoms_of(structures, numbers)
-    if solver_path is not None or len(symbols) > _TABLE_MAX_SYMBOLS:
-        return _cnf_is_sat(roots, solver_path, structures)
+    if len(symbols) > _TABLE_MAX_SYMBOLS:
+        return _cnf_is_sat(roots, structures)
     table = _Table.truth_table(symbols)
     every = table.every
     values = _interpret(structures, table.val.__getitem__, every.__xor__, int.__or__, 0, numbers)
@@ -308,40 +242,25 @@ def is_sat(
 
 
 def _cnf_is_sat(
-    fs: Sequence[Formula | int],
-    solver_path: str | None = None,
-    structures: Sequence[str | tuple] = (),
+    fs: Sequence[Formula | int], structures: Sequence[str | tuple] = ()
 ) -> tuple[bool, Assignment | None]:
-    """``is_sat`` through Tseitin CNF and DPLL (or the external solver)."""
+    """``is_sat`` through Tseitin CNF and DPLL."""
     instance = to_cnf(fs, structures)
-    model = _solve(instance, solver_path)
+    model = _dpll(instance.var_count, instance.clauses)
     if model is None:
         return False, None
     return True, {name: model[var - 1] for name, var in instance.var_map.items()}
 
 
-def enumerate_models(
-    f: Formula, proj: Iterable[str], *, solver_path: str | None = None
-) -> list[Assignment]:
+def enumerate_models(f: Formula, proj: Iterable[str]) -> list[Assignment]:
     """All distinct projections of models of ``f`` onto the ``proj`` symbols,
     over the sorted symbols with True first: ``SatOracle.enumerate_models``
     in a scope over atoms(f) ∪ proj, so projection symbols foreign to ``f``
     vary freely."""
     proj = sorted(set(proj))
-    oracle = SatOracle(solver_path)
+    oracle = SatOracle()
     with oracle.scope(f.atoms | set(proj)):
         return list(oracle.enumerate_models(f, [Atom(name) for name in proj]))
-
-
-def export_dimacs(instance: CnfInstance) -> str:
-    """Standard DIMACS CNF text with the symbol map in comment lines."""
-    lines = [f"c knowhow CNF export, {len(instance.var_map)} mapped symbols"]
-    for name in sorted(instance.var_map):
-        lines.append(f"c var {instance.var_map[name]} = {name}")
-    lines.append(f"p cnf {instance.var_count} {len(instance.clauses)}")
-    for clause in instance.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
 
 
 def _bits(symbols: Sequence[str]) -> dict[str, int]:
@@ -498,20 +417,17 @@ class SatOracle:
 
     A condition is a modality-free formula or, inside a scope given a
     numbering's structures, the number of one.  Inside ``scope(atoms,
-    structures)``, with no external solver and at most
-    ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is an int mask on one truth
-    table over those atoms: a number's from one pass over the structures, a
-    formula's evaluated once, cached by identity; a negation is the
-    complement ``every ^ mask`` and a query is an AND of masks.  Otherwise,
-    and for a batch with an atom outside the scope, a truth set is its
-    ``Members`` and ``ask`` hands them to ``is_sat``, so DPLL or the
-    external solver sees every query; a number's negation is then ``~i``
-    and a formula's ``Not(f)``.  Inside
-    ``witnesses()``, ``ask`` also keeps each satisfied query's witness as a
-    place over the scope's atoms.
+    structures)`` with at most ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is
+    an int mask on one truth table over those atoms: a number's from one
+    pass over the structures, a formula's evaluated once, cached by
+    identity; a negation is the complement ``every ^ mask`` and a query is
+    an AND of masks.  Otherwise, and for a batch with an atom outside the
+    scope, a truth set is its ``Members`` and ``ask`` hands them to
+    ``is_sat``; a number's negation is then ``~i`` and a formula's
+    ``Not(f)``.  Inside ``witnesses()``, ``ask`` also keeps each satisfied
+    query's witness as a place over the scope's atoms.
     """
 
-    solver_path: str | None = None
     calls: int = 0
     _scope: _Scope | None = field(default=None, init=False, repr=False, compare=False)
     _witnesses: list[int] | None = field(default=None, init=False, repr=False, compare=False)
@@ -537,7 +453,7 @@ class SatOracle:
         a non-empty set's witness is kept."""
         self.calls += 1
         if isinstance(term, Members):
-            sat, witness = is_sat(term, solver_path=self.solver_path)
+            sat, witness = is_sat(term)
             if sat and self._witnesses is not None:
                 bits = self._scope.bits
                 if not witness.keys() <= bits.keys():
@@ -554,9 +470,9 @@ class SatOracle:
         exit, in the order first found, each as its place over the scope's
         atoms: on the table the lowest row of the mask, per query
         ``is_sat``'s witness with atoms outside the query false (the same
-        valuation, except from an external solver).  Nothing is asked; the
-        list is filled in on exit, and the previous collection restored.
-        Places need a scope: outside one this raises ``ValueError``."""
+        valuation).  Nothing is asked; the list is filled in on exit, and
+        the previous collection restored.  Places need a scope: outside one
+        this raises ``ValueError``."""
         if self._scope is None:
             raise ValueError("witnesses are places over a scope's atoms; open a scope first")
         saved, self._witnesses = self._witnesses, []
@@ -595,15 +511,15 @@ class SatOracle:
         self, atoms: Iterable[str], structures: Sequence[str | tuple] = ()
     ) -> Iterator[None]:
         """Answer from one truth table over ``atoms`` until exit, or per
-        query when they are too many or a solver is set.  Meanwhile the
-        numbers of a numbering's ``structures``, whose atoms lie among
-        ``atoms``, stand for conditions: on the table their masks come from
-        one pass over them (``_Table.number``).  The previous scope is
-        restored on exit, also on an exception."""
+        query when they are too many.  Meanwhile the numbers of a
+        numbering's ``structures``, whose atoms lie among ``atoms``, stand
+        for conditions: on the table their masks come from one pass over
+        them (``_Table.number``).  The previous scope is restored on exit,
+        also on an exception."""
         saved = self._scope
         symbols = sorted(set(atoms))
         table = numbered = None
-        if self.solver_path is None and len(symbols) <= _TABLE_MAX_SYMBOLS:
+        if len(symbols) <= _TABLE_MAX_SYMBOLS:
             table = _Table.truth_table(symbols)
             numbered = table.number(structures)
         self._scope = _Scope(_bits(symbols), table, structures, numbered)

@@ -96,9 +96,15 @@ def test_check_requires_exactly_one_input_source(capsys):
     assert main(["check", "p", "--file", "nowhere.txt"]) == EXIT_ERROR
 
 
-def test_check_missing_solver_is_usage_error(capsys):
-    assert main(["check", "p", "--solver", "/no/such/binary"]) == EXIT_ERROR
-    assert "solver" in capsys.readouterr().err
+def test_check_missing_solver_is_usage_error(capsys, monkeypatch):
+    # The oracle is built in: no option or environment variable names an
+    # external solver, so --solver is unknown and the variable is ignored.
+    for command in (["check", "p"], ["bench", "--count", "0"]):
+        assert main([*command, "--solver", "/no/such/binary"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--solver" in err
+    monkeypatch.setenv("KNOWHOW_SAT_SOLVER", "/no/such/binary")
+    assert main(["check", "p"]) == EXIT_SAT
 
 
 def test_check_reads_files_and_skips_comments(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The cold-start contract: no path loads numpy, and the external-solver
-modules load only on the path that runs them.
+"""The cold-start contract: no path of the decision procedure or the CLI
+loads numpy or ``subprocess``; the package uses neither.
 
 Each check runs in a fresh interpreter, so modules the test session has
 already imported cannot hide an import, and compares ``sys.modules`` with

@@ -5,19 +5,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
-import stat
-import subprocess
-import sys
 from functools import reduce
 from operator import and_
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowhow import formula, propsat
-from knowhow.cli import EXIT_ERROR, main
 from knowhow.formula import (
     And,
     Atom,
@@ -30,14 +25,11 @@ from knowhow.formula import (
     Top,
     parse,
 )
-from knowhow.khsat import decide
 from knowhow.propsat import (
     Members,
     SatOracle,
-    SolverError,
     _cnf_is_sat,
     enumerate_models,
-    export_dimacs,
     is_sat,
     to_cnf,
 )
@@ -205,10 +197,10 @@ CONSTANT_QUERIES = [
 ]
 
 
-def _constant_verdicts(solver_path=None):
+def _constant_verdicts():
     for fs, witness in CONSTANT_QUERIES:
-        assert is_sat(fs, solver_path=solver_path) == (witness is not None, witness), fs
-        assert _cnf_is_sat(fs, solver_path) == (witness is not None, witness), fs
+        assert is_sat(fs) == (witness is not None, witness), fs
+        assert _cnf_is_sat(fs) == (witness is not None, witness), fs
     for f, models in [
         (Top(), [{"p": True}, {"p": False}]),
         (Bottom(), []),
@@ -216,7 +208,7 @@ def _constant_verdicts(solver_path=None):
         (And(P, Bottom()), []),
         (Iff(P, Bottom()), [{"p": False}]),
     ]:
-        assert enumerate_models(f, ["p"], solver_path=solver_path) == models, f
+        assert enumerate_models(f, ["p"]) == models, f
 
 
 def test_constant_members_through_the_cnf_path():
@@ -375,151 +367,6 @@ def test_table_path_rejects_modal_operands():
 
 
 # ---------------------------------------------------------------------------
-# export_dimacs
-
-
-def test_export_dimacs_single_unit():
-    text = export_dimacs(to_cnf([P]))
-    assert "p cnf 1 1" in text
-    assert text.endswith("1 0\n")
-    assert "c var 1 = p" in text
-
-
-def test_export_dimacs_empty():
-    assert "p cnf 0 0" in export_dimacs(to_cnf([]))
-
-
-def test_export_dimacs_contradiction_units():
-    text = export_dimacs(to_cnf([P, Not(P)]))
-    lines = [line for line in text.splitlines() if not line.startswith(("c", "p"))]
-    assert lines == ["1 0", "-1 0"]
-
-
-# ---------------------------------------------------------------------------
-# external solver contract
-
-
-@pytest.fixture()
-def fake_solver(tmp_path: Path) -> str:
-    """A DIMACS solver built on this package's own DPLL, exercising the
-    subprocess protocol (argv = [solver, cnf-file], 's'/'v' output lines).
-    Each run appends one line to ``solver-runs.log`` in ``tmp_path``."""
-    script = tmp_path / "fakesolver.py"
-    script.write_text(
-        """#!/usr/bin/env python3
-import sys
-sys.path.insert(0, {src!r})
-from knowhow.propsat import CnfInstance, _dpll
-
-with open({log!r}, 'a') as log:
-    log.write(sys.argv[1] + '\\n')
-
-clauses, var_count = [], 0
-for line in open(sys.argv[1]):
-    line = line.strip()
-    if not line or line.startswith('c'):
-        continue
-    if line.startswith('p cnf'):
-        var_count = int(line.split()[2])
-        continue
-    lits = [int(tok) for tok in line.split()[:-1]]
-    clauses.append(tuple(lits))
-model = _dpll(var_count, clauses)
-if model is None:
-    print('s UNSATISFIABLE')
-else:
-    print('s SATISFIABLE')
-    print('v ' + ' '.join(str(v if model[v - 1] else -v) for v in range(1, var_count + 1)) + ' 0')
-""".format(
-            src=str(Path(__file__).resolve().parent.parent / "src"),
-            log=str(tmp_path / "solver-runs.log"),
-        )
-    )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    wrapper = tmp_path / "fakesolver"
-    wrapper.write_text(f"#!/bin/sh\nexec {sys.executable} {script} \"$@\"\n")
-    wrapper.chmod(wrapper.stat().st_mode | stat.S_IEXEC)
-    return str(wrapper)
-
-
-def _canned_solver(tmp_path: Path, name: str, output: str) -> str:
-    """A solver executable that prints ``output`` whatever the instance."""
-    script = tmp_path / name
-    script.write_text(f"#!/bin/sh\ncat <<'EOF'\n{output}EOF\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    return str(script)
-
-
-@pytest.fixture()
-def falsifying_solver(tmp_path: Path) -> str:
-    """Claims SAT with every variable false, which falsifies ``p``."""
-    return _canned_solver(tmp_path, "falsifying", "s SATISFIABLE\nv -1 0\n")
-
-
-@pytest.fixture()
-def verdictless_solver(tmp_path: Path) -> str:
-    """Prints a comment and no 's' verdict line."""
-    return _canned_solver(tmp_path, "verdictless", "c giving up\n")
-
-
-def test_external_solver_round_trip(fake_solver):
-    ok, witness = is_sat([Or(P, Q), Not(P)], solver_path=fake_solver)
-    assert ok is True
-    assert eval_prop(Or(P, Q), witness)
-    assert is_sat([P, Not(P)], solver_path=fake_solver) == (False, None)
-
-
-def test_external_solver_enumeration(fake_solver):
-    models = enumerate_models(Or(P, Q), ["p", "q"], solver_path=fake_solver)
-    assert len(models) == 3
-
-
-def test_external_solver_answers_every_decide_query(fake_solver, tmp_path):
-    # Small queries must not be answered from the truth table when a solver
-    # is set: every counted oracle query reaches the executable.
-    f = parse("Kh(p, q) & ~Kh(q, false)")
-    oracle = SatOracle(solver_path=fake_solver)
-    verdict = decide(f, oracle=oracle)
-    assert verdict.result == decide(f).result
-    runs = (tmp_path / "solver-runs.log").read_text().splitlines()
-    assert oracle.calls > 0
-    assert len(runs) == oracle.calls
-
-
-def test_external_solver_constant_members(fake_solver):
-    _constant_verdicts(fake_solver)
-
-
-def test_external_solver_falsifying_model_is_an_error(falsifying_solver):
-    with pytest.raises(SolverError, match="falsifies"):
-        is_sat([P], solver_path=falsifying_solver)
-    # The same model does satisfy ~p, so it is accepted there.
-    assert is_sat([Not(P)], solver_path=falsifying_solver) == (True, {"p": False})
-
-
-def test_external_solver_without_verdict_is_an_error(verdictless_solver):
-    with pytest.raises(SolverError, match="verdict"):
-        is_sat([P], solver_path=verdictless_solver)
-
-
-def test_external_solver_timeout_is_an_error(monkeypatch):
-    def expire(cmd, **kwargs):
-        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
-
-    monkeypatch.setattr(subprocess, "run", expire)
-    with pytest.raises(SolverError, match="timed out"):
-        is_sat([P], solver_path="/any/solver")
-
-
-def test_check_reports_bad_solver_answers_as_errors(falsifying_solver, verdictless_solver, capsys):
-    for solver in (falsifying_solver, verdictless_solver):
-        assert main(["check", "p", "--solver", solver]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: external solver")
-        assert "result:" not in captured.out
-
-
-# ---------------------------------------------------------------------------
 # counting facade
 
 
@@ -661,9 +508,13 @@ def test_truth_sets_are_masks_in_a_table_scope():
     assert oracle.calls == 2  # reading truth sets asks nothing
 
 
-def test_truth_sets_are_members_outside_a_table_scope(fake_solver, tmp_path):
-    # No scope; a solver's scope, which builds no table; q outside the scope.
-    for oracle, atoms in ((SatOracle(), None), (SatOracle(fake_solver), ["p", "q"]), (SatOracle(), ["p"])):
+def test_truth_sets_are_members_outside_a_table_scope(monkeypatch):
+    # No scope; a scope over more atoms than the cutoff, which builds no
+    # table; q outside the scope.
+    limit = propsat._TABLE_MAX_SYMBOLS
+    for atoms, cutoff in ((None, limit), (["p", "q"], 1), (["p"], limit)):
+        monkeypatch.setattr(propsat, "_TABLE_MAX_SYMBOLS", cutoff)
+        oracle = SatOracle()
         with oracle.scope(atoms) if atoms else contextlib.nullcontext():
             every, truth, falsity = oracle.truth_sets([P, Or(P, Q)])
             assert every == Members() and isinstance(every, Members)
@@ -674,8 +525,6 @@ def test_truth_sets_are_members_outside_a_table_scope(fake_solver, tmp_path):
             assert oracle.ask(question) is True
             assert oracle.ask(truth[0] & falsity[0]) is False
         assert oracle.calls == 2
-    runs = (tmp_path / "solver-runs.log").read_text().splitlines()
-    assert len(runs) == 2  # the solver saw both of its questions
 
 
 def test_witnesses_are_the_lowest_row_on_both_paths(monkeypatch):
