@@ -14,8 +14,8 @@ precondition state.  Conjuncts forced into the context, or whose
 precondition never holds, get no action: the empty plan witnesses them.
 The oracle reads the sides' truth sets on the states
 (``SatOracle.row_truth_sets``; inside ``decide`` bit by bit off the masks
-its truth table already holds, otherwise evaluated on the states with the
-model checker's evaluator) and the atoms' (``SatOracle.row_valuation``):
+its truth table already holds, otherwise through the scope's numbering on
+a grid of the states) and the atoms' (``SatOracle.row_valuation``):
 nothing is evaluated twice on the table path and no atom set is built.
 
 Why the witness rows suffice: each question of the check asks whether the

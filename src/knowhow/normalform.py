@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import count, islice
 from typing import NamedTuple, Sequence
 
 from .formula import And, Atom, Bottom, Exis, Formula, Iff, Implies, Kh, Not, Or, Top, Univ
@@ -194,7 +195,8 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
 
     Inputs containing reserved ``_k…`` atoms are rejected unless
     ``allow_reserved`` is set (useful for re-flattening an already flattened
-    skeleton, which introduces no fresh atoms and hence cannot collide).
+    skeleton); the names are then the first of ``_k1, _k2, …`` that are not
+    among the input's atoms, so a name never stands for an input atom.
     """
     kept = getattr(f, "_flattening", None)
     if kept is not None:
@@ -213,7 +215,8 @@ def flatten(f: Formula, *, allow_reserved: bool = False) -> FlattenResult:
     ordered = sorted(kh, key=depths.__getitem__)
     false, pins = number((Bottom,), 0), tuple([number((Not, sid), depths[sid]) for sid in ordered])
     sides = tuple([shapes[sid][1:] for sid in ordered])
-    names = tuple([f"{RESERVED_PREFIX}{i}" for i in range(1, len(ordered) + 1)])
+    fresh = (name for name in map(f"{RESERVED_PREFIX}{{}}".format, count(1)) if name not in atoms)
+    names = tuple(islice(fresh, len(ordered)))
     for sid, name in zip(ordered, names):
         shapes[sid] = name  # a modality reads its name
     numbering = Numbering(shapes, top, false, names, tuple(ordered), sides, pins)

@@ -24,16 +24,16 @@ a descent over the definition atoms (``SatOracle.enumerate_models``).
 numbering, and names each condition by its number in that numbering.  Up
 to the same cutoff, a truth set is then an int mask on one truth table per
 call, a number's from a list filled by one pass over the structures
-(``_Table.number``), a formula's evaluated once (``eval_core``) and cached
-by identity.  Otherwise a truth set is the list of its members
-(``Members``), each query to ``is_sat``: a number's negation is ``~i`` and
-a formula's is ``Not(f)``, so nothing is built per scope.  Either way a
-guess check can keep the witness of
-each query it satisfies (``SatOracle.witnesses``) as a place: the number of
-its row in the truth table of the scope's sorted atoms, first atom most
-significant.  Its certificate is built from those places, reading its
+(``_Table.number``); a batch with a formula is numbered after them and its
+new structures read by one more pass.  Otherwise a truth set is the list
+of its members (``Members``), each query to ``is_sat``: a number's negation
+is ``~i`` and a formula's is ``Not(f)``, so nothing is built per scope.
+Either way a guess check can keep the witness of each query it satisfies
+(``SatOracle.witnesses``) as a place: the number of its row in the truth
+table of the scope's sorted atoms, first atom most significant.  Its
+certificate is built from those places, reading its
 conditions' bits at them (``SatOracle.row_truth_sets``: off the table where
-there is one, otherwise evaluated on a grid of the places) and the scope's
+there is one, otherwise read on a grid of the places) and the scope's
 atoms' (``SatOracle.row_valuation``); no other module reads a place.  The
 scope's table, the per-query table and that grid are one type, ``_Table``.
 """
@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formula import Atom, Formula, Not, render
 from .normalform import number_core
-from .semantics import eval_core, truth_masks
+from .semantics import truth_masks
 
 Assignment = dict[str, bool]
 
@@ -269,32 +269,6 @@ def _bits(symbols: Sequence[str]) -> dict[str, int]:
     return {a: 1 << (len(symbols) - 1 - j) for j, a in enumerate(symbols)}
 
 
-class _ModalOperand(Exception):
-    """A modality met while evaluating a member for the oracle."""
-
-
-def _no_modality(pre: int, post: int) -> int:
-    raise _ModalOperand
-
-
-class _Reader:
-    """A table's atom masks as ``eval_core`` reads them, through ``get``:
-    it notes in ``outside`` whether an atom lies outside the table (read as
-    false)."""
-
-    __slots__ = ("val", "outside")
-
-    def __init__(self, val: dict[str, int]):
-        self.val, self.outside = val, False
-
-    def get(self, name: str, default: int) -> int:
-        mask = self.val.get(name)
-        if mask is None:
-            self.outside = True
-            return default
-        return mask
-
-
 def _on_rows(bits: dict[str, int], rows: Sequence[int]) -> dict[str, int]:
     """Each atom of ``bits`` with its truth set on the places ``rows``."""
     return {a: sum(1 << i for i, row in enumerate(rows) if row & bit) for a, bit in bits.items()}
@@ -302,63 +276,65 @@ def _on_rows(bits: dict[str, int], rows: Sequence[int]) -> dict[str, int]:
 
 class _Table(NamedTuple):
     """Truth sets on a grid of valuations, one bit per row: each atom's
-    mask, every row, and per formula evaluated so far, by id: the formula
-    (kept alive, so its id is not reused) and its mask (None: it reads an
-    atom outside the table)."""
+    mask and every row."""
 
     val: dict[str, int]
     every: int
-    cache: dict[int, tuple[Formula, int | None]]
 
     @classmethod
     def truth_table(cls, symbols: Sequence[str]) -> _Table:
         """The truth table of the sorted ``symbols``: row r is place r."""
-        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1, {})
+        return cls(truth_masks(symbols), (1 << (1 << len(symbols))) - 1)
 
     @classmethod
     def grid(cls, bits: dict[str, int], rows: Sequence[int]) -> _Table:
         """One row per place in ``rows``, over the atoms of ``bits``."""
-        return cls(_on_rows(bits, rows), (1 << len(rows)) - 1, {})
+        return cls(_on_rows(bits, rows), (1 << len(rows)) - 1)
 
-    def number(self, structures: Sequence[str | tuple]) -> list[int]:
+    def number(self, structures: Sequence[str | tuple], known: Sequence[int] = ()) -> list[int]:
         """The masks of a numbering's ``structures`` by number, from one pass
-        over them: an atom or a modality's name reads its mask, ``~``
-        complements, ``|`` ORs and ``false`` is 0."""
-        return _interpret(structures, self.val.__getitem__, self.every.__xor__, int.__or__, 0)
+        over them after the ``known`` masks of the first ones: an atom or a
+        modality's name reads its mask, ``~`` complements, ``|`` ORs and
+        ``false`` is 0."""
+        val, every = self.val, self.every
+        return _interpret(structures, val.__getitem__, every.__xor__, int.__or__, 0, known=known)
 
-    def masks(self, fs: Sequence[Formula | int], numbered: Sequence[int] = ()) -> list[int] | None:
-        """The masks of ``fs``, a number's read off ``numbered`` (by
-        ``number``), a formula's evaluated as written on first use (no node
-        fact is read), or None when a member reads an atom outside the
-        table; a modal member raises ``ValueError`` and is not cached."""
+    def masks(
+        self, fs: Sequence[Formula | int], structures: Sequence[str | tuple], numbered: list[int]
+    ) -> list[int] | None:
+        """The masks of ``fs``, a number's read off ``numbered``, the masks
+        of ``structures`` (by ``number``).  A batch with a formula is
+        numbered after ``structures`` (``_numbered``: a modal member raises
+        ``ValueError``), and the new structures' masks come from one pass
+        over them alone; None when it meets an atom outside the table.  No
+        node fact is read."""
         masks = []
         for f in fs:  # a loop, not a comprehension: this runs on every question batch
-            if type(f) is int:
-                masks.append(numbered[f])
-                continue
-            entry = self.cache.get(id(f))
-            if entry is None:
-                reader = _Reader(self.val)
-                try:
-                    mask = eval_core(f, reader, self.every, _no_modality)
-                except _ModalOperand:
-                    message = f"modal depth {f.depth} operand for the oracle: {render(f)}"
-                    raise ValueError(message) from None
-                entry = self.cache[id(f)] = (f, None if reader.outside else mask)
-            if entry[1] is None:
-                return None
-            masks.append(entry[1])
-        return masks
+            if type(f) is not int:
+                break
+            masks.append(numbered[f])
+        else:
+            return masks
+        roots, structures = _numbered(fs, structures)
+        try:
+            values = self.number(structures, numbered)
+        except KeyError:  # an atom outside the table
+            return None
+        return [values[root] for root in roots]
 
 
-def _interpret(structures: Sequence[str | tuple], atom, neg, disj, false, numbers=None) -> list:
+def _interpret(
+    structures: Sequence[str | tuple], atom, neg, disj, false, numbers=None, known=()
+) -> list:
     """The value of each of a numbering's ``structures`` by number, over
     the values of earlier ones: ``atom(name)`` for an atom's or a name's
     name, ``neg``, ``disj`` and ``false`` for ``(Not, i)``, ``(Or, i, j)``
     and ``(Bottom,)``; with ``numbers``, ascending and holding each of
-    their children, of those alone (the others read None)."""
+    their children, of those alone (the others read None), and with
+    ``known``, the values of the first ones, of the others alone."""
     values = [None] * len(structures)
-    for sid in range(len(structures)) if numbers is None else numbers:
+    values[: len(known)] = known
+    for sid in range(len(known), len(structures)) if numbers is None else numbers:
         s = structures[sid]  # a loop, not a comprehension: this runs once per structure
         if type(s) is str:
             values[sid] = atom(s)
@@ -419,13 +395,14 @@ class SatOracle:
     numbering's structures, the number of one.  Inside ``scope(atoms,
     structures)`` with at most ``_TABLE_MAX_SYMBOLS`` atoms, a truth set is
     an int mask on one truth table over those atoms: a number's from one
-    pass over the structures, a formula's evaluated once, cached by
-    identity; a negation is the complement ``every ^ mask`` and a query is
-    an AND of masks.  Otherwise, and for a batch with an atom outside the
-    scope, a truth set is its ``Members`` and ``ask`` hands them to
-    ``is_sat``; a number's negation is then ``~i`` and a formula's
-    ``Not(f)``.  Inside ``witnesses()``, ``ask`` also keeps each satisfied
-    query's witness as a place over the scope's atoms.
+    pass over the structures, and a batch with a formula is numbered after
+    them and its new structures read by one more pass; a negation is the
+    complement ``every ^ mask`` and a query is an AND of masks.
+    Otherwise, and for a batch with an atom outside the scope, a truth set
+    is its ``Members`` and ``ask`` hands them to ``is_sat``; a number's
+    negation is then ``~i`` and a formula's ``Not(f)``.  Inside
+    ``witnesses()``, ``ask`` also keeps each satisfied query's witness as a
+    place over the scope's atoms.
     """
 
     calls: int = 0
@@ -438,12 +415,12 @@ class SatOracle:
         """The set of all valuations, the truth sets of the conditions
         ``fs`` and those of their negations; no query is counted."""
         scope = self._scope
+        structures = scope.structures if scope is not None else ()
         table = scope.table if scope is not None else None
-        masks = table.masks(fs, scope.numbered) if table is not None else None
+        masks = table.masks(fs, structures, scope.numbered) if table is not None else None
         if masks is not None:
             every = table.every
             return every, masks, [every ^ mask for mask in masks]
-        structures = scope.structures if scope is not None else ()
         truth = [Members((f,), structures) for f in fs]
         falsity = [Members((~f if type(f) is int else Not(f),), structures) for f in fs]
         return Members((), structures), truth, falsity
@@ -473,8 +450,7 @@ class SatOracle:
         valuation).  Nothing is asked; the list is filled in on exit, and
         the previous collection restored.  Places need a scope: outside one
         this raises ``ValueError``."""
-        if self._scope is None:
-            raise ValueError("witnesses are places over a scope's atoms; open a scope first")
+        self._places()
         saved, self._witnesses = self._witnesses, []
         rows: list[int] = []
         try:
@@ -487,15 +463,16 @@ class SatOracle:
         """The truth sets of the conditions ``fs`` on ``rows``, places over
         the scope's atoms: bit i of a mask is ``rows[i]``.  No query is
         counted.  On the scope's truth table each bit is read off the
-        condition's mask at the place; otherwise the conditions are
-        evaluated on a grid of the rows, the numbers by one pass over the
-        structures.  A formula with an atom outside the scope raises
-        ``ValueError``."""
-        scope = self._scope
-        masks = scope.table.masks(fs, scope.numbered) if scope.table is not None else None
+        condition's mask at the place; otherwise the conditions are read on
+        a grid of the rows, as on the table.  A formula with an atom outside
+        the scope raises ``ValueError``, and so does a call outside a
+        scope."""
+        scope = self._places()
+        structures, table = scope.structures, scope.table
+        masks = table.masks(fs, structures, scope.numbered) if table is not None else None
         if masks is None:
             grid = _Table.grid(scope.bits, rows)
-            masks = grid.masks(fs, grid.number(scope.structures))
+            masks = grid.masks(fs, structures, grid.number(structures))
             if masks is None:
                 raise ValueError("a formula has atoms outside the scope of its rows")
             return masks
@@ -503,8 +480,16 @@ class SatOracle:
 
     def row_valuation(self, rows: Sequence[int]) -> dict[str, int]:
         """Each of the scope's sorted atoms with its truth set on ``rows``,
-        places over them: bit i of a mask is ``rows[i]``."""
-        return _on_rows(self._scope.bits, rows)
+        places over them: bit i of a mask is ``rows[i]``.  Outside a scope
+        this raises ``ValueError``."""
+        return _on_rows(self._places().bits, rows)
+
+    def _places(self) -> _Scope:
+        """The open scope, whose atoms places are over; outside one this
+        raises ``ValueError``."""
+        if self._scope is None:
+            raise ValueError("places are over a scope's atoms; open a scope first")
+        return self._scope
 
     @contextmanager
     def scope(

@@ -248,9 +248,9 @@ class _Known(NamedTuple):  # a child whose value is known, in the shells of ``ev
 
 
 def eval_core(f: Formula, val: Mapping[str, T], everything: T, kh: Callable[[T, T], T]) -> T:
-    """Truth set of a formula from its atoms' truth sets (bitmasks, or
-    arrays of bitmasks for many models at once; absent atoms are false) and
-    the full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set.
+    """Truth set of a formula from its atoms' truth sets (bitmasks, or ints
+    of bit slices for many models at once; absent atoms are false) and the
+    full set ``everything``; ``kh(pre, post)`` gives ``Kh``'s truth set.
 
     Each of the eleven node classes is evaluated by its definition over the
     core fragment, so no core form is built: ``A g`` is ``Kh(~g, false)``

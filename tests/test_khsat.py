@@ -518,28 +518,6 @@ def test_decide_fills_no_node_facts_on_the_input_core(monkeypatch):
     assert decided == 600
 
 
-def test_decide_evaluates_no_numbered_formula_on_the_table(monkeypatch):
-    """On the table path the masks of phi0, of every side and of every name
-    come from one pass over flatten's numbering: none of them reaches
-    propsat's evaluator, in either mode."""
-    evaluated = []
-    evaluate = propsat.eval_core
-    monkeypatch.setattr(propsat, "eval_core", lambda f, *args: evaluated.append(f) or evaluate(f, *args))
-    decided = 0
-    for f in _suite("M") + _suite("M&M&M"):
-        for mode in ("plain", "augmented"):
-            evaluated.clear()
-            flattening = decide(f, mode).flattening
-            if len(flattening.vocabulary) > propsat._TABLE_MAX_SYMBOLS:
-                continue
-            sides = [side for _, leaf in flattening.defs for side in (leaf.pre, leaf.post)]
-            names = [k for k, _ in flattening.defs]
-            numbered = {id(g) for g in [flattening.phi0, *sides, *names]}
-            assert not numbered & {id(g) for g in evaluated}, (render(f), mode)
-            decided += 1
-    assert decided > 600
-
-
 def test_decide_builds_no_formula_on_the_table(monkeypatch):
     """On the table path decide reads every condition by its number in
     flatten's numbering: it builds no node of flatten's

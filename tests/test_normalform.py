@@ -33,7 +33,7 @@ from knowhow.formula import (
 from knowhow.normalform import FlattenResult, flatten
 from knowhow.normalform import _built as normalform_built
 from knowhow.oracle import random_formula
-from knowhow.propsat import _bits, _no_modality, _Table, to_cnf
+from knowhow.propsat import _bits, _Table, is_sat, to_cnf
 from knowhow.semantics import eval_core, eval_formula
 from tests.test_semantics import random_model
 
@@ -117,6 +117,18 @@ def test_reflattening_phi0_adds_nothing():
     again = flatten(result.phi0, allow_reserved=True)
     assert again.phi0 == result.phi0
     assert again.defs == ()
+
+
+def test_fresh_names_skip_the_inputs_reserved_atoms():
+    # Under ``allow_reserved`` an input's _k1 keeps its meaning: the names
+    # are the first _ki not among the input's atoms, so a satisfiable
+    # input keeps a satisfiable skeleton.
+    result = flatten(parse("_k1 & ~Kh(p, q)", allow_reserved=True), allow_reserved=True)
+    assert result.phi0 == And(K1, Not(K2)) and is_sat([result.phi0])[0]
+    assert result.defs == ((K2, Kh(P, Q)),)
+    result = flatten(Univ(K1), allow_reserved=True)
+    assert result.phi0 == K2 and result.defs == ((K2, Kh(Not(K1), Bottom())),)
+    assert result.vocabulary == ("_k1", "_k2")
 
 
 def test_flatten_keeps_its_result_on_a_modal_input(monkeypatch):
@@ -323,6 +335,9 @@ def test_numbered_masks_equal_the_evaluator(suite):
     # when it has more than 12 atoms, the masks that one pass over flatten's
     # numbering gives the numbers of phi0, false and every side, name and
     # pin ~_ki equal eval_core's on the formulas flatten builds for them.
+    def no_modality(pre: int, post: int) -> int:
+        raise AssertionError("a modality in a modality-free condition")
+
     rng = random.Random(27)
     for f in _inputs(suite):
         result = flatten(f)
@@ -341,7 +356,7 @@ def test_numbered_masks_equal_the_evaluator(suite):
             table = _Table.grid(_bits(symbols), places)
         masks = table.number(numbering.structures)
         for g, n in numbered:
-            expected = eval_core(g, table.val, table.every, _no_modality)
+            expected = eval_core(g, table.val, table.every, no_modality)
             assert masks[n] == expected, (render(f), render(g))
 
 

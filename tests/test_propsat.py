@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knowhow
 from knowhow import formula, propsat
 from knowhow.formula import (
     And,
@@ -25,6 +26,8 @@ from knowhow.formula import (
     Top,
     parse,
 )
+from knowhow.khsat import PositiveSpec
+from knowhow.normalform import flatten
 from knowhow.propsat import (
     Members,
     SatOracle,
@@ -33,6 +36,7 @@ from knowhow.propsat import (
     is_sat,
     to_cnf,
 )
+from knowhow.semantics import eval_core
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -386,33 +390,10 @@ def test_oracle_counts_calls():
     assert oracle.calls == 2 + 7  # the root, then both branches below it and below p, ~p
 
 
-def test_scope_answers_from_cached_member_masks(monkeypatch):
-    # The cache is keyed by identity: each formula object is evaluated once,
-    # and an equal formula built anew is evaluated again.
-    evaluated = []
-    original = propsat.eval_core
-
-    def counting_eval(f, *args):
-        evaluated.append(f)
-        return original(f, *args)
-
-    monkeypatch.setattr(propsat, "eval_core", counting_eval)
-    either, not_p, not_q = Or(P, Q), Not(P), Not(Q)
-    oracle = SatOracle()
-    with oracle.scope(["p", "q"]):
-        assert ask_conjunction(oracle, [either, not_p]) is True
-        assert ask_conjunction(oracle, [either, not_p, not_q]) is False
-        assert ask_conjunction(oracle, []) is True
-        assert ask_conjunction(oracle, [Or(P, Q), not_q]) is True
-    assert oracle.calls == 4
-    assert [id(f) for f in evaluated[:3]] == [id(either), id(not_p), id(not_q)]
-    assert evaluated[3] == either and evaluated[3] is not either and len(evaluated) == 4
-
-
 def test_scope_tables_read_no_node_facts(monkeypatch):
-    # Evaluating a member fills neither its hash nor its atoms: a modal
-    # member is rejected when the evaluation meets the modality, and an atom
-    # outside the table when the evaluation reads it.
+    # Reading a member fills neither its hash nor its atoms: a modal member
+    # is rejected at the depth its numbering gives, and an atom outside the
+    # table when the pass over the new structures reads it.
     fills = []
     fill = formula._fill
     monkeypatch.setattr(formula, "_fill", lambda *args: fills.append(args[0]) or fill(*args))
@@ -427,7 +408,7 @@ def test_scope_tables_read_no_node_facts(monkeypatch):
         fills.clear()  # the per-query member and its negation, checked modality-free
         with pytest.raises(ValueError, match="modal depth 1 operand"):
             oracle.truth_sets([Or(P, Kh(P, Q))])
-    assert [type(node) for node in fills] == [Or]  # the message's depth, after the evaluation
+    assert fills == []
 
 
 def test_row_truth_sets_read_the_table_or_evaluate_on_the_rows_seeded(monkeypatch):
@@ -466,7 +447,7 @@ def test_row_truth_sets_read_the_table_or_evaluate_on_the_rows_seeded(monkeypatc
 def test_scope_rejects_modal_members():
     oracle = SatOracle()
     with oracle.scope(["p", "q"]):
-        for _ in range(2):  # a failed member is not cached
+        for _ in range(2):  # a failed read leaves nothing behind
             with pytest.raises(ValueError, match="modal depth 1 operand"):
                 ask_conjunction(oracle, [P, Kh(P, Q)])
     assert oracle.calls == 0  # reading the truth sets failed; nothing was asked
@@ -547,9 +528,62 @@ def test_witnesses_are_the_lowest_row_on_both_paths(monkeypatch):
         assert oracle.calls == 7
         found.append(rows)
     assert found[0] == found[1] == [0b000, 0b100, 0b010]
+
+
+def test_places_need_a_scope():
+    # Witnesses, conditions' and atoms' truth sets on rows, and so the
+    # certificates built from them, are read at places over a scope's
+    # atoms: outside a scope each raises ValueError.
+    oracle = SatOracle()
     with pytest.raises(ValueError, match="open a scope"):
-        with SatOracle().witnesses():
+        with oracle.witnesses():
             pass
+    with pytest.raises(ValueError, match="open a scope"):
+        oracle.row_truth_sets([P, 0], [0b1])
+    with pytest.raises(ValueError, match="open a scope"):
+        oracle.row_valuation([0b1])
+    with pytest.raises(ValueError, match="open a scope"):
+        knowhow.build_model(PositiveSpec(((P, Q),)), set(), [0b1], oracle=oracle)
+    assert oracle.calls == 0
+
+
+def test_mixed_batches_on_the_table_answer_as_per_query(monkeypatch):
+    # A scope over a flattening's vocabulary and numbering, as decide opens
+    # it.  One batch mixes the numbers of phi0, a side and a pin with phi0
+    # itself, whose core is numbered already, and a new formula over the
+    # vocabulary: on the table their masks equal eval_core's, which pins
+    # the offset of the pass over the new structures.  A batch with an atom
+    # outside the table goes per query.  Every question, witness and count
+    # is the same as on a scope that asks per query.
+    def no_modality(pre: int, post: int) -> int:
+        raise AssertionError("a modality in a modality-free condition")
+
+    flattening = flatten(parse("Kh(p & q, r) | ~Kh(r, p -> q)"))
+    numbering, (k1, leaf1), (k2, _) = flattening.numbering, *flattening.defs
+    new = Or(And(k1, Not(R)), Iff(P, k2))
+    first = [numbering.phi0, numbering.sides[0][0], numbering.pins[1], flattening.phi0, new]
+    formulas = [flattening.phi0, leaf1.pre, Not(k2), flattening.phi0, new]
+    second = [numbering.pins[0], Or(P, Atom("u"))]
+    table = propsat._Table.truth_table(flattening.vocabulary)
+    found = []
+    for cutoff in (propsat._TABLE_MAX_SYMBOLS, 1):
+        monkeypatch.setattr(propsat, "_TABLE_MAX_SYMBOLS", cutoff)
+        oracle, answers = SatOracle(), []
+        with oracle.scope(flattening.vocabulary, numbering.structures):
+            every, truth, falsity = oracle.truth_sets(first)
+            if cutoff > 1:
+                expected = [eval_core(g, table.val, table.every, no_modality) for g in formulas]
+                assert every == table.every and truth == expected
+                assert truth[0] == truth[3] and 0 < truth[4] < every
+            with oracle.witnesses() as rows:
+                for i, j in itertools.product(range(len(first)), repeat=2):
+                    answers.append(oracle.ask(every & truth[i] & falsity[j]))
+            every, truth, falsity = oracle.truth_sets(second)
+            assert isinstance(every, Members)
+            for i, j in itertools.product(range(len(second)), repeat=2):
+                answers.append(oracle.ask(every & truth[i] & falsity[j]))
+        found.append((answers, rows, oracle.calls))
+    assert found[0] == found[1] and True in found[0][0] and False in found[0][0]
 
 
 # ---------------------------------------------------------------------------
